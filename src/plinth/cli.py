@@ -333,8 +333,10 @@ def _run_kernel(spec, cap):
 def _run_image_ideal(spec, n, bounds, cap):
     D = spec.derivation()
     bounds = bounds or spec.bounds or DEFAULT_BOUNDS
+    cap = cap or spec.cap or DEFAULT_ENTRY_CAP
     try:
-        res = image_ideal(D, n, factored_b=spec.factored_b, bounds=bounds)
+        res = image_ideal(D, n, factored_b=spec.factored_b, bounds=bounds,
+                          entry_cap=cap)
     except UnsupportedStructureError as err:
         return RunReport(
             command="image-ideal",
@@ -368,7 +370,8 @@ def _run_verify(spec, n, bounds, cap):
     if spec.expect:
         predicted = list(spec.expect)
     else:
-        res = image_ideal(D, n, factored_b=spec.factored_b, bounds=bounds)
+        res = image_ideal(D, n, factored_b=spec.factored_b, bounds=bounds,
+                          entry_cap=cap)
         predicted = list(res.generators)
     try:
         report = verify_image_ideal(D, n, predicted, bounds[0], bounds[1], cap)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import linalg
 from .polyring import (
     MultiPoly,
     PlinthError,
@@ -320,31 +319,13 @@ def _common_zero_at_origin(polys):
 def _bounded_bezout(images, bound):
     """Search cofactors alpha_i in R (total degree <= bound) with
     sum alpha_i * images_i = 1.  Returns True on success, None on failure."""
+    from .oracle import poly_solve  # the oracle module imports this one
+
     ring = images[0].ring
-    k = ring.nparams
-    # parameter monomials up to the bound
     monos = _param_monomials(ring, bound)
-    columns = []
-    support = {}
-    col_polys = []
-    for img in images:
-        for mono in monos:
-            col_polys.append(MultiPoly(ring, {mono: Fraction(1)}) * img)
-    for poly in col_polys:
-        for e in poly.terms:
-            support.setdefault(e, len(support))
-    target_e = (0,) * ring.arity
-    support.setdefault(target_e, len(support))
-    dim = len(support)
-    for poly in col_polys:
-        vec = [Fraction(0)] * dim
-        for e, c in poly.terms.items():
-            vec[support[e]] = c
-        columns.append(vec)
-    rhs = [Fraction(0)] * dim
-    rhs[support[target_e]] = Fraction(1)
-    x = linalg.solve_columns(columns, rhs)
-    return True if x is not None else None
+    col_polys = [MultiPoly(ring, {mono: Fraction(1)}) * img
+                 for img in images for mono in monos]
+    return True if poly_solve(col_polys, ring.one()) is not None else None
 
 
 def _param_monomials(ring, bound):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from . import linalg
 from .derivation import (
     MINUS_INF,
     Derivation,
@@ -39,7 +38,16 @@ from .grading import (
     prime_after_elimination,
     top_degree_ideal,
 )
+from .oracle import (
+    DEFAULT_ENTRY_CAP,
+    OracleCapError,
+    kernel_and_image_basis,
+    poly_relations,
+    poly_solve,
+    slice_basis,
+)
 from .polyring import (
+    CertificateError,
     MultiPoly,
     PlinthError,
     PolyRing,
@@ -242,7 +250,8 @@ def strictness_decompose(D):
             "multi-parameter coefficient ring: divisibility-based split is "
             "canonical only for irreducible DX_1"
         )
-    assert f == u + b * v
+    if f != u + b * v:
+        raise CertificateError("split f = u + b*v fails its re-check")
     du = u.degree_in(x1name)
     du = 0 if du == MINUS_INF else int(du)
     if du <= 1:
@@ -282,36 +291,21 @@ def slice_construct(D, degree_bound=DEFAULT_SLICE_BOUND):
             s = (alpha * ring.gen(ring.vars[0]) + beta * ring.gen(ring.vars[1])) * (
                 1 / c
             )
-            assert apply(D, s) == ring.one()
+            if apply(D, s) != ring.one():
+                raise CertificateError("Bezout slice %s fails its re-check" % s)
             return s
         return None
-    from .oracle import slice_basis
-
     one = ring.one()
     for bound in range(1, degree_bound + 1):
         slc = slice_basis(ring, bound, bound)
         col_polys = [
             apply(D, MultiPoly(ring, {e: Fraction(1)})) for e in slc.basis
         ]
-        support = {}
-        for p in col_polys + [one]:
-            for e in p.terms:
-                support.setdefault(e, len(support))
-        columns = []
-        for p in col_polys:
-            vec = [Fraction(0)] * len(support)
-            for e, c in p.terms.items():
-                vec[support[e]] = c
-            columns.append(vec)
-        rhs = [Fraction(0)] * len(support)
-        rhs[support[next(iter(one.terms))]] = Fraction(1)
-        x = linalg.solve_columns(columns, rhs)
+        x = poly_solve(col_polys, one)
         if x is not None:
-            s = ring.zero()
-            for c, e in zip(x, slc.basis):
-                if c:
-                    s = s + MultiPoly(ring, {e: c})
-            assert apply(D, s) == one
+            s = MultiPoly(ring, {e: c for c, e in zip(x, slc.basis) if c})
+            if apply(D, s) != one:
+                raise CertificateError("bounded slice %s fails its re-check" % s)
             return s
     return None
 
@@ -463,15 +457,7 @@ def _find_syzygy(D, degree_bound):
             for e in monos:
                 col_polys.append(MultiPoly(ring, {e: Fraction(1)}) * img)
                 tags.append((vi, e))
-        support = {}
-        for p in col_polys:
-            for e in p.terms:
-                support.setdefault(e, len(support))
-        rows = [[Fraction(0)] * len(col_polys) for _ in support]
-        for c, p in enumerate(col_polys):
-            for e, coeff in p.terms.items():
-                rows[support[e]][c] = coeff
-        basis = linalg.nullspace(rows, len(col_polys))
+        basis = poly_relations(col_polys)
         if not basis:
             continue
         coeffs = [ring.zero()] * 3
@@ -604,7 +590,7 @@ def nice3var_reduce(D, degree_bound=DEFAULT_SYZYGY_BOUND):
 # the image-ideal dispatcher
 
 
-def image_ideal(D, j, factored_b=None, bounds=(3, 3)):
+def image_ideal(D, j, factored_b=None, bounds=(3, 3), entry_cap=DEFAULT_ENTRY_CAP):
     """Generators of I_j with theorem tag and machine-checked certificates.
 
     Dispatch: a slice (or confirmed fixed-point-freeness) gives I_j = A;
@@ -613,8 +599,20 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3)):
     gives the principal ideal (prod of non-free primes)^m with
     m = min_exponent(j, d); nice 3-variable over Q[t] reduces and reuses the
     nice branch.  Anything with an unconfirmed hypothesis returns the
-    bounded oracle approximation tagged oracle-only.
+    bounded oracle approximation (slice bounds, entry cap) tagged
+    oracle-only.
     """
+    res = _formula_result(D, j, factored_b)
+    if res.theorem == "oracle-only":
+        try:
+            slc = slice_basis(D.ring, bounds[0], bounds[1])
+            res.generators = kernel_and_image_basis(D, j, slc, entry_cap)[1]
+        except OracleCapError as err:
+            res.notes.append("oracle run hit the entry cap: %s" % err)
+    return res
+
+
+def _formula_result(D, j, factored_b):
     if not isinstance(j, int) or j < 0:
         raise PlinthError("image_ideal needs a natural n")
     ring = D.ring
@@ -637,14 +635,14 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3)):
             notes=["I_0 = A by definition"],
         )
     if rep.lnd is None:
-        return _oracle_only(D, j, bounds, "local nilpotence unconfirmed (cap)")
+        return _oracle_only(D, j, "local nilpotence unconfirmed (cap)")
 
     if ring.nvars == 1:
         # irreducible single-variable case: DX is a rational unit
         s = slice_construct(D)
         if s is not None:
             return _slice_result(D, j, s)
-        return _oracle_only(D, j, bounds, "no slice found within bounds")
+        return _oracle_only(D, j, "no slice found within bounds")
 
     if ring.nvars == 2:
         if rep.classification == "nice" and rep.nice_pair is not None:
@@ -653,9 +651,7 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3)):
                 s = slice_construct(D)
                 if s is not None:
                     return _slice_result(D, j, s)
-                return _oracle_only(
-                    D, j, bounds, "fixed point free but no slice within bounds"
-                )
+                return _oracle_only(D, j, "fixed point free but no slice within bounds")
             if fpf is False:
                 return _nice_power_result(
                     D,
@@ -666,29 +662,23 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3)):
                     ring.gen(ring.vars[1]),
                     theorem="inice",
                 )
-            return _oracle_only(
-                D, j, bounds, "fixed-point-freeness undetermined within bounds"
-            )
+            return _oracle_only(D, j, "fixed-point-freeness undetermined within bounds")
         if rep.quasi is not None:
-            return _quasi_image_ideal(D, j, rep, factored_b, bounds)
-        return _oracle_only(D, j, bounds, "unstructured 2-variable derivation")
+            return _quasi_image_ideal(D, j, rep, factored_b)
+        return _oracle_only(D, j, "unstructured 2-variable derivation")
 
     if ring.nvars == 3 and ring.nparams <= 1 and len(rep.nice_set) == 3:
-        return _pid3var_image_ideal(D, j, bounds)
+        return _pid3var_image_ideal(D, j)
 
-    return _oracle_only(
-        D,
-        j,
-        bounds,
-        "no formula branch for %d variables over %d parameters"
-        % (ring.nvars, ring.nparams),
-    )
+    return _oracle_only(D, j, "no formula branch for %d variables over %d parameters"
+                        % (ring.nvars, ring.nparams))
 
 
 def _slice_result(D, j, s):
     ring = D.ring
     pre = s**j * Fraction(1, factorial(j))
-    assert iterate(D, pre, j) == ring.one()
+    if iterate(D, pre, j) != ring.one():
+        raise CertificateError("slice preimage %s fails its re-check" % pre)
     cert = TheoremCertificate(
         irreducible=True,
         fixed_point_free=True,
@@ -745,7 +735,7 @@ def _nice_power_result(D, j, f1, f2, p1, p2, theorem, extra_notes=(),
     )
 
 
-def _quasi_image_ideal(D, j, rep, factored_b, bounds):
+def _quasi_image_ideal(D, j, rep, factored_b):
     ring = D.ring
     q = rep.quasi
     dec = strictness_decompose(D)
@@ -753,7 +743,7 @@ def _quasi_image_ideal(D, j, rep, factored_b, bounds):
         s = slice_construct(D)
         if s is not None:
             return _slice_result(D, j, s)
-        return _oracle_only(D, j, bounds, "unit DX_1 but no slice within bounds")
+        return _oracle_only(D, j, "unit DX_1 but no slice within bounds")
     if dec.verdict == "nice-able":
         # in the coordinates (X_1, X_2 + v) the derivation is nice
         newc = dec.new_coordinate
@@ -771,9 +761,7 @@ def _quasi_image_ideal(D, j, rep, factored_b, bounds):
             s = slice_construct(D)
             if s is not None:
                 return _slice_result(D, j, s)
-            return _oracle_only(
-                D, j, bounds, "fixed point free but no slice within bounds"
-            )
+            return _oracle_only(D, j, "fixed point free but no slice within bounds")
         if fpf is False:
             return _nice_power_result(
                 D,
@@ -785,20 +773,12 @@ def _quasi_image_ideal(D, j, rep, factored_b, bounds):
                 theorem="inice",
                 extra_notes=[note],
             )
-        return _oracle_only(
-            D, j, bounds, "fixed-point-freeness undetermined within bounds"
-        )
+        return _oracle_only(D, j, "fixed-point-freeness undetermined within bounds")
     if dec.verdict != "strictly-1-quasi" or dec.heuristic:
-        return _oracle_only(
-            D,
-            j,
-            bounds,
-            "strictness undetermined: " + "; ".join(dec.notes or ["no verdict"]),
-        )
+        return _oracle_only(D, j, "strictness undetermined: "
+                            + "; ".join(dec.notes or ["no verdict"]))
     if ring.nparams != 1:
-        return _oracle_only(
-            D, j, bounds, "quasi-nice formulas need the coefficient ring Q[t]"
-        )
+        return _oracle_only(D, j, "quasi-nice formulas need the coefficient ring Q[t]")
     # localized fixed-point-freeness per prime factor of b
     if factored_b is None:
         if irreducible_smalldeg(q.b) is True:
@@ -849,22 +829,20 @@ def _quasi_image_ideal(D, j, rep, factored_b, bounds):
     )
 
 
-def _pid3var_image_ideal(D, j, bounds):
+def _pid3var_image_ideal(D, j):
     try:
         red = nice3var_reduce(D)
     except (UnsupportedStructureError, PlinthError) as err:
-        return _oracle_only(D, j, bounds, "3-variable reduction failed: %s" % err)
+        return _oracle_only(D, j, "3-variable reduction failed: %s" % err)
     f, g = red.reduced.images
     fpf = is_fixed_point_free(red.reduced)
     if fpf is True:
         s = slice_construct(D)
         if s is not None:
             return _slice_result(D, j, s)
-        return _oracle_only(D, j, bounds, "fixed point free but no slice within bounds")
+        return _oracle_only(D, j, "fixed point free but no slice within bounds")
     if fpf is None:
-        return _oracle_only(
-            D, j, bounds, "fixed-point-freeness of the reduction undetermined"
-        )
+        return _oracle_only(D, j, "fixed-point-freeness of the reduction undetermined")
     U, V, W = red.coords
     f0 = red.to_original(f)
     g0 = red.to_original(g)
@@ -890,22 +868,14 @@ def _pid3var_image_ideal(D, j, bounds):
     return result
 
 
-def _oracle_only(D, j, bounds, reason):
-    from . import oracle
-
-    notes = [reason, "bounded lower approximation of I_j; not a certified basis"]
+def _oracle_only(D, j, reason):
+    """The oracle-only result, before image_ideal fills in its generators."""
     rep = classify(D)
-    generators = []
-    try:
-        slc = oracle.slice_basis(D.ring, bounds[0], bounds[1])
-        _, generators = oracle.kernel_and_image_basis(D, j, slc)
-    except oracle.OracleCapError as err:
-        notes.append("oracle run hit the entry cap: %s" % err)
     cert = TheoremCertificate(irreducible=rep.irreducible, notes=[reason])
     return ImageIdealResult(
         n=j,
-        generators=generators,
+        generators=[],
         theorem="oracle-only",
         certificate=cert,
-        notes=notes,
+        notes=[reason, "bounded lower approximation of I_j; not a certified basis"],
     )

@@ -1,8 +1,11 @@
-"""Exact linear algebra: fraction-free (Bareiss) elimination over Q.
+"""Exact linear algebra over Q by sparse fraction-free elimination.
 
-Matrices are plain lists of rows of ints/Fractions.  Pivoting is
-deterministic: first nonzero entry in column order, so results are
-reproducible for a fixed row/column ordering.
+Rows are sparse {column: int} dicts made from the nonzero entries only.
+One kernel inserts rows one at a time into a reduced row echelon form
+whose rows are kept primitive, pivoting on the first nonzero column; rows
+with disjoint supports are never combined, so a block diagonal matrix is
+eliminated block by block.  Dense ``bareiss_echelon`` (Bareiss, Math.
+Comp. 22, 1968) is the reference the sparse kernel is checked against.
 """
 
 from __future__ import annotations
@@ -10,17 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-
-def _int_rows(rows):
-    """Scale each row by the lcm of its denominators (row ops invariant)."""
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+_ZERO = Fraction(0)
 
 
 def bareiss_echelon(rows, pivot_cols):
@@ -62,115 +55,131 @@ def bareiss_echelon(rows, pivot_cols):
     return rows, pivots
 
 
-def _normalize_vector(vec):
-    """Integer-primitive with positive first nonzero entry."""
-    den = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return [Fraction(0)] * len(vec)
-    first = next(x for x in ints if x != 0)
-    if first < 0:
+def _sparse_row(row):
+    """(integer row, scale): the nonzero entries of a dense list or a
+    {column: value} dict of ints and Fractions, times the lcm of their
+    denominators (the scale)."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    items = [(c, x) for c, x in items if x]
+    den = lcm(*(x.denominator for _, x in items))
+    return {c: x.numerator * (den // x.denominator) for c, x in items}, den
+
+
+def _primitive(row):
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row, c, top):
+    """(a * row - b * top, a) with a, b coprime integers chosen so that
+    column c of the result is zero."""
+    a, b = top[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, v in top.items():
+        x = out.get(k, 0) - b * v
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out, a
+
+
+def _insert(pivots, row):
+    """Add one integer row to the reduced echelon form pivots
+    ({pivot column: primitive row}); negative columns are tags and never
+    pivots.  A row that gets no pivot is dropped."""
+    row = _primitive(row)
+    for c in [c for c in row if c in pivots]:
+        row = _primitive(_eliminate(row, c, pivots[c])[0])
+    lead = min((c for c in row if c >= 0), default=None)
+    if lead is None:
+        return
+    for pc, top in pivots.items():
+        if lead in top:
+            pivots[pc] = _primitive(_eliminate(top, lead, row)[0])
+    pivots[lead] = row
+
+
+def echelon(rows):
+    """Reduced row echelon form of the rows (dense lists or {column: value}
+    dicts) as {pivot column: primitive integer row}."""
+    pivots = {}
+    for row in rows:
+        _insert(pivots, _sparse_row(row)[0])
+    return pivots
+
+
+def _primitive_vector(vec, ncols):
+    """Dense Fraction list of an integer {column: value} vector, made
+    primitive with a positive first nonzero entry."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
         g = -g
-    return [Fraction(x, g) for x in ints]
+    out = [_ZERO] * ncols
+    for c, v in vec.items():
+        out[c] = Fraction(v // g)
+    return out
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : M x = 0}, one normalized vector per free column."""
-    work = _int_rows(rows) if rows else []
-    if work:
-        work, pivots = bareiss_echelon(work, ncols)
-    else:
-        pivots = []
-    pivot_cols = {c for _, c in pivots}
+    """Basis of {x : M x = 0} for the matrix with the given rows (dense
+    lists or {column: value} dicts): one vector per free column, with that
+    column 1 and the other free columns 0, made integer-primitive with a
+    positive first nonzero entry."""
+    pivots = echelon(rows)
+    holders = {}  # free column -> pivot columns whose row touches it
+    for pc, row in pivots.items():
+        for c in row:
+            if c != pc:
+                holders.setdefault(c, []).append(pc)
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((work[r][j] * x[j] for j in range(c + 1, ncols) if x[j]), Fraction(0))
-            x[c] = -s / work[r][c]
-        basis.append(_normalize_vector(x))
-    return basis
-
-
-def nullspace_naive(rows, ncols):
-    """Plain rational Gaussian elimination; cross-check for nullspace()."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for rr, cc in pivots:
-            x[cc] = -work[rr][free]
-        basis.append(_normalize_vector(x))
+        scale = lcm(*(pivots[pc][pc] for pc in holders.get(free, ())))
+        vec = {free: scale}
+        for pc in holders.get(free, ()):
+            row = pivots[pc]
+            vec[pc] = -row[free] * (scale // row[pc])
+        basis.append(_primitive_vector(vec, ncols))
     return basis
 
 
 class SpanSolver:
     """Membership and expression in the span of a fixed list of vectors.
 
-    Builds one fraction-free echelon of [vectors | I]; each express() query
-    is a cheap reduction against it.
+    Each vector (dense list or {coordinate: value} dict) becomes a sparse
+    integer row tagged with an identity entry in column ~i (negative, so
+    never a pivot) and is inserted into one reduced echelon form; the tags
+    of a row record which combination of the vectors it is.  Vectors that
+    depend on earlier ones are dropped, so tags name independent vectors
+    only.  Each express() query is a reduction against the pivot rows.
     """
 
-    def __init__(self, vectors, dim):
-        self.dim = dim
+    def __init__(self, vectors):
         self.nvecs = len(vectors)
-        aug = []
+        self.pivots = {}
         for i, v in enumerate(vectors):
-            row = list(v) + [Fraction(0)] * self.nvecs
-            row[dim + i] = Fraction(1)
-            aug.append(row)
-        work = _int_rows(aug)
-        if work:
-            self.rows, self.pivots = bareiss_echelon(work, dim)
-        else:
-            self.rows, self.pivots = [], []
+            row, scale = _sparse_row(v)
+            row[~i] = scale
+            _insert(self.pivots, row)
 
     def express(self, v):
         """Coefficients c with sum(c_i * vectors[i]) == v, or None."""
-        v = [Fraction(x) for x in v]
-        combo = [Fraction(0)] * self.nvecs
-        for r, c in self.pivots:
-            if v[c] == 0:
-                continue
-            f = Fraction(v[c], self.rows[r][c])
-            row = self.rows[r]
-            for j in range(c, self.dim):
-                if row[j]:
-                    v[j] -= f * row[j]
-            for j in range(self.nvecs):
-                t = row[self.dim + j]
-                if t:
-                    combo[j] += f * t
-        if any(v):
+        w, scale = _sparse_row(v)
+        # invariant: scale * v == (columns >= 0 of w) - sum_i w[~i] * vectors[i]
+        for c in [c for c in w if c in self.pivots]:
+            w, a = _eliminate(w, c, self.pivots[c])
+            scale *= a
+        if any(k >= 0 for k in w):
             return None
+        combo = [_ZERO] * self.nvecs
+        for k, x in w.items():
+            combo[~k] = Fraction(-x, scale)
         return combo
 
     def contains(self, v):
@@ -183,7 +192,4 @@ class SpanSolver:
 
 def solve_columns(columns, b):
     """x with sum(x_i * columns[i]) == b, or None (one-shot convenience)."""
-    if not columns:
-        return None if any(b) else []
-    solver = SpanSolver(columns, len(b))
-    return solver.express(b)
+    return SpanSolver(columns).express(b)

@@ -2,21 +2,24 @@
 
 A DegreeSlice is the finite-dimensional window of B spanned by all
 monomials within a parameter-degree and a variable-degree bound.  Powers
-of a derivation become exact rational matrices on slices; kernels, image
-spans and bounded ideal membership are computed by fraction-free
-elimination.  Every positive answer carries a certificate (preimage or
-cofactors) that is re-verified by direct polynomial arithmetic; bounded
-failures are reported as INCONCLUSIVE, never upgraded.
+of a derivation map slices to slices; kernels, image spans and bounded
+ideal membership are computed by sparse exact elimination of systems built
+straight from polynomial terms.  Every positive answer carries a
+certificate (preimage or cofactors) that is re-verified by direct
+polynomial arithmetic; bounded failures are reported as INCONCLUSIVE,
+never upgraded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .derivation import apply, iterate
 from .polyring import (
+    CertificateError,
     ExactDivisionError,
     MultiPoly,
     PlinthError,
@@ -43,8 +46,12 @@ class DegreeSlice:
     def dim(self):
         return len(self.basis)
 
-    def index(self):
+    @cached_property
+    def _positions(self):
         return {e: i for i, e in enumerate(self.basis)}
+
+    def index(self):
+        return self._positions
 
 
 def slice_basis(ring, param_bound, var_bound):
@@ -99,10 +106,11 @@ class LinearMapMatrix:
     source: DegreeSlice
     target: DegreeSlice
     power: int
-    columns: list  # one coefficient vector (in target coords) per source monomial
+    columns: list  # D^n(monomial) for each source monomial, inside the target slice
 
 
 def _check_cap(nrows, ncols, cap):
+    """The cap counts the entries of the dense matrix a solve stands for."""
     if cap is not None and nrows * ncols > cap:
         raise OracleCapError(
             "solve needs %d x %d = %d entries, cap is %d"
@@ -119,82 +127,108 @@ def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
         source.ring, source.param_bound + n * pg, source.var_bound + n * vg
     )
     _check_cap(target.dim, source.dim, entry_cap)
+    index = target.index()
     columns = []
     for e in source.basis:
-        mono = MultiPoly(source.ring, {e: Fraction(1)})
-        img = iterate(D, mono, n)
-        vec = poly_to_vec(target, img)
-        if vec is None:
+        img = iterate(D, MultiPoly(source.ring, {e: Fraction(1)}), n)
+        if any(t not in index for t in img.terms):
             raise PlinthError("degree growth bound violated (internal)")
-        columns.append(vec)
+        columns.append(img)
     return LinearMapMatrix(source=source, target=target, power=n, columns=columns)
 
 
-def _support_rows(polys, extra=()):
-    """Dense rows over the union support of the given polynomials."""
-    support = {}
-    for p in list(polys) + list(extra):
-        for e in p.terms:
-            support.setdefault(e, len(support))
-    rows = [[Fraction(0)] * len(polys) for _ in support]
-    for c, p in enumerate(polys):
-        for e, coeff in p.terms.items():
-            rows[support[e]][c] = coeff
-    return rows, support
+# -- polynomials as sparse linear systems ---------------------------------
+
+
+def poly_support(polys):
+    """The monomials of polys numbered in descending grlex order: the
+    column numbering of every sparse system built from polynomials."""
+    monos = sorted({e for p in polys for e in p.terms}, key=grlex_key, reverse=True)
+    return {e: k for k, e in enumerate(monos)}
+
+
+def _coords(p, support):
+    return {support[e]: c for e, c in p.terms.items()}
+
+
+def _from_coords(ring, monos, vec):
+    return MultiPoly(ring, {monos[k]: Fraction(c) for k, c in vec.items() if c})
+
+
+def poly_relations(polys, entry_cap=None):
+    """Basis of the rational relations x with sum(x_i * polys[i]) == 0, as
+    linalg.nullspace of the sparse system whose columns are the polys."""
+    support = poly_support(polys)
+    rows = [{} for _ in support]
+    for i, p in enumerate(polys):
+        for e, c in p.terms.items():
+            rows[support[e]][i] = c
+    _check_cap(len(rows), len(polys), entry_cap)
+    return linalg.nullspace(rows, len(polys))
+
+
+def poly_solve(polys, target, entry_cap=None):
+    """Rationals x with sum(x_i * polys[i]) == target, or None."""
+    support = poly_support(list(polys) + [target])
+    _check_cap(len(support), len(polys), entry_cap)
+    return linalg.solve_columns([_coords(p, support) for p in polys],
+                                _coords(target, support))
+
+
+def canonical_basis(polys):
+    """The reduced echelon basis of the Q-span of polys, monomials in
+    descending grlex order, each element normalize_unit-ed, sorted by
+    ascending leading monomial.  It depends only on the span."""
+    support = poly_support(polys)
+    if not support:
+        return []
+    monos = list(support)
+    ring = polys[0].ring
+    pivots = linalg.echelon([_coords(p, support) for p in polys])
+    # the pivot of each row is its leading monomial
+    return [normalize_unit(_from_coords(ring, monos, pivots[k]))
+            for k in sorted(pivots, reverse=True)]
 
 
 def kernel_basis(D, slc, entry_cap=DEFAULT_ENTRY_CAP):
     """Basis of Ker(D) intersected with the slice, as normalized polynomials."""
-    col_polys = [apply(D, MultiPoly(slc.ring, {e: Fraction(1)})) for e in slc.basis]
-    rows, _ = _support_rows([p for p in col_polys])
-    _check_cap(len(rows), slc.dim, entry_cap)
-    basis = []
-    for vec in linalg.nullspace(rows, slc.dim):
-        basis.append(normalize_unit(vec_to_poly(slc, vec)))
-    return basis
+    images = [apply(D, MultiPoly(slc.ring, {e: Fraction(1)})) for e in slc.basis]
+    return [normalize_unit(vec_to_poly(slc, vec))
+            for vec in poly_relations(images, entry_cap)]
 
 
-def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
+def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=None):
     """(basis of A within the source slice,
-        basis of Ker(D) within the span of D^n(source slice)).
+        canonical_basis of Ker(D) within the span of D^n(source slice)).
 
     The second space is a lower approximation of I_n, monotone
-    nondecreasing in the slice bounds.
+    nondecreasing in the slice bounds.  matrix, if given, is
+    matrix_of_power(D, n, source), already built by the caller.
     """
     if n < 1:
         raise PlinthError("kernel_and_image_basis needs n >= 1")
     kernel = kernel_basis(D, source, entry_cap)
-    mat = matrix_of_power(D, n, source, entry_cap)
-    col_polys = [vec_to_poly(mat.target, c) for c in mat.columns]
-    col_polys = [p for p in col_polys if not p.is_zero()]
+    mat = matrix or matrix_of_power(D, n, source, entry_cap)
+    col_polys = [p for p in mat.columns if not p.is_zero()]
     if not col_polys:
         return kernel, []
-    # column-space basis of D^n on the slice
-    rows, _ = _support_rows(col_polys)
-    vectors = [list(col) for col in zip(*rows)]  # columns as coordinate vectors
-    ints = linalg._int_rows(vectors)
-    _check_cap(len(ints), len(ints[0]), entry_cap)
-    echelon, pivots = linalg.bareiss_echelon(ints, len(ints[0]))
-    support_order = _support_rows(col_polys)[1]
-    inv_support = {i: e for e, i in support_order.items()}
-    basis_polys = []
-    for r, _ in pivots:
-        terms = {inv_support[j]: Fraction(v) for j, v in enumerate(echelon[r]) if v}
-        basis_polys.append(normalize_unit(MultiPoly(source.ring, terms)))
-    # intersect with Ker(D): nullspace of D restricted to that column space
-    d_polys = [apply(D, p) for p in basis_polys]
-    drows, _ = _support_rows(d_polys)
-    _check_cap(max(len(drows), 1), len(basis_polys), entry_cap)
-    intersection = []
-    for combo in linalg.nullspace(drows, len(basis_polys)):
-        p = source.ring.zero()
-        for c, bp in zip(combo, basis_polys):
+    # echelon basis of the span of D^n on the slice
+    support = poly_support(col_polys)
+    _check_cap(len(col_polys), len(support), entry_cap)
+    image = list(linalg.echelon([_coords(p, support) for p in col_polys]).values())
+    monos = list(support)
+    ring = source.ring
+    d_images = [apply(D, _from_coords(ring, monos, row)) for row in image]
+    # Ker(D) within that span: relations among the D-images of the basis
+    inside = []
+    for combo in poly_relations(d_images, entry_cap):
+        vec = {}
+        for c, row in zip(combo, image):
             if c:
-                p = p + c * bp
-        if not p.is_zero():
-            intersection.append(normalize_unit(p))
-    intersection.sort(key=lambda p: grlex_key(p.leading()[0]))
-    return kernel, intersection
+                for k, v in row.items():
+                    vec[k] = vec.get(k, 0) + c * v
+        inside.append(_from_coords(ring, monos, vec))
+    return kernel, canonical_basis(inside)
 
 
 def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CAP):
@@ -223,20 +257,16 @@ def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CA
         for e in cof_slice.basis:
             col_polys.append(MultiPoly(ring, {e: Fraction(1)}) * g)
             col_tags.append((gi, e))
-    rows, support = _support_rows(col_polys, extra=[h])
-    _check_cap(len(rows), len(col_polys), entry_cap)
-    vectors = [list(col) for col in zip(*rows)]
-    hvec = [Fraction(0)] * len(support)
-    for e, c in h.terms.items():
-        hvec[support[e]] = c
-    x = linalg.solve_columns(vectors, hvec)
+    x = poly_solve(col_polys, h, entry_cap)
     if x is None:
         return "unknown", None
-    cofactors = [ring.zero() for _ in gens]
+    terms = [{} for _ in gens]
     for coeff, (gi, e) in zip(x, col_tags):
         if coeff:
-            cofactors[gi] = cofactors[gi] + MultiPoly(ring, {e: coeff})
-    assert sum((c * g for c, g in zip(cofactors, gens)), ring.zero()) == h
+            terms[gi][e] = coeff
+    cofactors = [MultiPoly(ring, t) for t in terms]
+    if sum((c * g for c, g in zip(cofactors, gens)), ring.zero()) != h:
+        raise CertificateError("membership cofactors of %s fail their re-check" % h)
     return "yes", cofactors
 
 
@@ -308,48 +338,35 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
     source = slice_basis(ring, param_bound, var_bound)
     forward_items = []
     mat = matrix_of_power(D, j, source, entry_cap)
-    nonzero = [
-        (vec_to_poly(mat.target, col), e)
-        for col, e in zip(mat.columns, source.basis)
-    ]
-    nonzero = [(p, e) for p, e in nonzero if not p.is_zero()]
-    col_vectors = []
-    target_idx = mat.target.index()
-    for p, _ in nonzero:
-        vec = [Fraction(0)] * mat.target.dim
-        for te, c in p.terms.items():
-            vec[target_idx[te]] = c
-        col_vectors.append(vec)
-    _check_cap(mat.target.dim, max(len(col_vectors), 1), entry_cap)
-    solver = linalg.SpanSolver(col_vectors, mat.target.dim) if col_vectors else None
+    nonzero = [(p, e) for p, e in zip(mat.columns, source.basis) if not p.is_zero()]
+    _check_cap(mat.target.dim, max(len(nonzero), 1), entry_cap)
+    window = mat.target.index()
+    solver = linalg.SpanSolver([_coords(p, window) for p, _ in nonzero])
     for g in predicted:
         if not apply(D, g).is_zero():
             forward_items.append(
                 DirectionItem(g, "FAIL", "predicted generator is not in Ker(D)")
             )
             continue
-        gvec = poly_to_vec(mat.target, g)
-        if gvec is None or solver is None:
+        if not nonzero or any(e not in window for e in g.terms):
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "generator outside the slice window")
             )
             continue
-        coeffs = solver.express(gvec)
+        coeffs = solver.express(_coords(g, window))
         if coeffs is None:
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "no preimage within bounds")
             )
             continue
-        preimage = ring.zero()
-        for c, (_, e) in zip(coeffs, nonzero):
-            if c:
-                preimage = preimage + MultiPoly(ring, {e: c})
-        assert iterate(D, preimage, j) == g
+        preimage = MultiPoly(ring, {e: c for c, (_, e) in zip(coeffs, nonzero) if c})
+        if iterate(D, preimage, j) != g:
+            raise CertificateError("forward preimage of %s fails its re-check" % g)
         forward_items.append(
             DirectionItem(g, "PASS", "preimage %s" % preimage, certificate=preimage)
         )
 
-    kernel, intersection = kernel_and_image_basis(D, j, source, entry_cap)
+    kernel, intersection = kernel_and_image_basis(D, j, source, entry_cap, matrix=mat)
     backward_items = []
     if len(predicted) == 1:
         g = predicted[0]
@@ -366,20 +383,12 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                     )
                 )
     elif predicted:
-        multipliers = []
-        for g in predicted:
-            for kappa in kernel:
-                multipliers.append(g * kappa)
-        rows, support = _support_rows(multipliers, extra=intersection)
+        multipliers = [g * kappa for g in predicted for kappa in kernel]
+        support = poly_support(multipliers + intersection)
         _check_cap(len(support), max(len(multipliers), 1), entry_cap)
-        vectors = [list(col) for col in zip(*rows)] if rows else []
-        msolver = linalg.SpanSolver(vectors, len(support)) if vectors else None
+        msolver = linalg.SpanSolver([_coords(p, support) for p in multipliers])
         for w in intersection:
-            wvec = [Fraction(0)] * len(support)
-            for e, c in w.terms.items():
-                wvec[support[e]] = c
-            coeffs = msolver.express(wvec) if msolver else None
-            if coeffs is None:
+            if msolver.express(_coords(w, support)) is None:
                 backward_items.append(
                     DirectionItem(w, "INCONCLUSIVE", "no bounded cofactors found")
                 )

@@ -24,6 +24,10 @@ class RingMismatchError(PlinthError):
     pass
 
 
+class CertificateError(PlinthError):
+    """A certificate failed its re-check by direct polynomial arithmetic."""
+
+
 class PolyParseError(PlinthError):
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))

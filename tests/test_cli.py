@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plinth
 from plinth.cli import (
     FIXTURES,
     ProblemFormatError,
@@ -128,3 +133,44 @@ def test_examples_listing(capsys):
     out = capsys.readouterr().out
     for name in FIXTURES:
         assert name in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _examples_output(name, capsys):
+    code = main(["examples", "--name", name])
+    return code, capsys.readouterr().out
+
+
+def test_examples_golden(capsys):
+    for name in sorted(FIXTURES):
+        _, out = _examples_output(name, capsys)
+        assert out == (GOLDEN / ("%s.txt" % name)).read_text(), name
+
+
+def test_examples_under_optimize(capsys):
+    # certificate re-checks are explicit, so python -O must not change output
+    src = str(Path(plinth.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for name in sorted(FIXTURES):
+        code, out = _examples_output(name, capsys)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "plinth.cli", "examples", "--name", name],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), name
+
+
+def test_image_ideal_honours_cap():
+    note = "oracle run hit the entry cap"
+    spec = parse_problem(FIXTURES["wink1"])
+    report = run("image-ideal", spec)
+    assert not any(note in line for line in report.lines)
+    assert report.generators
+    capped = parse_problem(FIXTURES["wink1"] + "cap 50\n")
+    report = run("image-ideal", capped)
+    assert any(note in line for line in report.lines)
+    assert report.generators == []
+    report = run("image-ideal", spec, cap=50)
+    assert any(note in line for line in report.lines)

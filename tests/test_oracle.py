@@ -5,6 +5,7 @@ import pytest
 from plinth.derivation import Derivation, iterate
 from plinth.oracle import (
     OracleCapError,
+    canonical_basis,
     ideal_membership_bounded,
     kernel_and_image_basis,
     kernel_basis,
@@ -14,7 +15,7 @@ from plinth.oracle import (
     vec_to_poly,
     verify_image_ideal,
 )
-from plinth.polyring import PolyRing
+from plinth.polyring import MultiPoly, PolyRing
 
 
 @pytest.fixture
@@ -53,27 +54,27 @@ def test_matrix_of_power_identity(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 1, 1)
     mat = matrix_of_power(D, 0, src)
-    for i, col in enumerate(mat.columns):
-        assert vec_to_poly(mat.target, col) == vec_to_poly(src, [
-            Fraction(int(k == i)) for k in range(src.dim)
-        ])
+    for e, col in zip(src.basis, mat.columns):
+        assert col == MultiPoly(rab, {e: Fraction(1)})
 
 
 def test_matrix_of_power_columns(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 0, 1)
     mat = matrix_of_power(D, 1, src)
-    cols = {e: vec_to_poly(mat.target, c) for e, c in zip(src.basis, mat.columns)}
+    cols = dict(zip(src.basis, mat.columns))
     assert cols[(0, 0, 1, 0)] == rab.poly("a")
     assert cols[(0, 0, 0, 1)] == rab.poly("b")
     assert cols[(0, 0, 0, 0)].is_zero()
+    for e, col in cols.items():
+        assert col == iterate(D, MultiPoly(rab, {e: Fraction(1)}), 1)
 
 
 def test_matrix_of_power_vanishes(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 0, 2)
     mat = matrix_of_power(D, 3, src)  # every monomial has deg_D <= 2
-    assert all(all(x == 0 for x in col) for col in mat.columns)
+    assert all(col.is_zero() for col in mat.columns)
 
 
 def test_kernel_basis_contains_wang_generator(rab):
@@ -105,7 +106,7 @@ def _span_contains(polys, target):
             v[support[e]] = c
         return v
 
-    return SpanSolver([vec(p) for p in polys], len(support)).contains(vec(target))
+    return SpanSolver([vec(p) for p in polys]).contains(vec(target))
 
 
 def test_slice_yields_one_in_every_image(rt):
@@ -195,6 +196,55 @@ def test_monotone_in_bounds(rt):
             v[support[e]] = c
         return v
 
-    solver = SpanSolver([vec(p) for p in big], len(support))
+    solver = SpanSolver([vec(p) for p in big])
     for p in small:
         assert solver.contains(vec(p))
+
+
+def test_verify_builds_power_matrix_once(rab, rt, monkeypatch):
+    from plinth import oracle
+
+    calls = []
+    real = oracle.matrix_of_power
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "matrix_of_power", counting)
+    cases = [
+        (nice_ab(rab), 1, [rab.poly("a"), rab.poly("b")]),
+        (nice_ab(rab), 2, [rab.poly("a^2"), rab.poly("a*b"), rab.poly("b^2")]),
+        (tparam(rt), 1, [rt.poly("-t + 1")]),
+    ]
+    for D, j, gens in cases:
+        calls.clear()
+        verify_image_ideal(D, j, gens, 2, 2)
+        assert calls == [j]
+
+
+def test_canonical_basis_depends_only_on_span(rt):
+    import random
+
+    rng = random.Random(5)
+    gens = [rt.poly("t*X1 - X2 + 1/2"), rt.poly("t^2 - 3*X1*X2"),
+            rt.poly("X2^2 + t"), rt.poly("1/3*t*X1 - X2 + 1/2")]
+    expected = canonical_basis(gens)
+    assert len(expected) == 4
+    assert canonical_basis(expected) == expected
+    for _ in range(20):
+        mixed = []
+        for _ in range(6):
+            p = rt.zero()
+            for g in gens:
+                p = p + g * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            mixed.append(p)
+        mixed += [g * Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 9)) for g in gens]
+        rng.shuffle(mixed)
+        assert canonical_basis(mixed) == expected
+    # each element is normalized and leads with a monomial no other element has
+    leads = [p.leading()[0] for p in expected]
+    assert leads == sorted(leads, key=lambda e: (sum(e), e))
+    for p in expected:
+        assert p.leading()[1] > 0
+        assert all(e not in p.terms for e in leads if e != p.leading()[0])
