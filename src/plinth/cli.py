@@ -259,7 +259,7 @@ class RunReport:
         }
 
 
-def _run_check(spec, cap):
+def _run_check(spec):
     D = spec.derivation()
     rep = classify(D)
     lines = [
@@ -295,7 +295,7 @@ def _run_check(spec, cap):
     )
 
 
-def _run_kernel(spec, cap):
+def _run_kernel(spec):
     D = spec.derivation()
     try:
         if spec.ring.nvars == 3:
@@ -426,9 +426,9 @@ def _run_examples(name, bounds, cap):
             lines=["unknown fixture %r; try: %s" % (name, ", ".join(sorted(FIXTURES)))],
         )
     spec = parse_problem(FIXTURES[name])
-    steps = [("check", _run_check(spec, cap))]
+    steps = [("check", _run_check(spec))]
     if steps[0][1].certificates[0]["lnd"] is True:
-        steps.append(("kernel", _run_kernel(spec, cap)))
+        steps.append(("kernel", _run_kernel(spec)))
         steps.append(("image-ideal", _run_image_ideal(spec, 1, bounds, cap)))
         steps.append(("verify", _run_verify(spec, 1, bounds, cap)))
     lines = []
@@ -459,9 +459,9 @@ def _run_examples(name, bounds, cap):
 def run(command, spec, n=None, bounds=None, cap=None):
     """Dispatch a command against a parsed problem; returns a RunReport."""
     if command == "check":
-        return _run_check(spec, cap)
+        return _run_check(spec)
     if command == "kernel":
-        return _run_kernel(spec, cap)
+        return _run_kernel(spec)
     if command == "image-ideal":
         return _run_image_ideal(spec, 1 if n is None else n, bounds, cap)
     if command == "verify":
@@ -489,9 +489,6 @@ def _build_parser():
             p.add_argument("--example", help="use a built-in fixture instead")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--cap", type=int, default=None, help="matrix entry cap")
-        p.add_argument(
-            "--seed", type=int, default=0, help="seed echoed into reports"
-        )
         p.add_argument(
             "--bounds",
             type=str,

@@ -276,24 +276,9 @@ def _validate_factored_b(b, factored_b):
             )
         primes.append((p, mult, status is True))
         prod = prod * p**mult
-    ratio_num = _scalar_ratio(b, prod)
-    if ratio_num is None:
+    if not _is_scalar_multiple(b, prod):
         raise PlinthError("declared factorization does not multiply to DX_1")
     return primes
-
-
-def _scalar_ratio(f, g):
-    """c with f == c*g (c a nonzero rational), else None."""
-    if f.terms.keys() != g.terms.keys():
-        return None
-    ratio = None
-    for e, c in f.terms.items():
-        r = c / g.terms[e]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
 
 
 def localized_fpf(D, p):

@@ -13,7 +13,10 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 from math import gcd as _igcd
+from math import isqrt as _isqrt
 from math import lcm as _ilcm
+from operator import add as _add
+from operator import sub as _sub
 
 
 class PlinthError(Exception):
@@ -145,6 +148,14 @@ class MultiPoly:
             cleaned[tuple(exps)] = coeff
         self.terms = cleaned
 
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """Wrap terms that are clean by construction, skipping the checks of __init__."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        return poly
+
     # -- basic structure ------------------------------------------------
 
     def is_zero(self):
@@ -197,14 +208,7 @@ class MultiPoly:
 
     def coefficient_of(self, name, power):
         """Coefficient of name**power, a polynomial not involving name."""
-        i = self.ring.index(name)
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                e = list(exps)
-                e[i] = 0
-                out[tuple(e)] = coeff
-        return MultiPoly(self.ring, out)
+        return _coeff_at(self, self.ring.index(name), power)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -226,13 +230,14 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.ring, out)
+            c = out.get(exps)
+            out[exps] = coeff if c is None else c + coeff
+        return MultiPoly._trusted(self.ring, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -250,9 +255,10 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.ring, out)
+                e = tuple(map(_add, e1, e2))
+                c = out.get(e)
+                out[e] = c1 * c2 if c is None else c + c1 * c2
+        return MultiPoly._trusted(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -286,13 +292,11 @@ class MultiPoly:
 
 
 class IdealPresentation:
-    """Finite generator list inside a named ambient ring."""
+    """Finite generator list of an ideal of the ring."""
 
-    __slots__ = ("ring", "generators", "ambient")
+    __slots__ = ("ring", "generators")
 
-    def __init__(self, ring, generators, ambient="B"):
-        if ambient not in ("B", "A-as-subring"):
-            raise PlinthError("unknown ambient tag %r" % ambient)
+    def __init__(self, ring, generators):
         gens = tuple(generators)
         if any(g.is_zero() for g in gens):
             raise PlinthError("ideal generators must be nonzero")
@@ -301,43 +305,25 @@ class IdealPresentation:
                 raise RingMismatchError("generator ring mismatch")
         self.ring = ring
         self.generators = gens
-        self.ambient = ambient
 
     def __repr__(self):
-        return "IdealPresentation(%s; ambient=%s)" % (
-            ", ".join(str(g) for g in self.generators),
-            self.ambient,
-        )
+        return "IdealPresentation(%s)" % ", ".join(str(g) for g in self.generators)
 
 
 # ---------------------------------------------------------------------------
 # spec'd operations
 
 
-def arith(op, f, g):
-    """Dispatch add/sub/mul/pow by name (pow takes a natural exponent)."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        return f**g
-    raise PlinthError("unknown arithmetic op %r" % op)
-
-
 def partial_derivative(f, name):
     i = f.ring.index(name)
     out = {}
     for exps, coeff in f.terms.items():
-        if exps[i] == 0:
-            continue
-        e = list(exps)
-        e[i] -= 1
-        e = tuple(e)
-        out[e] = out.get(e, Fraction(0)) + coeff * exps[i]
-    return MultiPoly(f.ring, out)
+        k = exps[i]
+        if k:
+            e = list(exps)
+            e[i] = k - 1
+            out[tuple(e)] = coeff * k
+    return MultiPoly._trusted(f.ring, out)
 
 
 def substitute(f, name, replacement):
@@ -346,14 +332,8 @@ def substitute(f, name, replacement):
         raise RingMismatchError("substitution value lives in a different ring")
     i = f.ring.index(name)
     out = f.ring.zero()
-    powers = {0: f.ring.one()}
-    for exps, coeff in f.terms.items():
-        k = exps[i]
-        if k not in powers:
-            powers[k] = replacement**k
-        e = list(exps)
-        e[i] = 0
-        out = out + MultiPoly(f.ring, {tuple(e): coeff}) * powers[k]
+    for k in range(_deg(f, i), -1, -1):  # Horner's rule in the variable
+        out = out * replacement + _coeff_at(f, i, k)
     return out
 
 
@@ -369,32 +349,31 @@ def divide_exact(f, g):
     if g.ring != ring:
         raise RingMismatchError("dividend and divisor ring mismatch")
     ge, gc = g.leading()
+    tail = [(e, c) for e, c in g.terms.items() if e != ge]
     q = {}
     rem = {}
     work = dict(f.terms)
+    # the leading exponent strictly falls, so every quotient exponent is new
     while work:
         exps = max(work, key=grlex_key)
         coeff = work.pop(exps)
-        if all(a >= b for a, b in zip(exps, ge)):
-            qe = tuple(a - b for a, b in zip(exps, ge))
-            qc = coeff / gc
-            q[qe] = q.get(qe, Fraction(0)) + qc
-            # subtract qc * x^qe * g from the working dividend
-            for e2, c2 in g.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                if e == exps:
-                    continue
-                nc = work.get(e, Fraction(0)) - qc * c2
-                if nc == 0:
-                    work.pop(e, None)
-                else:
-                    work[e] = nc
-        else:
+        qe = tuple(map(_sub, exps, ge))
+        if min(qe) < 0:
             rem[exps] = coeff
-    remainder = MultiPoly(ring, rem)
-    if not remainder.is_zero():
-        raise ExactDivisionError(remainder)
-    return MultiPoly(ring, q)
+            continue
+        qc = coeff / gc
+        q[qe] = qc
+        # subtract qc * x^qe * g from the working dividend
+        for e2, c2 in tail:
+            e = tuple(map(_add, qe, e2))
+            nc = work.get(e, 0) - qc * c2
+            if nc:
+                work[e] = nc
+            else:
+                del work[e]
+    if rem:
+        raise ExactDivisionError(MultiPoly._trusted(ring, rem))
+    return MultiPoly._trusted(ring, q)
 
 
 def divides(g, f):
@@ -409,10 +388,8 @@ def rational_content(f):
     """Signed rational c with f/c integer-primitive and positive leading coeff."""
     if f.is_zero():
         raise PlinthError("zero polynomial has no content")
-    nums = [c.numerator for c in f.terms.values()]
-    dens = [c.denominator for c in f.terms.values()]
-    c = Fraction(_igcd(*[abs(n) for n in nums]) if len(nums) > 1 else abs(nums[0]),
-                 _ilcm(*dens) if len(dens) > 1 else dens[0])
+    c = Fraction(_igcd(*[c.numerator for c in f.terms.values()]),
+                 _ilcm(*[c.denominator for c in f.terms.values()]))
     _, lead = f.leading()
     if lead < 0:
         c = -c
@@ -424,20 +401,10 @@ def normalize_unit(f):
     if f.is_zero():
         return f
     c = rational_content(f)
-    return MultiPoly(f.ring, {e: coeff / c for e, coeff in f.terms.items()})
+    return MultiPoly._trusted(f.ring, {e: coeff / c for e, coeff in f.terms.items()})
 
 
 # -- gcd machinery -----------------------------------------------------------
-
-
-def _present_indices(f, g):
-    idx = set()
-    for p in (f, g):
-        for exps in p.terms:
-            for i, e in enumerate(exps):
-                if e > 0:
-                    idx.add(i)
-    return sorted(idx)
 
 
 def _deg(f, i):
@@ -451,7 +418,7 @@ def _coeff_at(f, i, power):
             e = list(exps)
             e[i] = 0
             out[tuple(e)] = coeff
-    return MultiPoly(f.ring, out)
+    return MultiPoly._trusted(f.ring, out)
 
 
 def _shift(f, i, power):
@@ -460,7 +427,7 @@ def _shift(f, i, power):
         e = list(exps)
         e[i] += power
         out[tuple(e)] = coeff
-    return MultiPoly(f.ring, out)
+    return MultiPoly._trusted(f.ring, out)
 
 
 def _content_pp(f, i):
@@ -469,7 +436,7 @@ def _content_pp(f, i):
               if not c.is_zero()]
     cont = coeffs[0]
     for c in coeffs[1:]:
-        cont = _gcd2(cont, c)
+        cont = _gcd_prs(cont, c)
         if cont.is_constant():
             break
     cont = normalize_unit(cont)
@@ -488,18 +455,19 @@ def _prem(f, g, i):
     return r
 
 
-def _gcd2(f, g):
+def _gcd_prs(f, g):
+    """gcd by primitive pseudo-remainder sequences, recursive in the variables."""
     if f.is_zero():
         return g
     if g.is_zero():
         return f
-    idx = _present_indices(f, g)
+    idx = [i for i, col in enumerate(zip(*f.terms, *g.terms)) if any(col)]
     if not idx:
         return f.ring.one()
     i = idx[-1]
     fc, fp = _content_pp(f, i)
     gc, gp = _content_pp(g, i)
-    cont = _gcd2(fc, gc)
+    cont = _gcd_prs(fc, gc)
     a, b = fp, gp
     if _deg(a, i) < _deg(b, i):
         a, b = b, a
@@ -510,6 +478,111 @@ def _gcd2(f, g):
         else:
             a, b = b, _content_pp(r, i)[1]
     return cont * a
+
+
+# GCDHEU gives up when one evaluation would hold values above _HEU_MAX_BITS bits
+_HEU_TRIES = 6
+_HEU_MAX_BITS = 1 << 18
+
+
+def _gcd_heu(f, g):
+    """gcd of two nonzero integer polynomials by GCDHEU, or None on giving up.
+
+    Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989); Geddes, Czapor &
+    Labahn, Algorithms for Computer Algebra (1992), section 7.7: evaluate the
+    last variable at xi, recurse, rebuild a candidate from the symmetric
+    xi-adic digits.  It is returned only if it divides both inputs exactly;
+    as xi > 2*min(|f|, |g|) + 2, that proves it is the gcd (Theorem 7.7).
+    """
+    cf, cg = _igcd(*f.values()), _igcd(*g.values())
+    cont = _igcd(cf, cg)
+    zero = (0,) * len(next(iter(f)))
+    if f.keys() == {zero} or g.keys() == {zero}:
+        return {zero: cont}
+    i = max(i for i, col in enumerate(zip(*f, *g)) if any(col))
+    deg = max(e[i] for e in (*f, *g))
+    f = {e: c // cf for e, c in f.items()}
+    g = {e: c // cg for e, c in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
+            return None
+        fx, gx = _eval_at(f, i, xi), _eval_at(g, i, xi)
+        h = _gcd_heu(fx, gx) if fx and gx else None
+        if h is not None:
+            cand = _xi_adic(h, i, xi)
+            c = _igcd(*cand.values())
+            cand = {e: v // c for e, v in cand.items()}
+            if _int_divides(cand, f) and _int_divides(cand, g):
+                return {e: v * cont for e, v in cand.items()} if cont > 1 else cand
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _eval_at(f, i, xi):
+    """f with variable i set to the integer xi."""
+    out = {}
+    for exps, c in f.items():
+        e = exps[:i] + (0,) + exps[i + 1:]
+        out[e] = out.get(e, 0) + c * xi ** exps[i]
+    return {e: c for e, c in out.items() if c}
+
+
+def _xi_adic(h, i, xi):
+    """Polynomial in variable i whose coefficients are h's symmetric xi-adic digits."""
+    half = xi // 2
+    out = {}
+    for exps, v in h.items():
+        k = 0
+        while v:
+            d = (v + half) % xi - half
+            if d:
+                out[exps[:i] + (k,) + exps[i + 1:]] = d
+            v = (v - d) // xi
+            k += 1
+    return out
+
+
+def _int_divides(g, f):
+    """Whether the primitive integer polynomial g divides f (over Z, so over Q)."""
+    ge = max(g, key=grlex_key)
+    gc = g[ge]
+    tail = [(e, c) for e, c in g.items() if e != ge]
+    work = dict(f)
+    while work:
+        exps = max(work, key=grlex_key)
+        qe = tuple(map(_sub, exps, ge))
+        if min(qe) < 0:
+            return False
+        qc, r = divmod(work.pop(exps), gc)
+        if r:
+            return False
+        for e2, c2 in tail:
+            e = tuple(map(_add, qe, e2))
+            nc = work.get(e, 0) - qc * c2
+            if nc:
+                work[e] = nc
+            else:
+                del work[e]
+    return True
+
+
+def _integer_form(f):
+    """f times the lcm of its denominators, as {exponents: int}."""
+    den = _ilcm(*[c.denominator for c in f.terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+
+
+def _gcd2(f, g):
+    """gcd of two polynomials: heuristic first, PRS if it gives up."""
+    if f.ring != g.ring:
+        raise RingMismatchError("gcd operands ring mismatch")
+    if f.is_zero() or g.is_zero():
+        return g if f.is_zero() else f
+    h = _gcd_heu(_integer_form(f), _integer_form(g))
+    if h is None:
+        return _gcd_prs(f, g)
+    return MultiPoly._trusted(f.ring, {e: Fraction(c) for e, c in h.items()})
 
 
 def multivariate_gcd(fs):
@@ -596,14 +669,23 @@ def _list_divmod(a, b):
 
 
 def _egcd_lists(a, b):
-    if not b:
-        return list(a), [Fraction(1)], []
-    q, r = _list_divmod(a, b)
-    g, x, y = _egcd_lists(b, r)
-    # g = x*b + y*r = x*b + y*(a - q*b)
-    qy = _list_mul(q, y)
-    new_y = _list_sub(x, qy)
-    return g, y, new_y
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), g monic unless b is zero.
+
+    Each remainder is made monic, which keeps the coefficients small.  The
+    quotients and scales are kept and one backward pass builds the Bezout
+    pair, with one product per step and no recursion.
+    """
+    steps = []
+    while b:
+        q, r = _list_divmod(a, b)
+        c = r[-1] if r else 1
+        steps.append((q, c))
+        a, b = b, [v / c for v in r]
+    x, y = [Fraction(1)], []
+    for q, c in reversed(steps):  # g = x*b + y*r/c with r = a - q*b
+        y = [v / c for v in y]
+        x, y = y, _list_sub(x, _list_mul(q, y))
+    return a, x, y
 
 
 def _list_mul(a, b):
@@ -704,29 +786,43 @@ def irreducible_smalldeg(p):
     # degree 2 or 3: irreducible over Q iff no rational root
     den = _ilcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
-    if ints[0] == 0:
-        return False
-    a0, an = abs(ints[0]), abs(ints[-1])
+    if deg == 2:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        return disc < 0 or _isqrt(disc) ** 2 != disc
+    # with y = a3*x, a3^2 times the cubic is monic in y with integer roots
+    a0, a1, a2, a3 = ints
+    return _integer_root_cubic(a2, a1 * a3, a0 * a3 * a3) is None
 
-    def _divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
 
-    for num in _divisors(a0):
-        for den2 in _divisors(an):
-            for root in (Fraction(num, den2), Fraction(-num, den2)):
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * root + c
-                if val == 0:
-                    return False
-    return True
+def _integer_root_cubic(c2, c1, c0):
+    """An integer root of y^3 + c2*y^2 + c1*y + c0, or None.
+
+    Real roots lie within the Cauchy bound; the cubic is monotone between
+    the integers next to its critical points, so bisection finds them.
+    """
+    def value(y):
+        return ((y + c2) * y + c1) * y + c0
+
+    bound = 1 + max(abs(c2), abs(c1), abs(c0))
+    cuts = {-bound, bound}
+    disc = c2 * c2 - 3 * c1  # critical points (-c2 +- sqrt(disc)) / 3
+    if disc >= 0:
+        s = _isqrt(disc)
+        for k in ((-c2 + s) // 3, (-c2 - s - 1) // 3):
+            cuts.update(y for y in range(k - 1, k + 3) if -bound < y < bound)
+    cuts = sorted(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        sign = 1 if value(hi) >= value(lo) else -1
+        while lo < hi:  # least y with sign * value(y) >= 0
+            mid = (lo + hi) // 2
+            if sign * value(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if value(lo) == 0:
+            return lo
+    return None
 
 
 def embed(f, ring):

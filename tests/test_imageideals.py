@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -12,7 +14,14 @@ from plinth.imageideals import (
     slice_construct,
     strictness_decompose,
 )
-from plinth.polyring import PlinthError, PolyRing, divides, normalize_unit
+from plinth.polyring import (
+    MultiPoly,
+    PlinthError,
+    PolyRing,
+    divides,
+    multivariate_gcd,
+    normalize_unit,
+)
 
 
 @pytest.fixture
@@ -316,3 +325,23 @@ def test_image_ideal_monotone_containment(rab):
         for g in nxt:
             status, _ = ideal_membership_bounded(now, g, (2, 2))
             assert status == "yes"
+
+
+def test_nice_degree_5_image_ideal_is_fast(rab):
+    # a seeded nice pair of degree 5 in Q[a,b], where gcd cost used to blow up
+    rng = random.Random(5)
+    mons = [(i, k - i, 0, 0) for k in range(2, 6) for i in range(k + 1)]
+    images = []
+    for lead in ((1, 0, 0, 0), (0, 1, 0, 0)):
+        terms = {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in rng.sample(mons, 10)}
+        terms[lead] = Fraction(1)
+        images.append(MultiPoly(rab, terms))
+    assert max(img.total_degree() for img in images) == 5
+    assert multivariate_gcd(images).is_constant()
+    D = Derivation(rab, images)
+    start = time.monotonic()
+    res = image_ideal(D, 2)
+    assert time.monotonic() - start < 5.0
+    assert res.theorem == "inice"
+    for g, pre in zip(res.generators, res.preimages):
+        assert iterate(D, pre, 2) == factorial(2) * g

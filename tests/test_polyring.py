@@ -1,9 +1,13 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from plinth import polyring
 from plinth.polyring import (
     ExactDivisionError,
+    MultiPoly,
     PlinthError,
     PolyParseError,
     PolyRing,
@@ -16,6 +20,7 @@ from plinth.polyring import (
     multivariate_gcd,
     normalize_unit,
     partial_derivative,
+    poly_from_coeffs,
     poly_to_string,
     reduce_mod_prime,
     restrict,
@@ -114,6 +119,71 @@ def test_multivariate_gcd(rab):
     assert multivariate_gcd([a, b]).is_constant()
 
 
+def _planted_pair(rab):
+    x, y = rab.gen("X"), rab.gen("Y")
+    a, b = rab.gen("a"), rab.gen("b")
+    common = a * x - 2 * b * y + Fraction(1, 2)
+    return common, common * (x**2 + a), common * (y - 3 * a * b)
+
+
+def test_gcd_falls_back_to_prs(rab, monkeypatch):
+    common, f, g = _planted_pair(rab)
+    expected = multivariate_gcd([f, g])
+    calls = []
+    prs = polyring._gcd_prs
+
+    def spy(p, q):
+        calls.append(1)
+        return prs(p, q)
+
+    monkeypatch.setattr(polyring, "_gcd_heu", lambda p, q: None)
+    monkeypatch.setattr(polyring, "_gcd_prs", spy)
+    assert multivariate_gcd([f, g]) == expected == normalize_unit(common)
+    assert calls
+
+
+def test_gcd_rejects_a_wrong_candidate(rab, monkeypatch):
+    # a candidate that fails the exact-division check is never returned
+    common, f, g = _planted_pair(rab)
+    monkeypatch.setattr(polyring, "_xi_adic", lambda h, i, xi: {(0, 0, 1, 1): 1, (0,) * 4: 1})
+    assert multivariate_gcd([f, g]) == normalize_unit(common)
+
+
+def _random_poly(rng, ring, nterms, degree):
+    terms = {}
+    while len(terms) < nterms:
+        e = [0] * ring.arity
+        for _ in range(degree if not terms else rng.randint(0, degree)):
+            e[rng.randrange(ring.arity)] += 1
+        terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)), rng.choice((1, 1, 2)))
+    return MultiPoly(ring, terms)
+
+
+def test_gcd_planted_factor_degree_18_is_fast():
+    # two 19-term polynomials of total degree 18 in Q[a,b][X] with a common factor
+    ring = PolyRing(("a", "b"), ("X",))
+    rng = random.Random(8)
+    common = _random_poly(rng, ring, 4, 6)
+    f = common * _random_poly(rng, ring, 5, 12)
+    g = common * _random_poly(rng, ring, 5, 12)
+    assert [len(f.terms), len(g.terms), f.total_degree(), g.total_degree()] == [19, 19, 18, 18]
+    start = time.monotonic()
+    got = multivariate_gcd([f, g])
+    assert time.monotonic() - start < 1.0
+    assert got == normalize_unit(common)
+
+
+def test_extended_euclid_degree_100_is_fast():
+    ring = PolyRing(("t",), ("X",))
+    rng = random.Random(3)
+    a = poly_from_coeffs(ring, 0, [Fraction(rng.randint(-9, 9)) for _ in range(100)] + [1])
+    b = poly_from_coeffs(ring, 0, [Fraction(rng.randint(-9, 9)) for _ in range(100)] + [2])
+    start = time.monotonic()
+    g, alpha, beta = extended_euclid(a, b)
+    assert time.monotonic() - start < 2.0
+    assert alpha * a + beta * b == g
+
+
 def test_extended_euclid(rt):
     a = rt.poly("t")
     b = rt.poly("-t + 1")
@@ -143,6 +213,20 @@ def test_irreducible_smalldeg(rt):
     assert irreducible_smalldeg(rt.poly("t^2 - 1")) is False
     assert irreducible_smalldeg(rt.poly("t^3 - 2")) is True
     assert irreducible_smalldeg(rt.poly("t^4 + 1")) is None
+    assert irreducible_smalldeg(rt.poly("6*t^3 - 5*t^2 - 2*t + 1")) is False  # root 1/3
+
+
+def test_irreducible_smalldeg_large_constants_are_fast(rt):
+    cases = [
+        ("t^2 + 1000000000001", True),
+        ("t^2 - 1000000000002000000000001", False),
+        ("7*t^3 + 5*t + 123456789012345678901237", True),
+        ("8*t^3 - 1881676417513891481839", False),  # root 12345679/2
+    ]
+    for text, expected in cases:
+        start = time.monotonic()
+        assert irreducible_smalldeg(rt.poly(text)) is expected
+        assert time.monotonic() - start < 0.1
 
 
 def test_embed_restrict(rt):
