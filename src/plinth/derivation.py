@@ -6,6 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import add as _add
 from typing import Optional
 
 from .polyring import (
@@ -13,9 +16,10 @@ from .polyring import (
     PlinthError,
     PolyRing,
     RingMismatchError,
+    _numerators,
+    _over,
     extended_euclid,
     multivariate_gcd,
-    partial_derivative,
     reduce_mod_prime,
 )
 
@@ -66,15 +70,41 @@ class Derivation:
 
 
 def apply(D, f):
-    """Df = sum_i (DX_i) * df/dX_i; kills all coefficient parameters."""
-    if f.ring != D.ring:
+    """Df = sum_i (DX_i) * df/dX_i; kills all coefficient parameters.
+
+    One pass over integer numerators, all over one common denominator: the
+    term c*X^e of f contributes e_i * c * (DX_i) * X^(e - unit_i) for each
+    main variable X_i in it.
+    """
+    if f.ring is not D.ring and f.ring != D.ring:
         raise RingMismatchError("apply: polynomial ring mismatch")
-    out = D.ring.zero()
-    for var, img in zip(D.ring.vars, D.images):
-        if img.is_zero():
-            continue
-        out = out + img * partial_derivative(f, var)
-    return out
+    terms, den = _numerators(f.terms)
+    iden, columns = _columns(D)
+    acc = {}
+    get = acc.get
+    for pos, img in columns:
+        for e1, c1 in terms:
+            k = e1[pos]
+            if k:
+                c1 *= k
+                for e2, c2 in img:
+                    e = tuple(map(_add, e1, e2))
+                    acc[e] = get(e, 0) + c1 * c2
+    return MultiPoly._trusted(D.ring, _over(acc, den * iden))
+
+
+@lru_cache(maxsize=1)
+def _columns(D):
+    """(iden, [(pos, terms)]) for apply: per main variable with a nonzero
+    image, its position in the exponent vector and the terms of its image
+    as integers over the common denominator iden, each exponent vector
+    minus the variable's unit vector.  Only the last derivation's columns
+    are kept, so a Derivation itself carries nothing extra."""
+    images = [_numerators(img.terms) for img in D.images]
+    iden = lcm(*[d for _, d in images])
+    return iden, [(pos, [(e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * (iden // d))
+                         for e, c in img])
+                  for pos, (img, d) in enumerate(images, D.ring.nparams) if img]
 
 
 def iterate(D, f, n):

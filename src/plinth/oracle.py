@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from . import linalg
 from .derivation import apply, iterate
@@ -37,14 +38,25 @@ class OracleCapError(PlinthError):
 
 @dataclass(frozen=True)
 class DegreeSlice:
+    """All monomials within a parameter-degree and a variable-degree bound.
+    The dimension comes from the bounds alone, so caps are checked before
+    the basis is enumerated."""
+
     ring: object
     param_bound: int
     var_bound: int
-    basis: tuple
 
     @property
     def dim(self):
-        return len(self.basis)
+        k, n = self.ring.nparams, self.ring.nvars
+        return comb(k + self.param_bound, k) * comb(n + self.var_bound, n)
+
+    @cached_property
+    def basis(self):
+        """The monomials in ascending graded-lex order."""
+        pmonos = _bounded_tuples(self.ring.nparams, self.param_bound)
+        vmonos = _bounded_tuples(self.ring.nvars, self.var_bound)
+        return tuple(sorted((p + v for p in pmonos for v in vmonos), key=grlex_key))
 
     @cached_property
     def _positions(self):
@@ -55,22 +67,18 @@ class DegreeSlice:
 
 
 def slice_basis(ring, param_bound, var_bound):
-    """All monomials within both bounds, in ascending graded-lex order."""
+    """The slice within both bounds; its basis is enumerated on first use."""
     if param_bound < 0 or var_bound < 0:
         raise PlinthError("slice bounds must be naturals")
-    k = ring.nparams
-    n = ring.nvars
-    pmonos = _bounded_tuples(k, param_bound)
-    vmonos = _bounded_tuples(n, var_bound)
-    basis = sorted((p + v for p in pmonos for v in vmonos), key=grlex_key)
-    return DegreeSlice(ring, param_bound, var_bound, tuple(basis))
+    return DegreeSlice(ring, param_bound, var_bound)
 
 
 def _bounded_tuples(length, bound):
-    out = [()]
-    for _ in range(length):
-        out = [t + (d,) for t in out for d in range(bound + 1)]
-    return [t for t in out if sum(t) <= bound]
+    """All tuples of naturals of the given length with sum <= bound."""
+    if length == 0:
+        return [()]
+    return [(d,) + t for d in range(bound + 1)
+            for t in _bounded_tuples(length - 1, bound - d)]
 
 
 def poly_to_vec(slc, f):

@@ -11,12 +11,47 @@ vector.
 from __future__ import annotations
 
 import string
+import weakref
 from fractions import Fraction
 from math import gcd as _igcd
 from math import isqrt as _isqrt
 from math import lcm as _ilcm
 from operator import add as _add
 from operator import sub as _sub
+
+
+# One shared Fraction for each small integer (a Fraction is immutable).  The
+# table is built at import, so it stays small.
+_SMALL = {n: Fraction(n) for n in range(-128, 129)}
+
+
+def _fraction(n, d=1):
+    """n/d as a Fraction, for integers n and d > 0; shared when it is a
+    small integer."""
+    if d != 1:
+        g = _igcd(n, d)
+        n, d = n // g, d // g
+        if d != 1:
+            return Fraction(n, d)
+    return _SMALL[n] if -128 <= n <= 128 else Fraction(n)
+
+
+def _numerators(terms):
+    """([(exps, int)], den): the coefficients of terms as integers over
+    their least common denominator den."""
+    den = _ilcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+
+
+def _over(acc, den):
+    """Clean terms {exps: n / den} from integer numerators; zeros dropped."""
+    if den == 1:
+        small = _SMALL
+        return {e: small[n] if -128 <= n <= 128 else Fraction(n)
+                for e, n in acc.items() if n}
+    return {e: _fraction(n, den) for e, n in acc.items() if n}
 
 
 class PlinthError(Exception):
@@ -49,22 +84,42 @@ class ExactDivisionError(PlinthError):
 
 
 class PolyRing:
-    """Descriptor of the ring Q[params][vars]."""
+    """Descriptor of the ring Q[params][vars].
 
-    __slots__ = ("params", "vars", "names", "_index")
+    A ring is immutable, so equal rings are one object while any of them
+    is in use: every problem parsed over the same names shares it, and
+    every constant and variable shares the ring's origin and unit exponent
+    vectors.
+    """
 
-    def __init__(self, params, vars):
-        self.params = tuple(params)
-        self.vars = tuple(vars)
-        self.names = self.params + self.vars
-        if len(set(self.names)) != len(self.names):
-            raise PlinthError("ring names must be distinct: %r" % (self.names,))
-        if not self.vars:
+    __slots__ = ("params", "vars", "names", "_index", "_origin", "_units", "__weakref__")
+    _in_use = weakref.WeakValueDictionary()
+
+    def __new__(cls, params, vars):
+        key = (tuple(params), tuple(vars))
+        ring = cls._in_use.get(key)
+        if ring is not None:
+            return ring
+        names = key[0] + key[1]
+        if len(set(names)) != len(names):
+            raise PlinthError("ring names must be distinct: %r" % (names,))
+        if not key[1]:
             raise PlinthError("a ring needs at least one main variable")
-        for name in self.names:
+        for name in names:
             if not name or name[0] not in string.ascii_letters + "_":
                 raise PlinthError("bad variable name %r" % name)
-        self._index = {name: i for i, name in enumerate(self.names)}
+        ring = super().__new__(cls)
+        ring.params, ring.vars = key
+        ring.names = names
+        ring._index = {name: i for i, name in enumerate(names)}
+        ring._origin = (0,) * len(names)
+        ring._units = tuple(ring._origin[:i] + (1,) + ring._origin[i + 1:]
+                            for i in range(len(names)))
+        cls._in_use[key] = ring
+        return ring
+
+    def __reduce__(self):  # copies and pickles come back as the shared ring
+        return PolyRing, (self.params, self.vars)
 
     @property
     def nparams(self):
@@ -107,13 +162,11 @@ class PolyRing:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return MultiPoly(self, {(0,) * self.arity: c})
+        c = _fraction(c.numerator, c.denominator)
+        return MultiPoly._trusted(self, {self._origin: c})
 
     def gen(self, name):
-        i = self.index(name)
-        exps = [0] * self.arity
-        exps[i] = 1
-        return MultiPoly(self, {tuple(exps): Fraction(1)})
+        return MultiPoly._trusted(self, {self._units[self.index(name)]: _fraction(1)})
 
     def gens(self):
         return {name: self.gen(name) for name in self.names}
@@ -214,7 +267,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     "operands live in different rings: %r vs %r"
                     % (self.ring, other.ring)
@@ -224,20 +277,28 @@ class MultiPoly:
             return self.ring.const(other)
         return NotImplemented
 
+    # Arithmetic clears denominators once per operand, accumulates integer
+    # numerators and builds one Fraction per output term.
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = out.get(exps)
-            out[exps] = coeff if c is None else c + coeff
-        return MultiPoly._trusted(self.ring, {e: c for e, c in out.items() if c})
+        a, da = _numerators(self.terms)
+        b, db = _numerators(other.terms)
+        den = _ilcm(da, db)
+        sa, sb = den // da, den // db
+        acc = dict(a) if sa == 1 else {e: c * sa for e, c in a}
+        get = acc.get
+        for e, c in b:
+            acc[e] = get(e, 0) + c * sb
+        return MultiPoly._trusted(self.ring, _over(acc, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
+        a, den = _numerators(self.terms)
+        return MultiPoly._trusted(self.ring, _over({e: -c for e, c in a}, den))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -252,13 +313,21 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(_add, e1, e2))
-                c = out.get(e)
-                out[e] = c1 * c2 if c is None else c + c1 * c2
-        return MultiPoly._trusted(self.ring, {e: c for e, c in out.items() if c})
+        a, da = _numerators(self.terms)
+        b, db = _numerators(other.terms)
+        if len(a) == 1 and not any(a[0][0]):
+            a, b = b, a
+        if len(b) == 1 and not any(b[0][0]):  # a constant factor keeps the exponents
+            k = b[0][1]
+            acc = {e: c * k for e, c in a}
+        else:
+            acc = {}
+            get = acc.get
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    e = tuple(map(_add, e1, e2))
+                    acc[e] = get(e, 0) + c1 * c2
+        return MultiPoly._trusted(self.ring, _over(acc, da * db))
 
     __rmul__ = __mul__
 
@@ -270,8 +339,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the square after the last bit would go unused
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -316,14 +386,10 @@ class IdealPresentation:
 
 def partial_derivative(f, name):
     i = f.ring.index(name)
-    out = {}
-    for exps, coeff in f.terms.items():
-        k = exps[i]
-        if k:
-            e = list(exps)
-            e[i] = k - 1
-            out[tuple(e)] = coeff * k
-    return MultiPoly._trusted(f.ring, out)
+    terms, den = _numerators(f.terms)
+    out = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+           for exps, c in terms if exps[i]}
+    return MultiPoly._trusted(f.ring, _over(out, den))
 
 
 def substitute(f, name, replacement):
@@ -400,8 +466,13 @@ def normalize_unit(f):
     """Scale by a rational unit: integer-primitive, positive leading coefficient."""
     if f.is_zero():
         return f
-    c = rational_content(f)
-    return MultiPoly._trusted(f.ring, {e: coeff / c for e, coeff in f.terms.items()})
+    terms, _ = _numerators(f.terms)
+    # the gcd of the numerators over the common denominator is the gcd of
+    # the coefficients' own numerators, the numerator of rational_content
+    g = _igcd(*[c for _, c in terms])
+    if f.leading()[1] < 0:
+        g = -g
+    return MultiPoly._trusted(f.ring, _over({e: c // g for e, c in terms}, 1))
 
 
 # -- gcd machinery -----------------------------------------------------------
@@ -567,22 +638,16 @@ def _int_divides(g, f):
     return True
 
 
-def _integer_form(f):
-    """f times the lcm of its denominators, as {exponents: int}."""
-    den = _ilcm(*[c.denominator for c in f.terms.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
-
-
 def _gcd2(f, g):
     """gcd of two polynomials: heuristic first, PRS if it gives up."""
     if f.ring != g.ring:
         raise RingMismatchError("gcd operands ring mismatch")
     if f.is_zero() or g.is_zero():
         return g if f.is_zero() else f
-    h = _gcd_heu(_integer_form(f), _integer_form(g))
+    h = _gcd_heu(dict(_numerators(f.terms)[0]), dict(_numerators(g.terms)[0]))
     if h is None:
         return _gcd_prs(f, g)
-    return MultiPoly._trusted(f.ring, {e: Fraction(c) for e, c in h.items()})
+    return MultiPoly._trusted(f.ring, _over(h, 1))
 
 
 def multivariate_gcd(fs):
@@ -866,23 +931,24 @@ def poly_to_string(f):
     parts = []
     for exps in sorted(f.terms, key=grlex_key, reverse=True):
         coeff = f.terms[exps]
+        num, den = coeff.numerator, coeff.denominator
         names = []
         for name, e in zip(f.ring.names, exps):
             if e == 1:
                 names.append(name)
             elif e > 1:
                 names.append("%s^%d" % (name, e))
-        mag = abs(coeff)
+        mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
         if not names:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(names)
         else:
-            body = "*".join([str(mag)] + names)
+            body = "*".join([mag] + names)
         if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+            parts.append(body if num > 0 else "-" + body)
         else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
+            parts.append((" + " if num > 0 else " - ") + body)
     return "".join(parts)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,15 @@ def test_examples_under_optimize(capsys):
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (code, out), name
+
+
+def test_verify_checks_cap_before_building_slices(capsys):
+    # the inice slices at bounds 80,80 hold about 11 million monomials each
+    start = time.monotonic()
+    code = main(["verify", "--example", "inice", "--bounds", "80,80"])
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "oracle entry cap exceeded: solve needs" in capsys.readouterr().out
 
 
 def test_image_ideal_honours_cap():

@@ -1,10 +1,14 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from plinth import polyring
+from plinth.derivation import Derivation, apply
 from plinth.polyring import (
     ExactDivisionError,
     MultiPoly,
@@ -21,6 +25,7 @@ from plinth.polyring import (
     normalize_unit,
     partial_derivative,
     poly_from_coeffs,
+    poly_from_string,
     poly_to_string,
     reduce_mod_prime,
     restrict,
@@ -45,6 +50,13 @@ def test_ring_validation():
         PolyRing(("t",), ("t",))
     with pytest.raises(PlinthError):
         PolyRing((), ("1bad",))
+    # rings are immutable, so equal ones are shared
+    ring = PolyRing(["t"], ["X1", "X2"])
+    assert ring is PolyRing(("t",), ("X1", "X2"))
+    assert PolyRing(("t",), ("X1",)).extend(["X2"]) is ring
+    assert pickle.loads(pickle.dumps(ring)) is ring
+    p = ring.poly("t*X1 + 1/2")
+    assert copy.deepcopy(p) == p and copy.deepcopy(p).ring is ring
 
 
 def test_arithmetic_basics(rab):
@@ -263,3 +275,86 @@ def test_parse_implicit_operations(rt):
     assert rt.poly("(t + 1)*(t - 1)") == rt.poly("t^2 - 1")
     assert rt.poly("-X1") == -rt.gen("X1")
     assert rt.poly("X1/2") == rt.gen("X1") * Fraction(1, 2)
+
+
+# -- the integer-numerator kernels against per-term Fraction loops ----------
+
+
+def _ref_add(f, g):
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_apply(D, f):
+    ring = D.ring
+    out = ring.zero()
+    for i, img in enumerate(D.images, ring.nparams):
+        deriv = MultiPoly(ring, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                 for e, c in f.terms.items() if e[i]})
+        out = MultiPoly(ring, _ref_add(out, MultiPoly(ring, _ref_mul(img, deriv))))
+    return out.terms
+
+
+def _kernel_poly(rng, ring):
+    """Up to 6 terms with mixed denominators, some coefficients beyond 2**64."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = tuple(rng.randint(0, 2) for _ in range(ring.arity))
+        num = rng.choice((rng.randint(-4, 4), rng.randint(-2**70, 2**70)))
+        terms[e] = Fraction(num, rng.choice((1, 1, 1, 2, 3, 6, 7 * 2**66)))
+    return MultiPoly(ring, terms)
+
+
+def _assert_clean(terms):
+    assert all(type(c) is Fraction and c != 0 for c in terms.values())
+
+
+def test_kernels_match_fraction_reference(rng):
+    for params in (("a",), ("a", "b"), ("a", "b", "c")):
+        ring = PolyRing(params, ("X", "Y"))
+        for _ in range(150):
+            f, g = _kernel_poly(rng, ring), _kernel_poly(rng, ring)
+            if rng.random() < 0.2:
+                g = -f + _kernel_poly(rng, ring) * rng.randint(0, 1)  # cancellation
+            for got, want in ((f + g, _ref_add(f, g)), (f * g, _ref_mul(f, g)),
+                              (f - g, _ref_add(f, MultiPoly(ring, {e: -c for e, c in
+                                                                   g.terms.items()}))),
+                              (f * ring.zero(), {}), (ring.zero() + f, f.terms)):
+                assert got.terms == want
+                _assert_clean(got.terms)
+            assert (f + (-f)).is_zero()
+            images = [_kernel_poly(rng, ring) for _ in ring.vars]
+            if all(img.is_zero() for img in images):
+                images[0] = ring.one()
+            D = Derivation(ring, images)
+            got = apply(D, f)
+            assert got.terms == _ref_apply(D, f)
+            _assert_clean(got.terms)
+
+
+def test_kernels_share_small_integers(rab):
+    x, y = rab.gen("X"), rab.gen("Y")
+    p = (x + 2 * y - 3) * (x - y) + rab.const(Fraction(4, 2))
+    q = -p
+    assert all(c is polyring._fraction(c.numerator) for c in p.terms.values())
+    assert all(c is polyring._fraction(c.numerator) for c in q.terms.values())
+    big = rab.const(10**30)
+    assert (big * x).terms[(0, 0, 1, 0)] == 10**30
+
+
+def test_parse_large_power_is_fast(rab):
+    start = time.monotonic()
+    p = poly_from_string(rab, "(X+Y+1)^60")
+    assert time.monotonic() - start < 1.0
+    assert len(p.terms) == 1891

@@ -62,6 +62,15 @@ def test_gcd_matches_sympy(rab, rng):
         assert multivariate_gcd([f, g]) == normalize_unit(_from_sympy(rab, expected))
 
 
+def test_products_match_sympy_expand(rab, rng):
+    gens = sympy.symbols("a b X Y")
+    for _ in range(CASES // 3):  # expand is slow
+        f = _random_poly(rng, rab, 5, 3)
+        g = _random_poly(rng, rab, 5, 3) * Fraction(rng.randint(1, 2**70), rng.randint(1, 9))
+        expected = sympy.expand(_to_sympy(f, gens).as_expr() * _to_sympy(g, gens).as_expr())
+        assert f * g == _from_sympy(rab, sympy.Poly(expected, *gens, domain="QQ"))
+
+
 def test_divide_exact_matches_sympy(rab, rng):
     gens = sympy.symbols("a b X Y")
     for _ in range(CASES):
