@@ -8,20 +8,11 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
-from .derivation import (
-    Derivation,
-    UnsupportedStructureError,
-    classify,
-    is_fixed_point_free,
-)
-from .imageideals import (
-    KernelPresentation,
-    image_ideal,
-    kernel_generator,
-    nice3var_reduce,
-)
+from .derivation import Derivation, UnsupportedStructureError
+from .imageideals import Analysis, KernelPresentation, kernel_generator
 from .oracle import DEFAULT_ENTRY_CAP, OracleCapError, verify_image_ideal
 from .polyring import PlinthError, PolyRing, poly_to_string
 
@@ -45,8 +36,19 @@ class ProblemSpec:
     cap: Optional[int] = None
     expect: Optional[list] = None  # predicted generators for verify
 
+    # Built on first use and shared by every command run on this spec, so
+    # the spec is not changed after its first run.
+    @cached_property
+    def analysis(self):
+        D = Derivation(self.ring, [self.images[v] for v in self.vars])
+        return Analysis(D, self.factored_b)
+
+    @cached_property
+    def echo(self):
+        return problem_to_string(self)
+
     def derivation(self):
-        return Derivation(self.ring, [self.images[v] for v in self.vars])
+        return self.analysis.D
 
 
 def parse_problem(text):
@@ -260,8 +262,7 @@ class RunReport:
 
 
 def _run_check(spec):
-    D = spec.derivation()
-    rep = classify(D)
+    rep = spec.analysis.report
     lines = [
         "lnd: %s" % rep.lnd,
         "degrees: %s" % (rep.degrees,),
@@ -270,7 +271,7 @@ def _run_check(spec):
     ]
     fpf = None
     try:
-        fpf = is_fixed_point_free(D, factored_b=spec.factored_b)
+        fpf = spec.analysis.fixed_point_free
         lines.append("fixed point free: %s" % fpf)
     except (UnsupportedStructureError, PlinthError) as err:
         lines.append("fixed point free: undetermined (%s)" % err)
@@ -287,7 +288,7 @@ def _run_check(spec):
     }
     return RunReport(
         command="check",
-        spec_echo=problem_to_string(spec),
+        spec_echo=spec.echo,
         verdict=verdict,
         exit_code=code,
         certificates=[cert],
@@ -296,24 +297,23 @@ def _run_check(spec):
 
 
 def _run_kernel(spec):
-    D = spec.derivation()
+    an = spec.analysis
     try:
         if spec.ring.nvars == 3:
-            pres = nice3var_reduce(D).kernel
+            pres = an.reduction.kernel
         elif spec.ring.nvars == 1:
             # DX lies in R for any locally nilpotent D, so Ker(D) = R
-            rep = classify(D)
-            if rep.lnd is not True or D.images[0].var_degree() > 0:
+            if an.report.lnd is not True or an.D.images[0].var_degree() > 0:
                 raise UnsupportedStructureError(
                     "single-variable derivation is not locally nilpotent"
                 )
             pres = KernelPresentation(generators=[], certified=True)
         else:
-            pres = kernel_generator(D)
+            pres = kernel_generator(an.D, an.report)
     except (UnsupportedStructureError, PlinthError) as err:
         return RunReport(
             command="kernel",
-            spec_echo=problem_to_string(spec),
+            spec_echo=spec.echo,
             verdict="INCONCLUSIVE",
             exit_code=2,
             lines=["unsupported structure: %s" % err],
@@ -321,7 +321,7 @@ def _run_kernel(spec):
     gens = [poly_to_string(g) for g in pres.generators]
     return RunReport(
         command="kernel",
-        spec_echo=problem_to_string(spec),
+        spec_echo=spec.echo,
         verdict="PASS",
         exit_code=0,
         generators=gens,
@@ -330,17 +330,21 @@ def _run_kernel(spec):
     )
 
 
-def _run_image_ideal(spec, n, bounds, cap):
-    D = spec.derivation()
+def _oracle_limits(spec, bounds, cap):
+    """Slice bounds and entry cap: the option, else the directive, else the
+    default; a cap of 0 is a cap."""
     bounds = bounds or spec.bounds or DEFAULT_BOUNDS
-    cap = cap or spec.cap or DEFAULT_ENTRY_CAP
+    cap = next(c for c in (cap, spec.cap, DEFAULT_ENTRY_CAP) if c is not None)
+    return bounds, cap
+
+
+def _run_image_ideal(spec, n, bounds, cap):
     try:
-        res = image_ideal(D, n, factored_b=spec.factored_b, bounds=bounds,
-                          entry_cap=cap)
+        res = spec.analysis.image_ideal(n, *_oracle_limits(spec, bounds, cap))
     except UnsupportedStructureError as err:
         return RunReport(
             command="image-ideal",
-            spec_echo=problem_to_string(spec),
+            spec_echo=spec.echo,
             verdict="INCONCLUSIVE",
             exit_code=2,
             lines=["unsupported structure: %s" % err],
@@ -354,7 +358,7 @@ def _run_image_ideal(spec, n, bounds, cap):
     verdict = "PASS" if res.theorem != "oracle-only" else "INCONCLUSIVE"
     return RunReport(
         command="image-ideal",
-        spec_echo=problem_to_string(spec),
+        spec_echo=spec.echo,
         verdict=verdict,
         exit_code=0 if verdict == "PASS" else 2,
         generators=gens,
@@ -365,20 +369,17 @@ def _run_image_ideal(spec, n, bounds, cap):
 
 def _run_verify(spec, n, bounds, cap):
     D = spec.derivation()
-    bounds = bounds or spec.bounds or DEFAULT_BOUNDS
-    cap = cap or spec.cap or DEFAULT_ENTRY_CAP
+    bounds, cap = _oracle_limits(spec, bounds, cap)
     if spec.expect:
         predicted = list(spec.expect)
     else:
-        res = image_ideal(D, n, factored_b=spec.factored_b, bounds=bounds,
-                          entry_cap=cap)
-        predicted = list(res.generators)
+        predicted = list(spec.analysis.image_ideal(n, bounds, cap).generators)
     try:
         report = verify_image_ideal(D, n, predicted, bounds[0], bounds[1], cap)
     except OracleCapError as err:
         return RunReport(
             command="verify",
-            spec_echo=problem_to_string(spec),
+            spec_echo=spec.echo,
             verdict="INCONCLUSIVE",
             exit_code=2,
             lines=["oracle entry cap exceeded: %s" % err],
@@ -397,7 +398,7 @@ def _run_verify(spec, n, bounds, cap):
     code = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[report.overall]
     return RunReport(
         command="verify",
-        spec_echo=problem_to_string(spec),
+        spec_echo=spec.echo,
         verdict=report.overall,
         exit_code=code,
         generators=[str(p) for p in predicted],
@@ -446,7 +447,7 @@ def _run_examples(name, bounds, cap):
     verdict = {0: "PASS", 1: "FAIL", 2: "INCONCLUSIVE", 3: "ERROR"}[worst]
     return RunReport(
         command="examples",
-        spec_echo=problem_to_string(spec),
+        spec_echo=spec.echo,
         verdict=verdict,
         exit_code=worst,
         generators=gens,

@@ -18,7 +18,9 @@ from .polyring import (
     RingMismatchError,
     _numerators,
     _over,
+    divides,
     extended_euclid,
+    irreducible_smalldeg,
     multivariate_gcd,
     reduce_mod_prime,
 )
@@ -294,8 +296,6 @@ def _validate_factored_b(b, factored_b):
     for entry in factored_b:
         p, mult = entry[0], entry[1]
         asserted = entry[2] if len(entry) > 2 else False
-        from .polyring import irreducible_smalldeg
-
         status = irreducible_smalldeg(p)
         if status is False:
             raise PlinthError("declared prime %s is reducible" % p)
@@ -311,15 +311,13 @@ def _validate_factored_b(b, factored_b):
     return primes
 
 
-def localized_fpf(D, p):
+def localized_fpf(D, rep, p):
     """Whether the derivation stays fixed point free after localizing the
-    coefficient ring at the prime p | DX_1 (quasi-nice 2-var over Q[t])."""
-    rep = classify(D)
+    coefficient ring at the prime p | DX_1 (quasi-nice 2-var over Q[t]);
+    rep is classify(D)."""
     if rep.quasi is None:
         raise UnsupportedStructureError("localized_fpf needs a quasi-nice 2-var derivation")
     q = rep.quasi
-    from .polyring import divides
-
     if not divides(p, q.b):
         raise PlinthError("%s does not divide DX_1 = %s" % (p, q.b))
     fprime = -D.images[q.other]
@@ -360,9 +358,9 @@ def _param_monomials(ring, bound):
     return monos
 
 
-def is_fixed_point_free(D, factored_b=None, bezout_bound=DEFAULT_BEZOUT_BOUND):
-    """(DB)B = B test for the structured 2-variable cases; True/False/None."""
-    rep = classify(D)
+def is_fixed_point_free(D, rep, factored_b=None, bezout_bound=DEFAULT_BEZOUT_BOUND):
+    """(DB)B = B test for the structured 2-variable cases; True/False/None.
+    rep is classify(D)."""
     ring = D.ring
     if rep.classification == "nice" and rep.nice_pair is not None:
         a_img, b_img = D.images
@@ -394,7 +392,7 @@ def is_fixed_point_free(D, factored_b=None, bezout_bound=DEFAULT_BEZOUT_BOUND):
                 "quasi-nice fixed-point-freeness needs a single-parameter ring"
             )
         primes = _validate_factored_b(q.b, factored_b)
-        return all(localized_fpf(D, p) for p, _, _ in primes)
+        return all(localized_fpf(D, rep, p) for p, _, _ in primes)
     raise UnsupportedStructureError(
         "fixed-point-freeness is decided only for structured 2-variable derivations"
     )

@@ -68,7 +68,6 @@ class TopDegreeCertificate:
 
     homogeneous_checked: list
     nonzerodivisor: str
-    sources: list = field(default_factory=list)  # (output generator, source in J)
     notes: list = field(default_factory=list)
 
 
@@ -147,7 +146,6 @@ def top_degree_ideal(wd, gens):
         cert = TopDegreeCertificate(
             homogeneous_checked=[],
             nonzerodivisor="trivial (single generator)",
-            sources=[(tlast, last)],
         )
         return IdealPresentation(ring, [tlast]), cert
 
@@ -176,7 +174,6 @@ def top_degree_ideal(wd, gens):
     cert = TopDegreeCertificate(
         homogeneous_checked=homogeneous,
         nonzerodivisor="verified by substitution (residual image %s != 0)" % reduced,
-        sources=[(f, f) for f in gens[:-1]] + [(tlast, last)],
         notes=notes,
     )
     return IdealPresentation(ring, gens[:-1] + [tlast]), cert

@@ -8,12 +8,19 @@ construction, strictness detection, and the 3-variable nice reduction to a
 2-variable problem over an enlarged coefficient ring.  Every returned
 formula carries machine-checked certificates; whenever a hypothesis cannot
 be confirmed the result is downgraded to an oracle-only approximation.
+
+What the formulas rest on does not depend on j, so it is worked out once
+per problem in an Analysis (structure report, fixed-point-freeness,
+strictness, localized checks, slice, 3-variable reduction, top-degree
+certificate) and shared by every command and every j; the per-j step
+only builds generators and preimages and re-checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from math import factorial
 from typing import Optional
 
@@ -53,6 +60,7 @@ from .polyring import (
     PolyRing,
     divide_exact,
     divides,
+    embed,
     extended_euclid,
     irreducible_smalldeg,
     multivariate_gcd,
@@ -139,13 +147,12 @@ class ImageIdealResult:
 # kernel generators
 
 
-def kernel_generator(D):
-    """A = R[g] for the structured 2-variable cases.
+def kernel_generator(D, rep):
+    """A = R[g] for the structured 2-variable cases; rep is classify(D).
 
     Nice with images in R: g = (DX_2)X_1 - (DX_1)X_2.  Quasi-nice:
     g = b*X_2 + f(X_1) with b = DX_1 and f the primitive of -DX_2.
     """
-    rep = classify(D)
     ring = D.ring
     if ring.nvars != 2:
         raise UnsupportedStructureError(
@@ -195,15 +202,15 @@ class StrictnessResult:
     notes: list = field(default_factory=list)
 
 
-def strictness_decompose(D):
-    """Split f = u + b*v with no coefficient of u divisible by b = DX_1.
+def strictness_decompose(D, rep):
+    """Split f = u + b*v with no coefficient of u divisible by b = DX_1;
+    rep is classify(D).
 
     deg u <= 1 makes D nice after the coordinate change X_2' = X_2 + v(X_1)
     (re-verified by applying D twice); deg u >= 2 certifies strict
     1-quasi-niceness over a Euclidean or irreducible-b coefficient ring and
     is flagged heuristic otherwise.
     """
-    rep = classify(D)
     if rep.quasi is None:
         raise UnsupportedStructureError(
             "strictness_decompose needs a quasi-nice 2-variable derivation"
@@ -276,10 +283,10 @@ def strictness_decompose(D):
 # slices
 
 
-def slice_construct(D, degree_bound=DEFAULT_SLICE_BOUND):
-    """An s with Ds = 1, or None if none is found within the degree bound."""
+def slice_construct(D, rep, degree_bound=DEFAULT_SLICE_BOUND):
+    """An s with Ds = 1, or None if none is found within the degree bound;
+    rep is classify(D)."""
     ring = D.ring
-    rep = classify(D)
     if (
         rep.nice_pair is not None
         and ring.nparams == 1
@@ -337,7 +344,7 @@ def _nice_top_degree_certificate(ring, f1, f2):
     weights.update({s1n: 1, s2n: 1, zn: 0})
     wd = WeightedDegree(ext, weights)
     x1, x2 = (ext.gen(v) for v in ring.vars)
-    ef1, ef2 = (p if p.ring == ext else _embed(p, ext) for p in (f1, f2))
+    ef1, ef2 = (p if p.ring == ext else embed(p, ext) for p in (f1, f2))
     u = ef2 * x1 - ef1 * x2
     gens = [ext.gen(s1n) - x1, ext.gen(s2n) - x2, ext.gen(zn) - u]
     ideal, cert = top_degree_ideal(wd, gens)
@@ -360,17 +367,11 @@ def _quasi_top_degree_certificate(ring, q):
     wd = WeightedDegree(ext, weights)
     x1 = ext.gen(x1name)
     x2 = ext.gen(x2name)
-    kern = _embed(q.b, ext) * x2 + _embed(q.f, ext)
+    kern = embed(q.b, ext) * x2 + embed(q.f, ext)
     gens = [ext.gen(sn) - x1, ext.gen(zn) - kern]
     ideal, cert = top_degree_ideal(wd, gens)
     prime = prime_after_elimination(list(ideal.generators))
     return cert, tuple(ideal.generators), prime
-
-
-def _embed(f, ring):
-    from .polyring import embed
-
-    return embed(f, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +381,10 @@ def _embed(f, ring):
 @dataclass
 class ThreeVarReduction:
     matrix: list  # 3x3 change of coordinates over R, determinant 1
-    inverse: list
     new_ring: PolyRing  # R[U] as coefficient ring, main variables V, W
     reduced: Derivation  # D expressed on the new ring
     kernel: KernelPresentation  # [U, g*V - f*W] in the original coordinates
     coords: tuple  # (U, V, W) as polynomials of the original ring
-    names: tuple
 
     def to_original(self, p):
         """Map a polynomial of the reduced ring back to the original ring."""
@@ -478,9 +477,10 @@ def _find_syzygy(D, degree_bound):
     )
 
 
-def nice3var_reduce(D, degree_bound=DEFAULT_SYZYGY_BOUND):
+def nice3var_reduce(D, rep, degree_bound=DEFAULT_SYZYGY_BOUND):
     """Reduce a nice irreducible 3-variable derivation over Q or Q[t] to a
-    nice 2-variable derivation over the enlarged coefficient ring R[U].
+    nice 2-variable derivation over the enlarged coefficient ring R[U];
+    rep is classify(D).
 
     Finds a syzygy a*DX + b*DY + c*DZ = 0, completes (a,b,c) to a
     determinant-1 matrix over R via Bezout identities, and rewrites D in the
@@ -494,7 +494,6 @@ def nice3var_reduce(D, degree_bound=DEFAULT_SYZYGY_BOUND):
         raise UnsupportedStructureError(
             "nice3var_reduce needs a coefficient ring Q or Q[t]"
         )
-    rep = classify(D)
     if rep.lnd is not True or len(rep.nice_set) != 3:
         raise UnsupportedStructureError("nice3var_reduce needs a nice derivation")
     if not rep.irreducible:
@@ -542,10 +541,10 @@ def nice3var_reduce(D, degree_bound=DEFAULT_SYZYGY_BOUND):
     new_coords = [big.gen(n) for n in (un, vn, wn)]
 
     def rewrite(p):
-        q = _embed(p, big)
+        q = embed(p, big)
         for j, var in enumerate(ring.vars):
             repl = sum(
-                (_embed(inv[j][i], big) * new_coords[i] for i in range(3)),
+                (embed(inv[j][i], big) * new_coords[i] for i in range(3)),
                 big.zero(),
             )
             q = substitute(q, var, repl)
@@ -571,12 +570,10 @@ def nice3var_reduce(D, degree_bound=DEFAULT_SYZYGY_BOUND):
 
     red = ThreeVarReduction(
         matrix=M,
-        inverse=inv,
         new_ring=new_ring,
         reduced=reduced,
         kernel=KernelPresentation(generators=[], certified=False),
         coords=coords,
-        names=(un, vn, wn),
     )
     kern2 = red.to_original(g) * V - red.to_original(f) * W
     for cand in (U, kern2):
@@ -600,81 +597,174 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3), entry_cap=DEFAULT_ENTRY_CA
     m = min_exponent(j, d); nice 3-variable over Q[t] reduces and reuses the
     nice branch.  Anything with an unconfirmed hypothesis returns the
     bounded oracle approximation (slice bounds, entry cap) tagged
-    oracle-only.
+    oracle-only.  To answer several j for one D, keep one Analysis instead.
     """
-    res = _formula_result(D, j, factored_b)
-    if res.theorem == "oracle-only":
-        try:
-            slc = slice_basis(D.ring, bounds[0], bounds[1])
-            res.generators = kernel_and_image_basis(D, j, slc, entry_cap)[1]
-        except OracleCapError as err:
-            res.notes.append("oracle run hit the entry cap: %s" % err)
-    return res
+    return Analysis(D, factored_b).image_ideal(j, bounds, entry_cap)
 
 
-def _formula_result(D, j, factored_b):
-    if not isinstance(j, int) or j < 0:
-        raise PlinthError("image_ideal needs a natural n")
+class Analysis:
+    """The j-independent facts about D and a declared factorization of DX_1,
+    each worked out on first use and kept (one that raises, raises again on
+    the next use).  branch is the per-j step: j >= 1 -> a fresh result."""
+
+    def __init__(self, D, factored_b):
+        self.D = D
+        self.factored_b = factored_b
+
+    @cached_property
+    def report(self):
+        return classify(self.D)
+
+    @cached_property
+    def fixed_point_free(self):
+        return is_fixed_point_free(self.D, self.report, factored_b=self.factored_b)
+
+    @cached_property
+    def reduction(self):
+        return nice3var_reduce(self.D, self.report)
+
+    @cached_property
+    def branch(self):
+        return _branch(self)
+
+    def image_ideal(self, j, bounds, entry_cap):
+        """image_ideal(D, j, factored_b, bounds, entry_cap) from this analysis."""
+        if not isinstance(j, int) or j < 0:
+            raise PlinthError("image_ideal needs a natural n")
+        D, rep = self.D, self.report
+        if rep.lnd is False:
+            raise PlinthError("D is not locally nilpotent")
+        if not rep.irreducible:
+            raise PlinthError(
+                "D is not irreducible: the images share the non-unit factor %s"
+                % multivariate_gcd([i for i in D.images if not i.is_zero()])
+            )
+        if j == 0:
+            return ImageIdealResult(
+                n=0,
+                generators=[D.ring.one()],
+                theorem="trivial",
+                certificate=TheoremCertificate(irreducible=True),
+                preimages=[D.ring.one()],
+                preimage_factors=[Fraction(1)],
+                notes=["I_0 = A by definition"],
+            )
+        res = self.branch(j)
+        if res.theorem == "oracle-only":
+            try:
+                slc = slice_basis(D.ring, bounds[0], bounds[1])
+                res.generators = kernel_and_image_basis(D, j, slc, entry_cap)[1]
+            except OracleCapError as err:
+                res.notes.append("oracle run hit the entry cap: %s" % err)
+        return res
+
+
+def _branch(an):
+    """The per-j step for an irreducible D not known to be non-nilpotent."""
+    D, rep = an.D, an.report
     ring = D.ring
-    rep = classify(D)
-    if rep.lnd is False:
-        raise PlinthError("D is not locally nilpotent")
-    if not rep.irreducible:
-        raise PlinthError(
-            "D is not irreducible: the images share the non-unit factor %s"
-            % multivariate_gcd([i for i in D.images if not i.is_zero()])
-        )
-    if j == 0:
-        return ImageIdealResult(
-            n=0,
-            generators=[ring.one()],
-            theorem="trivial",
-            certificate=TheoremCertificate(irreducible=True),
-            preimages=[ring.one()],
-            preimage_factors=[Fraction(1)],
-            notes=["I_0 = A by definition"],
-        )
     if rep.lnd is None:
-        return _oracle_only(D, j, "local nilpotence unconfirmed (cap)")
+        return partial(_oracle_only, "local nilpotence unconfirmed (cap)")
 
     if ring.nvars == 1:
         # irreducible single-variable case: DX is a rational unit
-        s = slice_construct(D)
-        if s is not None:
-            return _slice_result(D, j, s)
-        return _oracle_only(D, j, "no slice found within bounds")
+        return _slice_branch(an, "no slice found within bounds")
 
     if ring.nvars == 2:
         if rep.classification == "nice" and rep.nice_pair is not None:
-            fpf = is_fixed_point_free(D)
-            if fpf is True:
-                s = slice_construct(D)
-                if s is not None:
-                    return _slice_result(D, j, s)
-                return _oracle_only(D, j, "fixed point free but no slice within bounds")
-            if fpf is False:
-                return _nice_power_result(
-                    D,
-                    j,
-                    D.images[0],
-                    D.images[1],
-                    ring.gen(ring.vars[0]),
-                    ring.gen(ring.vars[1]),
-                    theorem="inice",
-                )
-            return _oracle_only(D, j, "fixed-point-freeness undetermined within bounds")
+            return _nice_branch(
+                an, an.fixed_point_free, "fixed-point-freeness undetermined within bounds",
+                "inice", D.images, tuple(ring.gen(v) for v in ring.vars), (ring,) + D.images, ())
         if rep.quasi is not None:
-            return _quasi_image_ideal(D, j, rep, factored_b)
-        return _oracle_only(D, j, "unstructured 2-variable derivation")
+            return _quasi_branch(an)
+        return partial(_oracle_only, "unstructured 2-variable derivation")
 
     if ring.nvars == 3 and ring.nparams <= 1 and len(rep.nice_set) == 3:
-        return _pid3var_image_ideal(D, j)
+        return _pid3var_branch(an)
 
-    return _oracle_only(D, j, "no formula branch for %d variables over %d parameters"
-                        % (ring.nvars, ring.nparams))
+    return partial(_oracle_only, "no formula branch for %d variables over %d parameters"
+                   % (ring.nvars, ring.nparams))
 
 
-def _slice_result(D, j, s):
+def _slice_branch(an, reason):
+    """I_j = A from a slice, or the oracle for reason when none is found."""
+    s = slice_construct(an.D, an.report)
+    if s is None:
+        return partial(_oracle_only, reason)
+    return partial(_slice_result, an.D, s)
+
+
+def _nice_branch(an, fpf, undetermined, theorem, images, preimages, graded_on, notes):
+    """The tail of every nice branch: fixed point free gives a slice, not
+    fixed point free gives I_j = (f1, f2)^j with preimages p1^i1 * p2^i2,
+    and undetermined gives the oracle.  graded_on = (ring, f1, f2) is the
+    nice 2-variable problem the top-degree certificate is taken on."""
+    if fpf is True:
+        return _slice_branch(an, "fixed point free but no slice within bounds")
+    if fpf is False:
+        graded = _nice_top_degree_certificate(*graded_on)
+        return partial(_nice_power_result, an.D, images, preimages, theorem, graded, notes)
+    return partial(_oracle_only, undetermined)
+
+
+def _quasi_branch(an):
+    D, q = an.D, an.report.quasi
+    ring = D.ring
+    dec = strictness_decompose(D, an.report)
+    if dec.verdict == "slice":
+        return _slice_branch(an, "unit DX_1 but no slice within bounds")
+    if dec.verdict == "nice-able":
+        # in the coordinates (X_1, X_2 + v) the derivation is nice
+        newc = dec.new_coordinate
+        f2 = dec.new_image
+        equiv_images = [None, None]
+        equiv_images[q.pivot] = q.b
+        equiv_images[q.other] = f2
+        equiv = Derivation(ring, equiv_images)
+        return _nice_branch(
+            an, is_fixed_point_free(equiv, classify(equiv)),
+            "fixed-point-freeness undetermined within bounds", "inice",
+            (q.b, f2), (ring.gen(ring.vars[q.pivot]), newc), (ring, q.b, f2),
+            ["after the coordinate change %s -> %s" % (ring.vars[q.other], newc)])
+    if dec.verdict != "strictly-1-quasi" or dec.heuristic:
+        return partial(_oracle_only, "strictness undetermined: "
+                       + "; ".join(dec.notes or ["no verdict"]))
+    if ring.nparams != 1:
+        return partial(_oracle_only, "quasi-nice formulas need the coefficient ring Q[t]")
+    # localized fixed-point-freeness per prime factor of b
+    if an.factored_b is None:
+        if irreducible_smalldeg(q.b) is True:
+            primes = [(q.b, 1, True)]
+            theorem = "2varquasi"
+        else:
+            raise PlinthError(
+                "a factorization of DX_1 = %s into irreducibles is required "
+                "(pass factored_b)" % q.b
+            )
+    else:
+        primes = _validate_factored_b(q.b, an.factored_b)
+        theorem = "2varquasi_PID"
+    localized = [(p, r, localized_fpf(D, an.report, p)) for p, r, _ in primes]
+    graded = _quasi_top_degree_certificate(ring, q)
+    return partial(_quasi_result, ring, q.d, theorem, localized, graded, dec.notes)
+
+
+def _pid3var_branch(an):
+    try:
+        red = an.reduction
+    except PlinthError as err:
+        return partial(_oracle_only, "3-variable reduction failed: %s" % err)
+    f, g = red.reduced.images
+    U, V, W = red.coords
+    # the graded certificate lives on the reduced 2-variable problem
+    return _nice_branch(
+        an, is_fixed_point_free(red.reduced, classify(red.reduced)),
+        "fixed-point-freeness of the reduction undetermined", "pid-3var",
+        (red.to_original(f), red.to_original(g)), (V, W), (red.new_ring, f, g),
+        ["coordinates U=%s, V=%s, W=%s; A = R[U, %s]" % (U, V, W, red.kernel.generators[1])])
+
+
+def _slice_result(D, s, j):
     ring = D.ring
     pre = s**j * Fraction(1, factorial(j))
     if iterate(D, pre, j) != ring.one():
@@ -694,14 +784,13 @@ def _slice_result(D, j, s):
     )
 
 
-def _nice_power_result(D, j, f1, f2, p1, p2, theorem, extra_notes=(),
-                       with_certificate=True):
+def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
     """I_j = (f1, f2)^j with preimages p1^i1 * p2^i2; D p1 = f1, D p2 = f2,
     both f's kernel elements, so D^j(p1^i1 p2^i2) = j! f1^i1 f2^i2 when
     i1 + i2 = j (every surviving term of the product rule differentiates
     each factor exactly once)."""
-    ring = D.ring
-    gens, preimages, factors = [], [], []
+    (f1, f2), (p1, p2) = images, preimages
+    gens, pres, factors = [], [], []
     for i1, i2 in enumerate_gj(GjSpec(m=0, u=(1, 1), j=j)):
         gen = f1**i1 * f2**i2
         pre = p1**i1 * p2**i2
@@ -711,89 +800,31 @@ def _nice_power_result(D, j, f1, f2, p1, p2, theorem, extra_notes=(),
         if not apply(D, gen).is_zero():
             raise PlinthError("internal: generator %s is not in Ker(D)" % gen)
         gens.append(gen)
-        preimages.append(pre)
+        pres.append(pre)
         factors.append(factor)
-    if with_certificate:
-        td_cert, td_gens, prime = _nice_top_degree_certificate(ring, f1, f2)
-    else:
-        td_cert, td_gens, prime = None, None, None
+    td_cert, td_gens, prime = graded
     cert = TheoremCertificate(
         irreducible=True,
         fixed_point_free=False,
         top_degree=td_cert,
         top_degree_generators=td_gens,
         primality=prime,
-        notes=list(extra_notes),
+        notes=list(notes),
     )
     return ImageIdealResult(
         n=j,
         generators=gens,
         theorem=theorem,
         certificate=cert,
-        preimages=preimages,
+        preimages=pres,
         preimage_factors=factors,
     )
 
 
-def _quasi_image_ideal(D, j, rep, factored_b):
-    ring = D.ring
-    q = rep.quasi
-    dec = strictness_decompose(D)
-    if dec.verdict == "slice":
-        s = slice_construct(D)
-        if s is not None:
-            return _slice_result(D, j, s)
-        return _oracle_only(D, j, "unit DX_1 but no slice within bounds")
-    if dec.verdict == "nice-able":
-        # in the coordinates (X_1, X_2 + v) the derivation is nice
-        newc = dec.new_coordinate
-        f2 = dec.new_image
-        equiv_images = [None, None]
-        equiv_images[q.pivot] = q.b
-        equiv_images[q.other] = f2
-        equiv = Derivation(ring, equiv_images)
-        fpf = is_fixed_point_free(equiv)
-        note = "after the coordinate change %s -> %s" % (
-            ring.vars[q.other],
-            newc,
-        )
-        if fpf is True:
-            s = slice_construct(D)
-            if s is not None:
-                return _slice_result(D, j, s)
-            return _oracle_only(D, j, "fixed point free but no slice within bounds")
-        if fpf is False:
-            return _nice_power_result(
-                D,
-                j,
-                q.b,
-                f2,
-                ring.gen(ring.vars[q.pivot]),
-                newc,
-                theorem="inice",
-                extra_notes=[note],
-            )
-        return _oracle_only(D, j, "fixed-point-freeness undetermined within bounds")
-    if dec.verdict != "strictly-1-quasi" or dec.heuristic:
-        return _oracle_only(D, j, "strictness undetermined: "
-                            + "; ".join(dec.notes or ["no verdict"]))
-    if ring.nparams != 1:
-        return _oracle_only(D, j, "quasi-nice formulas need the coefficient ring Q[t]")
-    # localized fixed-point-freeness per prime factor of b
-    if factored_b is None:
-        if irreducible_smalldeg(q.b) is True:
-            primes = [(q.b, 1, True)]
-            theorem = "2varquasi"
-        else:
-            raise PlinthError(
-                "a factorization of DX_1 = %s into irreducibles is required "
-                "(pass factored_b)" % q.b
-            )
-    else:
-        primes = _validate_factored_b(q.b, factored_b)
-        theorem = "2varquasi_PID"
-    localized = [(p, r, localized_fpf(D, p)) for p, r, _ in primes]
-    m = min_exponent(j, q.d)
+def _quasi_result(ring, d, theorem, localized, graded, strictness_notes, j):
+    """I_j = (product of p^r over the primes p | DX_1 at which D does not
+    stay fixed point free)^m with m = min_exponent(j, d)."""
+    m = min_exponent(j, d)
     bad = [(p, r) for p, r, ok in localized if not ok]
     gen = ring.one()
     for p, r in bad:
@@ -802,7 +833,7 @@ def _quasi_image_ideal(D, j, rep, factored_b):
     notes = []
     if not bad:
         notes.append("every localized derivation is fixed point free; I_j = A")
-    td_cert, td_gens, prime = _quasi_top_degree_certificate(ring, q)
+    td_cert, td_gens, prime = graded
     if prime is False:
         notes.append(
             "the literal top-degree ideal is not prime (the top part of f is "
@@ -816,8 +847,8 @@ def _quasi_image_ideal(D, j, rep, factored_b):
         top_degree_generators=td_gens,
         primality=prime,
         strictness="strictly-1-quasi",
-        localized=localized,
-        notes=dec.notes,
+        localized=list(localized),
+        notes=list(strictness_notes),
     )
     return ImageIdealResult(
         n=j,
@@ -829,53 +860,12 @@ def _quasi_image_ideal(D, j, rep, factored_b):
     )
 
 
-def _pid3var_image_ideal(D, j):
-    try:
-        red = nice3var_reduce(D)
-    except (UnsupportedStructureError, PlinthError) as err:
-        return _oracle_only(D, j, "3-variable reduction failed: %s" % err)
-    f, g = red.reduced.images
-    fpf = is_fixed_point_free(red.reduced)
-    if fpf is True:
-        s = slice_construct(D)
-        if s is not None:
-            return _slice_result(D, j, s)
-        return _oracle_only(D, j, "fixed point free but no slice within bounds")
-    if fpf is None:
-        return _oracle_only(D, j, "fixed-point-freeness of the reduction undetermined")
-    U, V, W = red.coords
-    f0 = red.to_original(f)
-    g0 = red.to_original(g)
-    result = _nice_power_result(
-        D,
-        j,
-        f0,
-        g0,
-        V,
-        W,
-        theorem="pid-3var",
-        extra_notes=[
-            "coordinates U=%s, V=%s, W=%s; A = R[U, %s]"
-            % (U, V, W, red.kernel.generators[1])
-        ],
-        with_certificate=False,
-    )
-    # the graded certificate lives on the reduced 2-variable problem
-    td_cert, td_gens, prime = _nice_top_degree_certificate(red.new_ring, f, g)
-    result.certificate.top_degree = td_cert
-    result.certificate.top_degree_generators = td_gens
-    result.certificate.primality = prime
-    return result
-
-
-def _oracle_only(D, j, reason):
+def _oracle_only(reason, j):
     """The oracle-only result, before image_ideal fills in its generators."""
-    rep = classify(D)
-    cert = TheoremCertificate(irreducible=rep.irreducible, notes=[reason])
     return ImageIdealResult(
         n=j,
         generators=[],
         theorem="oracle-only",
-        certificate=cert,
+        certificate=TheoremCertificate(irreducible=True, notes=[reason]),
         notes=[reason, "bounded lower approximation of I_j; not a certified basis"],
     )

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from plinth.derivation import Derivation, apply, iterate, localized_fpf
+from plinth.derivation import Derivation, apply, classify, iterate, localized_fpf
 from plinth.grading import WeightedDegree, prime_after_elimination, top_degree_ideal
 from plinth.imageideals import image_ideal, min_exponent, nice3var_reduce, slice_construct
 from plinth.oracle import ideal_membership_bounded, verify_image_ideal
@@ -74,8 +74,8 @@ def test_acceptance_2_parametric_plinth():
         factors = [(ring.poly("t"), 1), (ring.poly("-t + 1"), 1)]
         res = image_ideal(D, 1, factored_b=factors)
         assert res.generators == [ring.poly("-t + 1")]
-        assert localized_fpf(D, ring.poly("t")) is True
-        assert localized_fpf(D, ring.poly("-t + 1")) is False
+        assert localized_fpf(D, classify(D), ring.poly("t")) is True
+        assert localized_fpf(D, classify(D), ring.poly("-t + 1")) is False
         h = ring.poly("1/2*X1^2 + (-t + 1)*X2")
         assert apply(D, h) == ring.poly("-t + 1") ** 2
         wrong = ring.poly("-t^2 + t")
@@ -124,7 +124,7 @@ def test_acceptance_5_pid_three_var():
     with _Criterion(5, 120, "reduction U=X, (t,X)^j with j+1 generators"):
         ring = PolyRing(("t",), ("X", "Y", "Z"))
         D = Derivation(ring, [ring.zero(), ring.poly("t"), ring.poly("X")])
-        red = nice3var_reduce(D)
+        red = nice3var_reduce(D, classify(D))
         assert red.coords[0] == ring.gen("X")
         for j in (1, 2):
             res = image_ideal(D, j)
@@ -147,7 +147,7 @@ def test_acceptance_6_slice_law():
         rt = PolyRing(("t",), ("X1", "X2"))
         d2 = Derivation(rt, [rt.poly("t"), rt.poly("-t + 1")])
         for D in (d1, d2):
-            s = slice_construct(D)
+            s = slice_construct(D, classify(D))
             assert apply(D, s) == D.ring.one()
             for n in range(1, 5):
                 preimage = Fraction(1, factorial(n)) * s**n

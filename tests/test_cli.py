@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import plinth
+from plinth import cli, derivation, grading, imageideals, linalg, oracle, polyring
 from plinth.cli import (
     FIXTURES,
     ProblemFormatError,
@@ -150,6 +151,46 @@ def test_examples_golden(capsys):
         assert out == (GOLDEN / ("%s.txt" % name)).read_text(), name
 
 
+COMMANDS = [["check"], ["kernel"]] + [["image-ideal", "--n", str(n)] for n in range(4)]
+
+
+def _commands_output(name, capsys):
+    """Exit code, stdout and stderr of check, kernel and image-ideal --n 0..3
+    with --json, as one text."""
+    parts = []
+    for cmd in COMMANDS:
+        argv = cmd + ["--example", name, "--json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        parts.append("$ plinth %s\n%s%sexit %d\n"
+                     % (" ".join(argv), captured.out, captured.err, code))
+    return "".join(parts)
+
+
+def test_commands_golden(capsys):
+    # examples --name runs only j = 1; these pin the other commands and j
+    for name in sorted(FIXTURES):
+        out = _commands_output(name, capsys)
+        assert out == (GOLDEN / ("%s.commands.txt" % name)).read_text(), name
+
+
+def test_image_ideal_without_factorization(tmp_path, capsys):
+    # tparam's D lines alone: DX_1 = -t^2 + t is reducible and undeclared
+    path = tmp_path / "tparam.txt"
+    path.write_text("param t\nvar X1\nvar X2\nD X1 = -t^2 + t\nD X2 = -t*X1 - t + 1\n")
+    assert main(["image-ideal", str(path), "--n", "0"]) == 0
+    assert "theorem: trivial" in capsys.readouterr().out
+    assert main(["image-ideal", str(path), "--n", "1"]) == 3
+    assert ("a factorization of DX_1 = -t^2 + t into irreducibles is required"
+            in capsys.readouterr().err)
+    # one parsed problem: the error comes again for every j >= 1, not j = 0
+    spec = parse_problem(path.read_text())
+    for n in (1, 2):
+        with pytest.raises(plinth.PlinthError, match="factorization of DX_1"):
+            run("image-ideal", spec, n=n)
+    assert run("image-ideal", spec, n=0).certificates[0]["theorem"] == "trivial"
+
+
 def test_examples_under_optimize(capsys):
     # certificate re-checks are explicit, so python -O must not change output
     src = str(Path(plinth.__file__).resolve().parent.parent)
@@ -184,3 +225,41 @@ def test_image_ideal_honours_cap():
     assert report.generators == []
     report = run("image-ideal", spec, cap=50)
     assert any(note in line for line in report.lines)
+
+
+def test_cap_zero_is_honoured(capsys):
+    assert main(["verify", "--example", "inice", "--cap", "0"]) == 2
+    assert "cap is 0" in capsys.readouterr().out
+    spec = parse_problem(FIXTURES["inice"] + "cap 0\n")
+    report = run("verify", spec)
+    assert report.exit_code == 2
+    assert any("cap is 0" in line for line in report.lines)
+    spec = parse_problem(FIXTURES["wink1"] + "cap 0\n")
+    for _ in range(2):  # each result is fresh: the note is not appended twice
+        report = run("image-ideal", spec)
+        notes = [line for line in report.lines if "oracle run hit the entry cap" in line]
+        assert len(notes) == 1 and "cap is 0" in notes[0]
+        assert report.generators == []
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("inice", 1), ("slice1", 1), ("slice2", 1), ("tparam", 1), ("wink1", 1),
+    # the coordinate change and the 3-variable reduction each add a derivation
+    ("qnice", 2), ("pid3", 2),
+])
+def test_one_classify_per_derivation(name, calls, monkeypatch):
+    original = derivation.classify
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in (plinth, cli, derivation, grading, imageideals, linalg, oracle, polyring):
+        if getattr(mod, "classify", None) is original:
+            monkeypatch.setattr(mod, "classify", counted)
+    spec = parse_problem(FIXTURES[name])
+    for cmd, n in (("check", None), ("kernel", None), ("image-ideal", 1),
+                   ("image-ideal", 2), ("image-ideal", 3)):
+        run(cmd, spec, n=n)
+    assert len(seen) == calls

@@ -101,44 +101,45 @@ def test_verify_kernel_element(rt):
 def test_fpf_nice_single_parameter(rt):
     # Bezout t + (1 - t) = 1
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t + 1")])
-    assert is_fixed_point_free(D) is True
+    assert is_fixed_point_free(D, classify(D)) is True
     D2 = Derivation(rt, [rt.poly("t"), rt.poly("t - t^2")])
-    assert is_fixed_point_free(D2) is False
+    assert is_fixed_point_free(D2, classify(D2)) is False
 
 
 def test_fpf_nice_two_parameters(rab):
     # common zero at the origin of the parameter space
-    assert is_fixed_point_free(nice_ab(rab)) is False
+    D = nice_ab(rab)
+    assert is_fixed_point_free(D, classify(D)) is False
     D = Derivation(rab, [rab.poly("a"), rab.poly("1 - a")])
-    assert is_fixed_point_free(D) is True
+    assert is_fixed_point_free(D, classify(D)) is True
 
 
 def test_fpf_quasi_requires_factorization(rt):
     D = tparam(rt)
     with pytest.raises(PlinthError):
-        is_fixed_point_free(D)
+        is_fixed_point_free(D, classify(D))
     factored = [(rt.poly("t"), 1), (rt.poly("-t + 1"), 1)]
-    assert is_fixed_point_free(D, factored_b=factored) is False
+    assert is_fixed_point_free(D, classify(D), factored_b=factored) is False
 
 
 def test_fpf_quasi_rejects_bad_factorization(rt):
     D = tparam(rt)
     with pytest.raises(PlinthError):
-        is_fixed_point_free(D, factored_b=[(rt.poly("t"), 2)])
+        is_fixed_point_free(D, classify(D), factored_b=[(rt.poly("t"), 2)])
     with pytest.raises(PlinthError):
-        is_fixed_point_free(D, factored_b=[(rt.poly("t^2 - 1"), 1)])
+        is_fixed_point_free(D, classify(D), factored_b=[(rt.poly("t^2 - 1"), 1)])
 
 
 def test_localized_fpf(rt):
     D = tparam(rt)
-    assert localized_fpf(D, rt.poly("t")) is True
-    assert localized_fpf(D, rt.poly("-t + 1")) is False
+    assert localized_fpf(D, classify(D), rt.poly("t")) is True
+    assert localized_fpf(D, classify(D), rt.poly("-t + 1")) is False
     with pytest.raises(PlinthError):
-        localized_fpf(D, rt.poly("t - 2"))  # does not divide DX_1
+        localized_fpf(D, classify(D), rt.poly("t - 2"))  # does not divide DX_1
 
 
 def test_fpf_unsupported(rab):
     ring = PolyRing(("a", "b"), ("X", "Y", "Z"))
     D = Derivation(ring, [ring.poly("a"), ring.poly("b"), ring.poly("b*X - a*Y")])
     with pytest.raises(UnsupportedStructureError):
-        is_fixed_point_free(D)
+        is_fixed_point_free(D, classify(D))

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from plinth.derivation import Derivation, UnsupportedStructureError, apply, iterate
+from plinth.derivation import Derivation, UnsupportedStructureError, apply, classify, iterate
 from plinth.imageideals import (
     image_ideal,
     kernel_generator,
@@ -55,13 +55,15 @@ def tparam_factors(rt):
 
 
 def test_kernel_generator_nice(rab):
-    pres = kernel_generator(nice_ab(rab))
+    D = nice_ab(rab)
+    pres = kernel_generator(D, classify(D))
     assert pres.certified
     assert pres.generators == [rab.poly("b*X - a*Y")]
 
 
 def test_kernel_generator_quasi(rt):
-    pres = kernel_generator(tparam(rt))
+    D = tparam(rt)
+    pres = kernel_generator(D, classify(D))
     expected = rt.poly("-t^2*X2 + 1/2*t*X1^2 + t*X1 + t*X2 - X1")
     assert pres.generators == [expected]
 
@@ -69,14 +71,14 @@ def test_kernel_generator_quasi(rt):
 def test_kernel_generator_degenerate():
     ring = PolyRing((), ("X", "Y"))
     D = Derivation(ring, [ring.one(), ring.zero()])
-    pres = kernel_generator(D)
+    pres = kernel_generator(D, classify(D))
     assert pres.generators == [-ring.gen("Y")]
 
 
 def test_kernel_generator_unsupported(r3):
     D = Derivation(r3, [r3.zero(), r3.poly("t"), r3.poly("X")])
     with pytest.raises(UnsupportedStructureError):
-        kernel_generator(D)
+        kernel_generator(D, classify(D))
 
 
 # -- the exponent law ---------------------------------------------------------
@@ -99,7 +101,8 @@ def test_min_exponent_validation():
 
 
 def test_strictness_strict(rt):
-    dec = strictness_decompose(tparam(rt))
+    D = tparam(rt)
+    dec = strictness_decompose(D, classify(D))
     assert dec.verdict == "strictly-1-quasi"
     assert not dec.heuristic
     q_b = rt.poly("-t^2 + t")
@@ -113,7 +116,7 @@ def test_strictness_strict(rt):
 
 def test_strictness_nice_able(rt):
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t*X1 - 1")])
-    dec = strictness_decompose(D)
+    dec = strictness_decompose(D, classify(D))
     assert dec.verdict == "nice-able"
     assert dec.new_coordinate == rt.poly("1/2*X1^2 + X2")
     assert dec.new_image == rt.const(-1)
@@ -122,14 +125,15 @@ def test_strictness_nice_able(rt):
 
 def test_strictness_unit_b(rt):
     D = Derivation(rt, [rt.const(2), rt.poly("-X1")])
-    dec = strictness_decompose(D)
+    dec = strictness_decompose(D, classify(D))
     assert dec.verdict == "slice"
     assert dec.u.is_zero()
 
 
 def test_strictness_unsupported(rab):
+    D = nice_ab(rab)
     with pytest.raises(UnsupportedStructureError):
-        strictness_decompose(nice_ab(rab))
+        strictness_decompose(D, classify(D))
 
 
 # -- slices --------------------------------------------------------------------
@@ -137,7 +141,7 @@ def test_strictness_unsupported(rab):
 
 def test_slice_from_bezout(rt):
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t + 1")])
-    s = slice_construct(D)
+    s = slice_construct(D, classify(D))
     assert s == rt.poly("X1 + X2")
     assert apply(D, s) == rt.one()
 
@@ -145,18 +149,19 @@ def test_slice_from_bezout(rt):
 def test_slice_trivial():
     ring = PolyRing((), ("X",))
     D = Derivation(ring, [ring.one()])
-    assert slice_construct(D) == ring.gen("X")
+    assert slice_construct(D, classify(D)) == ring.gen("X")
 
 
 def test_slice_quasi_bounded(rt):
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t*X1 - 1")])
-    s = slice_construct(D)
+    s = slice_construct(D, classify(D))
     assert s is not None
     assert apply(D, s) == rt.one()
 
 
 def test_slice_absent(rab):
-    assert slice_construct(nice_ab(rab)) is None
+    D = nice_ab(rab)
+    assert slice_construct(D, classify(D)) is None
 
 
 # -- the 3-variable reduction ---------------------------------------------------
@@ -164,7 +169,7 @@ def test_slice_absent(rab):
 
 def test_nice3var_reduce_pid3(r3):
     D = Derivation(r3, [r3.zero(), r3.poly("t"), r3.poly("X")])
-    red = nice3var_reduce(D)
+    red = nice3var_reduce(D, classify(D))
     U = red.coords[0]
     assert U == r3.gen("X")
     assert apply(D, U).is_zero()
@@ -188,7 +193,7 @@ def test_nice3var_reduce_pid3(r3):
 
 def test_nice3var_reduce_linear_syzygy(r3):
     D = Derivation(r3, [r3.poly("t"), r3.poly("-t"), r3.poly("X + Y")])
-    red = nice3var_reduce(D)
+    red = nice3var_reduce(D, classify(D))
     assert normalize_unit(red.coords[0]) == r3.poly("X + Y")
     assert apply(D, red.coords[0]).is_zero()
     for g in red.kernel.generators:
@@ -198,7 +203,7 @@ def test_nice3var_reduce_linear_syzygy(r3):
 def test_nice3var_reduce_rejects_non_nice(r3):
     D = Derivation(r3, [r3.poly("t"), r3.poly("X"), r3.poly("Y")])
     with pytest.raises(UnsupportedStructureError):
-        nice3var_reduce(D)
+        nice3var_reduce(D, classify(D))
 
 
 # -- image ideals ----------------------------------------------------------------
@@ -259,7 +264,7 @@ def test_image_ideal_quasi_pid(rt):
 def test_image_ideal_quasi_irreducible_b(rt):
     # b = t is already irreducible: no factorization needed
     D = Derivation(rt, [rt.poly("t"), rt.poly("-X1 - 1")])
-    dec = strictness_decompose(D)
+    dec = strictness_decompose(D, classify(D))
     assert dec.verdict == "strictly-1-quasi"
     res = image_ideal(D, 1)
     assert res.theorem == "2varquasi"
