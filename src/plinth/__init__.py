@@ -23,6 +23,7 @@ from .imageideals import (
     slice_construct,
     strictness_decompose,
 )
+from .oracle import verify_image_ideal
 
 __version__ = "1.0.0"
 
@@ -45,4 +46,5 @@ __all__ = [
     "nice3var_reduce",
     "slice_construct",
     "strictness_decompose",
+    "verify_image_ideal",
 ]

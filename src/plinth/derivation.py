@@ -5,7 +5,6 @@ classification (nice / quasi-nice) plus fixed-point-freeness tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add as _add
@@ -332,30 +331,13 @@ def _common_zero_at_origin(polys):
 def _bounded_bezout(images, bound):
     """Search cofactors alpha_i in R (total degree <= bound) with
     sum alpha_i * images_i = 1.  Returns True on success, None on failure."""
-    from .oracle import poly_solve  # the oracle module imports this one
+    from .oracle import _Combinations, slice_basis  # oracle imports this module
 
     ring = images[0].ring
-    monos = _param_monomials(ring, bound)
-    col_polys = [MultiPoly(ring, {mono: Fraction(1)}) * img
-                 for img in images for mono in monos]
-    return True if poly_solve(col_polys, ring.one()) is not None else None
-
-
-def _param_monomials(ring, bound):
-    k = ring.nparams
-    monos = []
-
-    def rec(i, remaining, exps):
-        if i == k:
-            e = [0] * ring.arity
-            e[:k] = exps
-            monos.append(tuple(e))
-            return
-        for d in range(remaining + 1):
-            rec(i + 1, remaining - d, exps + [d])
-
-    rec(0, bound, [])
-    return monos
+    monos = slice_basis(ring, bound, 0).monomials
+    unknowns = [(i, m) for i in range(len(images)) for m in monos]
+    system = _Combinations(unknowns, [m * images[i] for i, m in unknowns])
+    return True if system.solve(ring.one()) is not None else None
 
 
 def is_fixed_point_free(D, rep, factored_b=None, bezout_bound=DEFAULT_BEZOUT_BOUND):

@@ -28,7 +28,6 @@ from .derivation import (
     MINUS_INF,
     Derivation,
     UnsupportedStructureError,
-    _param_monomials,
     _validate_factored_b,
     apply,
     classify,
@@ -48,9 +47,8 @@ from .grading import (
 from .oracle import (
     DEFAULT_ENTRY_CAP,
     OracleCapError,
+    _Combinations,
     kernel_and_image_basis,
-    poly_relations,
-    poly_solve,
     slice_basis,
 )
 from .polyring import (
@@ -304,13 +302,11 @@ def slice_construct(D, rep, degree_bound=DEFAULT_SLICE_BOUND):
         return None
     one = ring.one()
     for bound in range(1, degree_bound + 1):
-        slc = slice_basis(ring, bound, bound)
-        col_polys = [
-            apply(D, MultiPoly(ring, {e: Fraction(1)})) for e in slc.basis
-        ]
-        x = poly_solve(col_polys, one)
-        if x is not None:
-            s = MultiPoly(ring, {e: c for c, e in zip(x, slc.basis) if c})
+        monos = slice_basis(ring, bound, bound).monomials
+        answer = _Combinations([(0, m) for m in monos],
+                               [apply(D, m) for m in monos]).solve(one)
+        if answer is not None:
+            s, = answer
             if apply(D, s) != one:
                 raise CertificateError("bounded slice %s fails its re-check" % s)
             return s
@@ -449,20 +445,12 @@ def _find_syzygy(D, degree_bound):
     """(a, b, c) in R^3, not all zero, gcd a unit, with sum a_i*DX_i = 0."""
     ring = D.ring
     for bound in range(degree_bound + 1):
-        monos = _param_monomials(ring, bound)
-        col_polys = []
-        tags = []
-        for vi, img in enumerate(D.images):
-            for e in monos:
-                col_polys.append(MultiPoly(ring, {e: Fraction(1)}) * img)
-                tags.append((vi, e))
-        basis = poly_relations(col_polys)
+        monos = slice_basis(ring, bound, 0).monomials
+        unknowns = [(vi, m) for vi in range(3) for m in monos]
+        basis = _Combinations(unknowns, [m * D.images[vi] for vi, m in unknowns]).relations()
         if not basis:
             continue
-        coeffs = [ring.zero()] * 3
-        for value, (vi, e) in zip(basis[0], tags):
-            if value:
-                coeffs[vi] = coeffs[vi] + MultiPoly(ring, {e: value})
+        coeffs = basis[0]
         nonzero = [p for p in coeffs if not p.is_zero()]
         g = multivariate_gcd(nonzero)
         coeffs = [

@@ -188,8 +188,3 @@ class SpanSolver:
     @property
     def rank(self):
         return len(self.pivots)
-
-
-def solve_columns(columns, b):
-    """x with sum(x_i * columns[i]) == b, or None (one-shot convenience)."""
-    return SpanSolver(columns).express(b)

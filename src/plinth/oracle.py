@@ -24,12 +24,14 @@ from .polyring import (
     ExactDivisionError,
     MultiPoly,
     PlinthError,
+    _over,
     divide_exact,
     grlex_key,
     normalize_unit,
 )
 
 DEFAULT_ENTRY_CAP = 20000
+_ONE = Fraction(1)
 
 
 class OracleCapError(PlinthError):
@@ -59,11 +61,13 @@ class DegreeSlice:
         return tuple(sorted((p + v for p in pmonos for v in vmonos), key=grlex_key))
 
     @cached_property
-    def _positions(self):
-        return {e: i for i, e in enumerate(self.basis)}
+    def monomials(self):
+        """The basis monomials as polynomials."""
+        return [MultiPoly._trusted(self.ring, {e: _ONE}) for e in self.basis]
 
-    def index(self):
-        return self._positions
+    def __contains__(self, exps):
+        k = self.ring.nparams
+        return sum(exps[:k]) <= self.param_bound and sum(exps[k:]) <= self.var_bound
 
 
 def slice_basis(ring, param_bound, var_bound):
@@ -79,22 +83,6 @@ def _bounded_tuples(length, bound):
         return [()]
     return [(d,) + t for d in range(bound + 1)
             for t in _bounded_tuples(length - 1, bound - d)]
-
-
-def poly_to_vec(slc, f):
-    """Coefficient vector of f in the slice basis; None if f sticks out."""
-    idx = slc.index()
-    vec = [Fraction(0)] * slc.dim
-    for e, c in f.terms.items():
-        i = idx.get(e)
-        if i is None:
-            return None
-        vec[i] = c
-    return vec
-
-
-def vec_to_poly(slc, vec):
-    return MultiPoly(slc.ring, {e: c for e, c in zip(slc.basis, vec) if c != 0})
 
 
 def growth_per_application(D):
@@ -135,11 +123,10 @@ def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
         source.ring, source.param_bound + n * pg, source.var_bound + n * vg
     )
     _check_cap(target.dim, source.dim, entry_cap)
-    index = target.index()
     columns = []
-    for e in source.basis:
-        img = iterate(D, MultiPoly(source.ring, {e: Fraction(1)}), n)
-        if any(t not in index for t in img.terms):
+    for m in source.monomials:
+        img = iterate(D, m, n)
+        if any(t not in target for t in img.terms):
             raise PlinthError("degree growth bound violated (internal)")
         columns.append(img)
     return LinearMapMatrix(source=source, target=target, power=n, columns=columns)
@@ -159,28 +146,54 @@ def _coords(p, support):
     return {support[e]: c for e, c in p.terms.items()}
 
 
-def _from_coords(ring, monos, vec):
-    return MultiPoly(ring, {monos[k]: Fraction(c) for k, c in vec.items() if c})
+class _Combinations:
+    """Rational combinations of polynomial columns.
 
+    Unknown i is a (slot, polynomial) pair standing for x_i times that
+    polynomial in the answer of its slot, and columns[i] is its image.
+    relations() gives the x with sum(x_i * columns[i]) == 0 and solve(target)
+    an x with sum(x_i * columns[i]) == target, each as one polynomial per
+    slot.  Coordinates number the monomials of the columns and targets by
+    poly_support; the cap counts support x columns entries and is checked
+    before anything is eliminated.  Targets given up front only widen that
+    count; solve() takes any target.
+    """
 
-def poly_relations(polys, entry_cap=None):
-    """Basis of the rational relations x with sum(x_i * polys[i]) == 0, as
-    linalg.nullspace of the sparse system whose columns are the polys."""
-    support = poly_support(polys)
-    rows = [{} for _ in support]
-    for i, p in enumerate(polys):
-        for e, c in p.terms.items():
-            rows[support[e]][i] = c
-    _check_cap(len(rows), len(polys), entry_cap)
-    return linalg.nullspace(rows, len(polys))
+    def __init__(self, unknowns, columns, targets=(), entry_cap=None):
+        self.unknowns = unknowns
+        self.columns = columns
+        self.nslots = 1 + max((slot for slot, _ in unknowns), default=-1)
+        self.support = poly_support(list(columns) + list(targets))
+        _check_cap(len(self.support), len(columns), entry_cap)
 
+    def _answer(self, x):
+        terms = [{} for _ in range(self.nslots)]
+        for c, (slot, p) in zip(x, self.unknowns):
+            if c:
+                acc = terms[slot]
+                for e, v in p.terms.items():
+                    acc[e] = acc.get(e, 0) + c * v
+        return [MultiPoly._trusted(self.unknowns[0][1].ring,
+                                   {e: v for e, v in t.items() if v}) for t in terms]
 
-def poly_solve(polys, target, entry_cap=None):
-    """Rationals x with sum(x_i * polys[i]) == target, or None."""
-    support = poly_support(list(polys) + [target])
-    _check_cap(len(support), len(polys), entry_cap)
-    return linalg.solve_columns([_coords(p, support) for p in polys],
-                                _coords(target, support))
+    def relations(self):
+        """A basis of the relations, as linalg.nullspace orders it."""
+        rows = [{} for _ in self.support]
+        for i, p in enumerate(self.columns):
+            for e, c in p.terms.items():
+                rows[self.support[e]][i] = c
+        return [self._answer(x) for x in linalg.nullspace(rows, len(self.columns))]
+
+    @cached_property
+    def _solver(self):
+        return linalg.SpanSolver([_coords(p, self.support) for p in self.columns])
+
+    def solve(self, target):
+        """The answer for one solution, or None if target is out of reach."""
+        if any(e not in self.support for e in target.terms):
+            return None
+        x = self._solver.express(_coords(target, self.support))
+        return None if x is None else self._answer(x)
 
 
 def canonical_basis(polys):
@@ -193,16 +206,18 @@ def canonical_basis(polys):
     monos = list(support)
     ring = polys[0].ring
     pivots = linalg.echelon([_coords(p, support) for p in polys])
-    # the pivot of each row is its leading monomial
-    return [normalize_unit(_from_coords(ring, monos, pivots[k]))
-            for k in sorted(pivots, reverse=True)]
+    # each row is primitive and its pivot is its leading monomial, so
+    # normalize_unit would only flip its sign
+    return [MultiPoly._trusted(ring, _over({monos[c]: v if row[k] > 0 else -v
+                                            for c, v in row.items()}, 1))
+            for k, row in sorted(pivots.items(), reverse=True)]
 
 
 def kernel_basis(D, slc, entry_cap=DEFAULT_ENTRY_CAP):
     """Basis of Ker(D) intersected with the slice, as normalized polynomials."""
-    images = [apply(D, MultiPoly(slc.ring, {e: Fraction(1)})) for e in slc.basis]
-    return [normalize_unit(vec_to_poly(slc, vec))
-            for vec in poly_relations(images, entry_cap)]
+    system = _Combinations([(0, m) for m in slc.monomials],
+                           [apply(D, m) for m in slc.monomials], entry_cap=entry_cap)
+    return [normalize_unit(k) for k, in system.relations()]
 
 
 def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=None):
@@ -220,23 +235,12 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=Non
     col_polys = [p for p in mat.columns if not p.is_zero()]
     if not col_polys:
         return kernel, []
-    # echelon basis of the span of D^n on the slice
-    support = poly_support(col_polys)
-    _check_cap(len(col_polys), len(support), entry_cap)
-    image = list(linalg.echelon([_coords(p, support) for p in col_polys]).values())
-    monos = list(support)
-    ring = source.ring
-    d_images = [apply(D, _from_coords(ring, monos, row)) for row in image]
-    # Ker(D) within that span: relations among the D-images of the basis
-    inside = []
-    for combo in poly_relations(d_images, entry_cap):
-        vec = {}
-        for c, row in zip(combo, image):
-            if c:
-                for k, v in row.items():
-                    vec[k] = vec.get(k, 0) + c * v
-        inside.append(_from_coords(ring, monos, vec))
-    return kernel, canonical_basis(inside)
+    _check_cap(len(col_polys), len({e for p in col_polys for e in p.terms}), entry_cap)
+    image = canonical_basis(col_polys)
+    # Ker(D) within that span: relations among the D-images of its basis
+    system = _Combinations([(0, b) for b in image], [apply(D, b) for b in image],
+                           entry_cap=entry_cap)
+    return kernel, canonical_basis([w for w, in system.relations()])
 
 
 def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CAP):
@@ -257,22 +261,12 @@ def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CA
         except ExactDivisionError as err:
             return "no", err.remainder
     ring = h.ring
-    pb, vb = cofactor_bound
-    cof_slice = slice_basis(ring, pb, vb)
-    col_polys = []
-    col_tags = []
-    for gi, g in enumerate(gens):
-        for e in cof_slice.basis:
-            col_polys.append(MultiPoly(ring, {e: Fraction(1)}) * g)
-            col_tags.append((gi, e))
-    x = poly_solve(col_polys, h, entry_cap)
-    if x is None:
+    monos = slice_basis(ring, *cofactor_bound).monomials
+    unknowns = [(i, m) for i in range(len(gens)) for m in monos]
+    cofactors = _Combinations(unknowns, [m * gens[i] for i, m in unknowns], [h],
+                              entry_cap).solve(h)
+    if cofactors is None:
         return "unknown", None
-    terms = [{} for _ in gens]
-    for coeff, (gi, e) in zip(x, col_tags):
-        if coeff:
-            terms[gi][e] = coeff
-    cofactors = [MultiPoly(ring, t) for t in terms]
     if sum((c * g for c, g in zip(cofactors, gens)), ring.zero()) != h:
         raise CertificateError("membership cofactors of %s fail their re-check" % h)
     return "yes", cofactors
@@ -346,28 +340,26 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
     source = slice_basis(ring, param_bound, var_bound)
     forward_items = []
     mat = matrix_of_power(D, j, source, entry_cap)
-    nonzero = [(p, e) for p, e in zip(mat.columns, source.basis) if not p.is_zero()]
-    _check_cap(mat.target.dim, max(len(nonzero), 1), entry_cap)
-    window = mat.target.index()
-    solver = linalg.SpanSolver([_coords(p, window) for p, _ in nonzero])
+    nonzero = [(m, p) for m, p in zip(source.monomials, mat.columns) if not p.is_zero()]
+    preimages = _Combinations([(0, m) for m, _ in nonzero], [p for _, p in nonzero])
     for g in predicted:
         if not apply(D, g).is_zero():
             forward_items.append(
                 DirectionItem(g, "FAIL", "predicted generator is not in Ker(D)")
             )
             continue
-        if not nonzero or any(e not in window for e in g.terms):
+        if not nonzero or any(e not in mat.target for e in g.terms):
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "generator outside the slice window")
             )
             continue
-        coeffs = solver.express(_coords(g, window))
-        if coeffs is None:
+        answer = preimages.solve(g)
+        if answer is None:
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "no preimage within bounds")
             )
             continue
-        preimage = MultiPoly(ring, {e: c for c, (_, e) in zip(coeffs, nonzero) if c})
+        preimage, = answer
         if iterate(D, preimage, j) != g:
             raise CertificateError("forward preimage of %s fails its re-check" % g)
         forward_items.append(
@@ -391,17 +383,22 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                     )
                 )
     elif predicted:
-        multipliers = [g * kappa for g in predicted for kappa in kernel]
-        support = poly_support(multipliers + intersection)
-        _check_cap(len(support), max(len(multipliers), 1), entry_cap)
-        msolver = linalg.SpanSolver([_coords(p, support) for p in multipliers])
+        # each cofactor c_i is a combination of the bounded kernel basis
+        unknowns = [(i, kappa) for i in range(len(predicted)) for kappa in kernel]
+        cofactors = _Combinations(unknowns, [predicted[i] * kappa for i, kappa in unknowns],
+                                  intersection, entry_cap)
         for w in intersection:
-            if msolver.express(_coords(w, support)) is None:
+            cs = cofactors.solve(w)
+            if cs is None:
                 backward_items.append(
                     DirectionItem(w, "INCONCLUSIVE", "no bounded cofactors found")
                 )
-            else:
-                backward_items.append(DirectionItem(w, "PASS", "bounded cofactors found"))
+                continue
+            if sum((c * g for c, g in zip(cs, predicted)), ring.zero()) != w:
+                raise CertificateError("backward cofactors of %s fail their re-check" % w)
+            backward_items.append(
+                DirectionItem(w, "PASS", "bounded cofactors found", certificate=cs)
+            )
     else:
         for w in intersection:
             backward_items.append(

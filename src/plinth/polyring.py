@@ -168,9 +168,6 @@ class PolyRing:
     def gen(self, name):
         return MultiPoly._trusted(self, {self._units[self.index(name)]: _fraction(1)})
 
-    def gens(self):
-        return {name: self.gen(name) for name in self.names}
-
     def extend(self, extra_vars):
         """Same parameters, extra main variables appended."""
         return PolyRing(self.params, self.vars + tuple(extra_vars))

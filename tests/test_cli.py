@@ -152,13 +152,14 @@ def test_examples_golden(capsys):
 
 
 COMMANDS = [["check"], ["kernel"]] + [["image-ideal", "--n", str(n)] for n in range(4)]
+VERIFY_COMMANDS = [["verify", "--n", str(n)] + extra for n in (1, 2)
+                   for extra in ([], ["--bounds", "3,3", "--cap", "100000"])]
 
 
-def _commands_output(name, capsys):
-    """Exit code, stdout and stderr of check, kernel and image-ideal --n 0..3
-    with --json, as one text."""
+def _commands_output(name, capsys, commands=COMMANDS):
+    """Exit code, stdout and stderr of each command with --json, as one text."""
     parts = []
-    for cmd in COMMANDS:
+    for cmd in commands:
         argv = cmd + ["--example", name, "--json"]
         code = main(argv)
         captured = capsys.readouterr()
@@ -172,6 +173,13 @@ def test_commands_golden(capsys):
     for name in sorted(FIXTURES):
         out = _commands_output(name, capsys)
         assert out == (GOLDEN / ("%s.commands.txt" % name)).read_text(), name
+
+
+def test_verify_golden(capsys):
+    # the oracle's verdicts, items and cap messages at two bounds and n = 1, 2
+    for name in sorted(FIXTURES):
+        out = _commands_output(name, capsys, VERIFY_COMMANDS)
+        assert out == (GOLDEN / ("%s.verify.txt" % name)).read_text(), name
 
 
 def test_image_ideal_without_factorization(tmp_path, capsys):
@@ -263,3 +271,13 @@ def test_one_classify_per_derivation(name, calls, monkeypatch):
                    ("image-ideal", 2), ("image-ideal", 3)):
         run(cmd, spec, n=n)
     assert len(seen) == calls
+
+
+def test_readme_library_tour(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    expected = [line.split("# ", 1)[1] for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(expected) == 3
+    assert capsys.readouterr().out.splitlines() == expected

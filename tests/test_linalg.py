@@ -8,7 +8,6 @@ from plinth.linalg import (
     bareiss_echelon,
     echelon,
     nullspace,
-    solve_columns,
 )
 
 from test_properties import nullspace_naive, random_block_matrix
@@ -58,11 +57,11 @@ def test_span_solver_express():
 
 def test_solve_columns():
     cols = [[1, 1], [1, -1]]
-    x = solve_columns(cols, [3, 1])
+    x = SpanSolver(cols).express([3, 1])
     assert x == [Fraction(2), Fraction(1)]
-    assert solve_columns([[1, 0]], [0, 1]) is None
-    assert solve_columns([], [0, 0]) == []
-    assert solve_columns([], [1, 0]) is None
+    assert SpanSolver([[1, 0]]).express([0, 1]) is None
+    assert SpanSolver([]).express([0, 0]) == []
+    assert SpanSolver([]).express([1, 0]) is None
 
 
 def test_span_solver_dependent_fractions():

@@ -1,21 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from plinth.derivation import Derivation, iterate
+from plinth import oracle
+from plinth.cli import FIXTURES, parse_problem
 from plinth.oracle import (
     OracleCapError,
+    _Combinations,
     canonical_basis,
     ideal_membership_bounded,
     kernel_and_image_basis,
     kernel_basis,
     matrix_of_power,
-    poly_to_vec,
     slice_basis,
-    vec_to_poly,
     verify_image_ideal,
 )
-from plinth.polyring import MultiPoly, PolyRing
+from plinth.polyring import CertificateError, MultiPoly, PolyRing
 
 
 @pytest.fixture
@@ -40,14 +42,6 @@ def test_slice_basis_dimensions():
     assert slice_basis(PolyRing(("t",), ("X",)), 1, 1).dim == 4
     assert slice_basis(PolyRing(("a", "b"), ("X", "Y")), 1, 1).dim == 9
     assert slice_basis(PolyRing(("t",), ("X",)), 0, 0).dim == 1
-
-
-def test_poly_vec_round_trip(rt):
-    slc = slice_basis(rt, 2, 2)
-    p = rt.poly("t^2*X1 + 1/2*X2 - 3")
-    vec = poly_to_vec(slc, p)
-    assert vec_to_poly(slc, vec) == p
-    assert poly_to_vec(slc, rt.poly("t^3")) is None
 
 
 def test_matrix_of_power_identity(rab):
@@ -202,8 +196,6 @@ def test_monotone_in_bounds(rt):
 
 
 def test_verify_builds_power_matrix_once(rab, rt, monkeypatch):
-    from plinth import oracle
-
     calls = []
     real = oracle.matrix_of_power
 
@@ -224,8 +216,6 @@ def test_verify_builds_power_matrix_once(rab, rt, monkeypatch):
 
 
 def test_canonical_basis_depends_only_on_span(rt):
-    import random
-
     rng = random.Random(5)
     gens = [rt.poly("t*X1 - X2 + 1/2"), rt.poly("t^2 - 3*X1*X2"),
             rt.poly("X2^2 + t"), rt.poly("1/3*t*X1 - X2 + 1/2")]
@@ -248,3 +238,94 @@ def test_canonical_basis_depends_only_on_span(rt):
     for p in expected:
         assert p.leading()[1] > 0
         assert all(e not in p.terms for e in leads if e != p.leading()[0])
+
+
+def _wink1():
+    spec = parse_problem(FIXTURES["wink1"])
+    return spec.derivation(), list(spec.expect)
+
+
+def test_backward_cofactors_recombine():
+    D, gens = _wink1()
+    report = verify_image_ideal(D, 1, gens, 2, 2)
+    passed = [i for i in report.backward_items if i.status == "PASS"]
+    assert len(passed) == len(report.backward_items) > 1
+    for item in passed:
+        assert len(item.certificate) == len(gens)
+        total = sum((c * g for c, g in zip(item.certificate, gens)), D.ring.zero())
+        assert total == item.element
+
+
+def test_backward_cofactors_are_rechecked(monkeypatch):
+    D, gens = _wink1()
+    solve = _Combinations.solve
+
+    def wrong(self, target):
+        answer = solve(self, target)
+        if answer is not None and len(answer) > 1:  # cofactors, not a preimage
+            answer[0] = answer[0] + 1
+        return answer
+
+    monkeypatch.setattr(_Combinations, "solve", wrong)
+    with pytest.raises(CertificateError, match="backward cofactors"):
+        verify_image_ideal(D, 1, gens, 2, 2)
+
+
+def test_combinations_against_sympy(seed):
+    """relations() and solve() against ranks from sympy, on random columns
+    with mixed denominators, zero and dependent columns and 1 to 3 slots.
+    Each unknown is a distinct (slot, monomial), so its coefficient x_i
+    can be read back from the answer and the image sum x_i * columns[i]
+    recomputed."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ring = PolyRing(("t",), ("X", "Y"))
+    monos = slice_basis(ring, 1, 2).basis
+
+    def rand_poly():
+        return MultiPoly(ring, {rng.choice(monos): Fraction(rng.randint(-4, 4),
+                                                              rng.randint(1, 6))
+                                for _ in range(rng.randint(1, 4))})
+
+    def rank(polys):
+        support = sorted({e for p in polys for e in p.terms})
+        return sympy.Matrix(len(support), len(polys), lambda r, c: sympy.Rational(
+            str(polys[c].terms.get(support[r], 0)))).rank() if support else 0
+
+    def image(answer, unknowns, columns):
+        out = ring.zero()
+        for (slot, m), col in zip(unknowns, columns):
+            out = out + col * answer[slot].terms.get(m.leading()[0], 0)
+        return out
+
+    for _ in range(40):
+        nslots = rng.randint(1, 3)
+        columns = []
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.random()
+            if kind < 0.15:
+                columns.append(ring.zero())
+            elif kind < 0.35 and columns:
+                columns.append(sum((c * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for c in columns), ring.zero()))
+            else:
+                columns.append(rand_poly())
+        pairs = rng.sample([(s, e) for s in range(nslots) for e in monos], len(columns))
+        unknowns = [(s, MultiPoly(ring, {e: 1})) for s, e in pairs]
+        system = _Combinations(unknowns, columns)
+        rels = system.relations()
+        assert len(rels) == len(columns) - rank(columns)
+        for rel in rels:
+            assert len(rel) == 1 + max(s for s, _ in pairs)
+            assert any(not p.is_zero() for p in rel)
+            assert image(rel, unknowns, columns).is_zero()
+        combo = sum((c * rng.randint(-2, 2) for c in columns), ring.zero())
+        answer = system.solve(combo)
+        assert answer is not None and image(answer, unknowns, columns) == combo
+        other = rand_poly()
+        inside = rank(columns + [other]) == rank(columns)
+        answer = system.solve(other)
+        assert (answer is not None) == inside
+        if inside:
+            assert image(answer, unknowns, columns) == other
+        assert system.solve(ring.poly("X^5")) is None

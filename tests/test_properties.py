@@ -284,7 +284,7 @@ def check_matrix_columns(rng, cases=100):
         i = rng.randrange(src.dim)
         mono = MultiPoly(ring, {src.basis[i]: Fraction(1)})
         assert mat.columns[i] == iterate(D, mono, n)
-        assert all(e in mat.target.index() for e in mat.columns[i].terms)
+        assert all(e in mat.target for e in mat.columns[i].terms)
 
 
 def check_bareiss_vs_naive(rng, cases=CASES):
