@@ -96,11 +96,12 @@ def apply(D, f):
 
 @lru_cache(maxsize=1)
 def _columns(D):
-    """(iden, [(pos, terms)]) for apply: per main variable with a nonzero
-    image, its position in the exponent vector and the terms of its image
-    as integers over the common denominator iden, each exponent vector
-    minus the variable's unit vector.  Only the last derivation's columns
-    are kept, so a Derivation itself carries nothing extra."""
+    """(iden, [(pos, terms)]) for apply and for the oracle's D on monomials:
+    per main variable with a nonzero image, its position in the exponent
+    vector and the terms of its image as integers over the common
+    denominator iden, each exponent vector minus the variable's unit
+    vector.  Only the last derivation's columns are kept, so a Derivation
+    itself carries nothing extra."""
     images = [_numerators(img.terms) for img in D.images]
     iden = lcm(*[d for _, d in images])
     return iden, [(pos, [(e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * (iden // d))
@@ -336,7 +337,7 @@ def _bounded_bezout(images, bound):
     ring = images[0].ring
     monos = slice_basis(ring, bound, 0).monomials
     unknowns = [(i, m) for i in range(len(images)) for m in monos]
-    system = _Combinations(unknowns, [m * images[i] for i, m in unknowns])
+    system = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
     return True if system.solve(ring.one()) is not None else None
 
 

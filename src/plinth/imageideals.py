@@ -303,8 +303,8 @@ def slice_construct(D, rep, degree_bound=DEFAULT_SLICE_BOUND):
     one = ring.one()
     for bound in range(1, degree_bound + 1):
         monos = slice_basis(ring, bound, bound).monomials
-        answer = _Combinations([(0, m) for m in monos],
-                               [apply(D, m) for m in monos]).solve(one)
+        answer = _Combinations.of_polynomials([(0, m) for m in monos],
+                                              [apply(D, m) for m in monos]).solve(one)
         if answer is not None:
             s, = answer
             if apply(D, s) != one:
@@ -447,7 +447,8 @@ def _find_syzygy(D, degree_bound):
     for bound in range(degree_bound + 1):
         monos = slice_basis(ring, bound, 0).monomials
         unknowns = [(vi, m) for vi in range(3) for m in monos]
-        basis = _Combinations(unknowns, [m * D.images[vi] for vi, m in unknowns]).relations()
+        basis = _Combinations.of_polynomials(
+            unknowns, [m * D.images[vi] for vi, m in unknowns]).relations()
         if not basis:
             continue
         coeffs = basis[0]
@@ -641,7 +642,7 @@ class Analysis:
         if res.theorem == "oracle-only":
             try:
                 slc = slice_basis(D.ring, bounds[0], bounds[1])
-                res.generators = kernel_and_image_basis(D, j, slc, entry_cap)[1]
+                res.generators = kernel_and_image_basis(D, j, slc, entry_cap)
             except OracleCapError as err:
                 res.notes.append("oracle run hit the entry cap: %s" % err)
         return res

@@ -62,6 +62,8 @@ def _sparse_row(row):
     items = row.items() if isinstance(row, dict) else enumerate(row)
     items = [(c, x) for c, x in items if x]
     den = lcm(*(x.denominator for _, x in items))
+    if den == 1:
+        return {c: x.numerator for c, x in items}, 1
     return {c: x.numerator * (den // x.denominator) for c, x in items}, den
 
 
@@ -88,54 +90,54 @@ def _eliminate(row, c, top):
     return out, a
 
 
-def _insert(pivots, row):
+def _insert(pivots, holders, row):
     """Add one integer row to the reduced echelon form pivots
     ({pivot column: primitive row}); negative columns are tags and never
-    pivots.  A row that gets no pivot is dropped."""
+    pivots.  holders maps each other column to the pivot columns whose rows
+    are nonzero there, so the rows a new pivot reduces are found without a
+    scan.  A row that gets no pivot is dropped."""
     row = _primitive(row)
     for c in [c for c in row if c in pivots]:
         row = _primitive(_eliminate(row, c, pivots[c])[0])
     lead = min((c for c in row if c >= 0), default=None)
     if lead is None:
         return
-    for pc, top in pivots.items():
-        if lead in top:
-            pivots[pc] = _primitive(_eliminate(top, lead, row)[0])
+    for pc in holders.pop(lead, ()):
+        old = pivots[pc]
+        new = pivots[pc] = _primitive(_eliminate(old, lead, row)[0])
+        for c in old.keys() - new.keys():
+            if c >= 0 and c != lead:
+                holders[c].discard(pc)
+        for c in new.keys() - old.keys():
+            if c >= 0:
+                holders.setdefault(c, set()).add(pc)
     pivots[lead] = row
+    for c in row:
+        if c > lead:
+            holders.setdefault(c, set()).add(lead)
+
+
+def _echelon(rows):
+    """(pivots, holders) of _insert after inserting every row."""
+    pivots, holders = {}, {}
+    for row in rows:
+        _insert(pivots, holders, _sparse_row(row)[0])
+    return pivots, holders
 
 
 def echelon(rows):
     """Reduced row echelon form of the rows (dense lists or {column: value}
     dicts) as {pivot column: primitive integer row}."""
-    pivots = {}
-    for row in rows:
-        _insert(pivots, _sparse_row(row)[0])
-    return pivots
+    return _echelon(rows)[0]
 
 
-def _primitive_vector(vec, ncols):
-    """Dense Fraction list of an integer {column: value} vector, made
-    primitive with a positive first nonzero entry."""
-    g = gcd(*vec.values())
-    if vec[min(vec)] < 0:
-        g = -g
-    out = [_ZERO] * ncols
-    for c, v in vec.items():
-        out[c] = Fraction(v // g)
-    return out
-
-
-def nullspace(rows, ncols):
+def nullspace_sparse(rows, ncols):
     """Basis of {x : M x = 0} for the matrix with the given rows (dense
-    lists or {column: value} dicts): one vector per free column, with that
-    column 1 and the other free columns 0, made integer-primitive with a
+    lists or {column: value} dicts), as sparse integer vectors
+    {column: int}: one vector per free column in ascending order, with that
+    column nonzero and the other free columns 0, made primitive with a
     positive first nonzero entry."""
-    pivots = echelon(rows)
-    holders = {}  # free column -> pivot columns whose row touches it
-    for pc, row in pivots.items():
-        for c in row:
-            if c != pc:
-                holders.setdefault(c, []).append(pc)
+    pivots, holders = _echelon(rows)  # holders: free column -> pivot rows there
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -145,7 +147,21 @@ def nullspace(rows, ncols):
         for pc in holders.get(free, ()):
             row = pivots[pc]
             vec[pc] = -row[free] * (scale // row[pc])
-        basis.append(_primitive_vector(vec, ncols))
+        g = gcd(*vec.values())
+        if vec[min(vec)] < 0:
+            g = -g
+        basis.append({c: v // g for c, v in vec.items()})
+    return basis
+
+
+def nullspace(rows, ncols):
+    """nullspace_sparse as dense lists of Fractions of length ncols."""
+    basis = []
+    for vec in nullspace_sparse(rows, ncols):
+        dense = [_ZERO] * ncols
+        for c, v in vec.items():
+            dense[c] = Fraction(v)
+        basis.append(dense)
     return basis
 
 
@@ -161,15 +177,15 @@ class SpanSolver:
     """
 
     def __init__(self, vectors):
-        self.nvecs = len(vectors)
-        self.pivots = {}
+        self.pivots, holders = {}, {}
         for i, v in enumerate(vectors):
             row, scale = _sparse_row(v)
             row[~i] = scale
-            _insert(self.pivots, row)
+            _insert(self.pivots, holders, row)
 
     def express(self, v):
-        """Coefficients c with sum(c_i * vectors[i]) == v, or None."""
+        """{i: c_i} with sum(c_i * vectors[i]) == v, the zero c_i left out,
+        or None."""
         w, scale = _sparse_row(v)
         # invariant: scale * v == (columns >= 0 of w) - sum_i w[~i] * vectors[i]
         for c in [c for c in w if c in self.pivots]:
@@ -177,10 +193,21 @@ class SpanSolver:
             scale *= a
         if any(k >= 0 for k in w):
             return None
-        combo = [_ZERO] * self.nvecs
-        for k, x in w.items():
-            combo[~k] = Fraction(-x, scale)
-        return combo
+        return {~k: Fraction(-x, scale) for k, x in w.items()}
+
+    def basis_from(self, start):
+        """A basis of the vectors of the span that vanish in every column
+        before start: the reduced echelon rows whose pivot is at or after
+        start, tags dropped, each primitive with a positive pivot, by
+        descending pivot column."""
+        basis = []
+        for pc in sorted((c for c in self.pivots if c >= start), reverse=True):
+            row = {c: v for c, v in self.pivots[pc].items() if c >= 0}
+            g = gcd(*row.values())
+            if row[pc] < 0:
+                g = -g
+            basis.append({c: v // g for c, v in row.items()})
+        return basis
 
     def contains(self, v):
         return self.express(v) is not None

@@ -2,12 +2,15 @@
 
 A DegreeSlice is the finite-dimensional window of B spanned by all
 monomials within a parameter-degree and a variable-degree bound.  Powers
-of a derivation map slices to slices; kernels, image spans and bounded
-ideal membership are computed by sparse exact elimination of systems built
-straight from polynomial terms.  Every positive answer carries a
-certificate (preimage or cofactors) that is re-verified by direct
-polynomial arithmetic; bounded failures are reported as INCONCLUSIVE,
-never upgraded.
+of a derivation map slices to slices.  In one oracle call D acts on
+monomials as integer columns over one denominator, each D(X^e) computed
+once, and D^j of the slice is composed from them.  Stacking [D^(j+1) | D^j]
+for the monomials of the slice gives one elimination that answers both the
+forward preimages and Ker(D) within D^j(slice).  Every question is one
+sparse exact system; polynomials appear only at its boundary.  Every
+positive answer carries a certificate (preimage or cofactors) that is
+re-verified by direct polynomial arithmetic; bounded failures are reported
+as INCONCLUSIVE, never upgraded.
 """
 
 from __future__ import annotations
@@ -15,15 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
+from operator import add as _add
 
 from . import linalg
-from .derivation import apply, iterate
+from .derivation import _columns, apply, iterate
 from .polyring import (
     CertificateError,
     ExactDivisionError,
     MultiPoly,
     PlinthError,
+    _numerators,
     _over,
     divide_exact,
     grlex_key,
@@ -97,12 +102,60 @@ def growth_per_application(D):
     return pg, max(0, vg)
 
 
-@dataclass
-class LinearMapMatrix:
-    source: DegreeSlice
-    target: DegreeSlice
-    power: int
-    columns: list  # D^n(monomial) for each source monomial, inside the target slice
+class _Images:
+    """D on monomials: D(X^e) as integer numerators {exps: int} over iden,
+    the common denominator of derivation._columns(D).  Each is computed
+    once, for the life of this object, which is one oracle call; the
+    columns it returns are shared and never written."""
+
+    def __init__(self, D):
+        self.iden, columns = _columns(D)
+        # X^e contributes e_pos * c * X^(e + s) for each term c*X^s of a
+        # column; a shift s found in several columns sums their terms
+        shifts = {}
+        for pos, img in columns:
+            for s, c in img:
+                shifts.setdefault(s, []).append((pos, c))
+        self.shifts = list(shifts.items())
+        self.memo = {}
+
+    def _terms(self, e):
+        for s, parts in self.shifts:
+            v = 0
+            for pos, c in parts:
+                k = e[pos]
+                if k:
+                    v += k * c
+            if v:
+                yield tuple(map(_add, e, s)), v
+
+    def __call__(self, e):
+        col = self.memo.get(e)
+        if col is None:
+            col = self.memo[e] = dict(self._terms(e))
+        return col
+
+    def support(self, basis):
+        """The monomials of the D(X^e), e in basis, from exponents alone."""
+        return {f for e in basis for f, _ in self._terms(e)}
+
+    def apply(self, col):
+        """D of an integer column, over one more factor iden."""
+        acc = {}
+        get = acc.get
+        for f, c in col.items():
+            for g, d in self(f).items():
+                acc[g] = get(g, 0) + c * d
+        return {g: v for g, v in acc.items() if v}
+
+    def power(self, e, n):
+        """D^n(X^e) as integer numerators over iden ** n."""
+        if n == 0:
+            return {e: 1}
+        col = self(e)
+        for _ in range(n - 1):
+            col = self.apply(col)
+        return col
 
 
 def _check_cap(nrows, ncols, cap):
@@ -114,6 +167,132 @@ def _check_cap(nrows, ncols, cap):
         )
 
 
+class _Combinations:
+    """Rational combinations of columns.
+
+    Unknown i is a (slot, polynomial) pair standing for x_i times that
+    polynomial in the answer of its slot, and columns[i] is its image: a
+    tuple of blocks of integer numerators {exps: int}, every column over the
+    one denominator den.  relations() gives the x with
+    sum(x_i * columns[i]) == 0 and solve(*target) an x with
+    sum(x_i * columns[i]) == target, each as one polynomial per slot;
+    tail_basis() spans the vectors of the column span whose blocks before
+    the last vanish.  Coordinates number the monomials of each block in
+    descending grlex order, block after block.  The cap counts coordinates x
+    columns entries and is checked before anything is eliminated; targets
+    given up front only widen that count, and solve() takes any target.
+    """
+
+    def __init__(self, unknowns, columns, den=1, targets=(), entry_cap=None):
+        self.unknowns = unknowns
+        self.nslots = 1 + max((slot for slot, _ in unknowns), default=-1)
+        self.columns = columns
+        self.den = den
+        monos = [set().union(*blocks) for blocks in zip(*columns, *targets)] or [()]
+        self.numbering = []
+        width = 0
+        for found in monos:
+            ordered = sorted(found, key=grlex_key, reverse=True)
+            self.numbering.append({e: width + k for k, e in enumerate(ordered)})
+            width += len(ordered)
+        self.width = width
+        _check_cap(width, len(columns), entry_cap)
+
+    @classmethod
+    def of_polynomials(cls, unknowns, columns, targets=(), entry_cap=None):
+        """The system whose columns are polynomials, in one block."""
+        den = lcm(*(c.denominator for p in columns for c in p.terms.values()))
+        return cls(unknowns,
+                   [({e: c.numerator * (den // c.denominator) for e, c in p.terms.items()},)
+                    for p in columns],
+                   den, [(t.terms,) for t in targets], entry_cap)
+
+    def _vector(self, col):
+        return {number[e]: v for number, block in zip(self.numbering, col)
+                for e, v in block.items()}
+
+    def _answer(self, x):
+        """sum_i x_i * unknowns[i] per slot, in integers over one denominator."""
+        parts = [(self.unknowns[i], c, *_numerators(self.unknowns[i][1].terms))
+                 for i, c in x.items()]
+        den = lcm(*(c.denominator * d for _, c, _, d in parts))
+        terms = [{} for _ in range(self.nslots)]
+        for (slot, _), c, nums, d in parts:
+            k = c.numerator * (den // (c.denominator * d))
+            acc = terms[slot]
+            get = acc.get
+            for e, v in nums:
+                acc[e] = get(e, 0) + k * v
+        ring = self.unknowns[0][1].ring
+        return [MultiPoly._trusted(ring, _over(t, den)) for t in terms]
+
+    def relations(self):
+        """A basis of the relations, as linalg.nullspace_sparse orders it."""
+        rows = [{} for _ in range(self.width)]
+        for i, col in enumerate(self.columns):
+            for k, v in self._vector(col).items():
+                rows[k][i] = v
+        return [self._answer(x) for x in linalg.nullspace_sparse(rows, len(self.columns))]
+
+    @cached_property
+    def _solver(self):
+        return linalg.SpanSolver([self._vector(col) for col in self.columns])
+
+    def solve(self, *target):
+        """The answer for one solution, or None if target, one polynomial
+        per block, is out of reach."""
+        coords = {}
+        for number, p in zip(self.numbering, target):
+            for e, c in p.terms.items():
+                if e not in number:
+                    return None
+                coords[number[e]] = c * self.den
+        x = self._solver.express(coords)
+        return None if x is None else self._answer(x)
+
+    def tail_basis(self, entry_cap=None):
+        """The last-block parts of the vectors of the column span whose other
+        blocks vanish, in one canonical form: the reduced echelon basis,
+        monomials in descending grlex order, each element integer-primitive
+        with a positive leading coefficient, sorted by ascending leading
+        monomial, so it depends only on that subspace.  It comes from the
+        elimination solve() uses.  Those vectors are the relations among
+        the earlier blocks of independent columns, so the cap counts the
+        earlier coordinates x the rank, once the rank is known."""
+        monos = list(self.numbering[-1])
+        start = self.width - len(monos)
+        _check_cap(start, self._solver.rank, entry_cap)
+        return [MultiPoly._trusted(self.unknowns[0][1].ring,
+                                   _over({monos[k - start]: v for k, v in row.items()}, 1))
+                for row in self._solver.basis_from(start)]
+
+
+@dataclass
+class LinearMapMatrix:
+    """D^power from the source slice into the target slice.  columns[i] is
+    D^power of the i-th source monomial, integer numerators over
+    images.iden ** power; images is the D of the call that built it."""
+
+    source: DegreeSlice
+    target: DegreeSlice
+    power: int
+    columns: list
+    images: _Images
+
+    @cached_property
+    def chain(self):
+        """The nonzero columns v stacked under their images, [D(v) | v] over
+        one denominator, as one system: a preimage of g in Ker(D) answers
+        solve(0, g), and tail_basis() is Ker(D) within the span of the v."""
+        iden = self.images.iden
+        pairs = [(m, col) for m, col in zip(self.source.monomials, self.columns) if col]
+        return _Combinations(
+            [(0, m) for m, _ in pairs],
+            [(self.images.apply(col), {e: c * iden for e, c in col.items()})
+             for _, col in pairs],
+            iden ** (self.power + 1))
+
+
 def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     """Exact matrix of D^n from the source slice into an auto-enlarged target."""
     if n < 0:
@@ -123,124 +302,45 @@ def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
         source.ring, source.param_bound + n * pg, source.var_bound + n * vg
     )
     _check_cap(target.dim, source.dim, entry_cap)
-    columns = []
-    for m in source.monomials:
-        img = iterate(D, m, n)
-        if any(t not in target for t in img.terms):
-            raise PlinthError("degree growth bound violated (internal)")
-        columns.append(img)
-    return LinearMapMatrix(source=source, target=target, power=n, columns=columns)
+    images = _Images(D)
+    columns = [images.power(e, n) for e in source.basis]
+    if any(t not in target for col in columns for t in col):
+        raise PlinthError("degree growth bound violated (internal)")
+    return LinearMapMatrix(source, target, n, columns, images)
 
 
-# -- polynomials as sparse linear systems ---------------------------------
+def _refuse_kernel(images, slc, entry_cap):
+    """The cap check of the system of Ker(D) within slc, from exponents
+    alone, before D is applied or a monomial is built."""
+    _check_cap(len(images.support(slc.basis)), slc.dim, entry_cap)
 
 
-def poly_support(polys):
-    """The monomials of polys numbered in descending grlex order: the
-    column numbering of every sparse system built from polynomials."""
-    monos = sorted({e for p in polys for e in p.terms}, key=grlex_key, reverse=True)
-    return {e: k for k, e in enumerate(monos)}
-
-
-def _coords(p, support):
-    return {support[e]: c for e, c in p.terms.items()}
-
-
-class _Combinations:
-    """Rational combinations of polynomial columns.
-
-    Unknown i is a (slot, polynomial) pair standing for x_i times that
-    polynomial in the answer of its slot, and columns[i] is its image.
-    relations() gives the x with sum(x_i * columns[i]) == 0 and solve(target)
-    an x with sum(x_i * columns[i]) == target, each as one polynomial per
-    slot.  Coordinates number the monomials of the columns and targets by
-    poly_support; the cap counts support x columns entries and is checked
-    before anything is eliminated.  Targets given up front only widen that
-    count; solve() takes any target.
-    """
-
-    def __init__(self, unknowns, columns, targets=(), entry_cap=None):
-        self.unknowns = unknowns
-        self.columns = columns
-        self.nslots = 1 + max((slot for slot, _ in unknowns), default=-1)
-        self.support = poly_support(list(columns) + list(targets))
-        _check_cap(len(self.support), len(columns), entry_cap)
-
-    def _answer(self, x):
-        terms = [{} for _ in range(self.nslots)]
-        for c, (slot, p) in zip(x, self.unknowns):
-            if c:
-                acc = terms[slot]
-                for e, v in p.terms.items():
-                    acc[e] = acc.get(e, 0) + c * v
-        return [MultiPoly._trusted(self.unknowns[0][1].ring,
-                                   {e: v for e, v in t.items() if v}) for t in terms]
-
-    def relations(self):
-        """A basis of the relations, as linalg.nullspace orders it."""
-        rows = [{} for _ in self.support]
-        for i, p in enumerate(self.columns):
-            for e, c in p.terms.items():
-                rows[self.support[e]][i] = c
-        return [self._answer(x) for x in linalg.nullspace(rows, len(self.columns))]
-
-    @cached_property
-    def _solver(self):
-        return linalg.SpanSolver([_coords(p, self.support) for p in self.columns])
-
-    def solve(self, target):
-        """The answer for one solution, or None if target is out of reach."""
-        if any(e not in self.support for e in target.terms):
-            return None
-        x = self._solver.express(_coords(target, self.support))
-        return None if x is None else self._answer(x)
-
-
-def canonical_basis(polys):
-    """The reduced echelon basis of the Q-span of polys, monomials in
-    descending grlex order, each element normalize_unit-ed, sorted by
-    ascending leading monomial.  It depends only on the span."""
-    support = poly_support(polys)
-    if not support:
-        return []
-    monos = list(support)
-    ring = polys[0].ring
-    pivots = linalg.echelon([_coords(p, support) for p in polys])
-    # each row is primitive and its pivot is its leading monomial, so
-    # normalize_unit would only flip its sign
-    return [MultiPoly._trusted(ring, _over({monos[c]: v if row[k] > 0 else -v
-                                            for c, v in row.items()}, 1))
-            for k, row in sorted(pivots.items(), reverse=True)]
+def _kernel(images, slc, entry_cap):
+    _refuse_kernel(images, slc, entry_cap)
+    system = _Combinations([(0, m) for m in slc.monomials],
+                           [(images(e),) for e in slc.basis], images.iden)
+    return [normalize_unit(k) for k, in system.relations()]
 
 
 def kernel_basis(D, slc, entry_cap=DEFAULT_ENTRY_CAP):
     """Basis of Ker(D) intersected with the slice, as normalized polynomials."""
-    system = _Combinations([(0, m) for m in slc.monomials],
-                           [apply(D, m) for m in slc.monomials], entry_cap=entry_cap)
-    return [normalize_unit(k) for k, in system.relations()]
+    return _kernel(_Images(D), slc, entry_cap)
 
 
 def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=None):
-    """(basis of A within the source slice,
-        canonical_basis of Ker(D) within the span of D^n(source slice)).
-
-    The second space is a lower approximation of I_n, monotone
+    """The canonical basis (_Combinations.tail_basis) of Ker(D) within the
+    span of D^n(source slice): a lower approximation of I_n, monotone
     nondecreasing in the slice bounds.  matrix, if given, is
     matrix_of_power(D, n, source), already built by the caller.
     """
     if n < 1:
         raise PlinthError("kernel_and_image_basis needs n >= 1")
-    kernel = kernel_basis(D, source, entry_cap)
-    mat = matrix or matrix_of_power(D, n, source, entry_cap)
-    col_polys = [p for p in mat.columns if not p.is_zero()]
-    if not col_polys:
-        return kernel, []
-    _check_cap(len(col_polys), len({e for p in col_polys for e in p.terms}), entry_cap)
-    image = canonical_basis(col_polys)
-    # Ker(D) within that span: relations among the D-images of its basis
-    system = _Combinations([(0, b) for b in image], [apply(D, b) for b in image],
-                           entry_cap=entry_cap)
-    return kernel, canonical_basis([w for w, in system.relations()])
+    if matrix is None:
+        # a refusal names the kernel system of the slice first, though the
+        # kernel is not needed here, so the cap messages stay as they were
+        _refuse_kernel(_Images(D), source, entry_cap)
+        matrix = matrix_of_power(D, n, source, entry_cap)
+    return matrix.chain.tail_basis(entry_cap)
 
 
 def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CAP):
@@ -263,8 +363,8 @@ def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CA
     ring = h.ring
     monos = slice_basis(ring, *cofactor_bound).monomials
     unknowns = [(i, m) for i in range(len(gens)) for m in monos]
-    cofactors = _Combinations(unknowns, [m * gens[i] for i, m in unknowns], [h],
-                              entry_cap).solve(h)
+    cofactors = _Combinations.of_polynomials(unknowns, [m * gens[i] for i, m in unknowns],
+                                             [h], entry_cap).solve(h)
     if cofactors is None:
         return "unknown", None
     if sum((c * g for c, g in zip(cofactors, gens)), ring.zero()) != h:
@@ -340,20 +440,19 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
     source = slice_basis(ring, param_bound, var_bound)
     forward_items = []
     mat = matrix_of_power(D, j, source, entry_cap)
-    nonzero = [(m, p) for m, p in zip(source.monomials, mat.columns) if not p.is_zero()]
-    preimages = _Combinations([(0, m) for m, _ in nonzero], [p for _, p in nonzero])
     for g in predicted:
         if not apply(D, g).is_zero():
             forward_items.append(
                 DirectionItem(g, "FAIL", "predicted generator is not in Ker(D)")
             )
             continue
-        if not nonzero or any(e not in mat.target for e in g.terms):
+        if not any(mat.columns) or any(e not in mat.target for e in g.terms):
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "generator outside the slice window")
             )
             continue
-        answer = preimages.solve(g)
+        # a preimage v of g has D^j(v) == g and, since D(g) == 0, D^(j+1)(v) == 0
+        answer = mat.chain.solve(ring.zero(), g)
         if answer is None:
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "no preimage within bounds")
@@ -366,7 +465,7 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
             DirectionItem(g, "PASS", "preimage %s" % preimage, certificate=preimage)
         )
 
-    kernel, intersection = kernel_and_image_basis(D, j, source, entry_cap, matrix=mat)
+    intersection = kernel_and_image_basis(D, j, source, entry_cap, matrix=mat)
     backward_items = []
     if len(predicted) == 1:
         g = predicted[0]
@@ -384,9 +483,10 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                 )
     elif predicted:
         # each cofactor c_i is a combination of the bounded kernel basis
+        kernel = _kernel(mat.images, source, entry_cap)
         unknowns = [(i, kappa) for i in range(len(predicted)) for kappa in kernel]
-        cofactors = _Combinations(unknowns, [predicted[i] * kappa for i, kappa in unknowns],
-                                  intersection, entry_cap)
+        cofactors = _Combinations.of_polynomials(
+            unknowns, [predicted[i] * kappa for i, kappa in unknowns], intersection, entry_cap)
         for w in intersection:
             cs = cofactors.solve(w)
             if cs is None:

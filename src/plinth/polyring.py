@@ -89,10 +89,12 @@ class PolyRing:
     A ring is immutable, so equal rings are one object while any of them
     is in use: every problem parsed over the same names shares it, and
     every constant and variable shares the ring's origin and unit exponent
-    vectors.
+    vectors.  Polynomials are immutable too, so zero(), one() and gen()
+    hand out one shared polynomial each.
     """
 
-    __slots__ = ("params", "vars", "names", "_index", "_origin", "_units", "__weakref__")
+    __slots__ = ("params", "vars", "names", "_index", "_origin", "_zero", "_one", "_gens",
+                 "__weakref__")
     _in_use = weakref.WeakValueDictionary()
 
     def __new__(cls, params, vars):
@@ -113,8 +115,11 @@ class PolyRing:
         ring.names = names
         ring._index = {name: i for i, name in enumerate(names)}
         ring._origin = (0,) * len(names)
-        ring._units = tuple(ring._origin[:i] + (1,) + ring._origin[i + 1:]
-                            for i in range(len(names)))
+        ring._zero = MultiPoly._trusted(ring, {})
+        ring._one = MultiPoly._trusted(ring, {ring._origin: _fraction(1)})
+        ring._gens = tuple(
+            MultiPoly._trusted(ring, {ring._origin[:i] + (1,) + ring._origin[i + 1:]: _fraction(1)})
+            for i in range(len(names)))
         cls._in_use[key] = ring
         return ring
 
@@ -153,10 +158,10 @@ class PolyRing:
         return "PolyRing(params=%r, vars=%r)" % (list(self.params), list(self.vars))
 
     def zero(self):
-        return MultiPoly(self, {})
+        return self._zero
 
     def one(self):
-        return self.const(1)
+        return self._one
 
     def const(self, c):
         c = Fraction(c)
@@ -166,7 +171,7 @@ class PolyRing:
         return MultiPoly._trusted(self, {self._origin: c})
 
     def gen(self, name):
-        return MultiPoly._trusted(self, {self._units[self.index(name)]: _fraction(1)})
+        return self._gens[self.index(name)]
 
     def extend(self, extra_vars):
         """Same parameters, extra main variables appended."""

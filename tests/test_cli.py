@@ -156,11 +156,11 @@ VERIFY_COMMANDS = [["verify", "--n", str(n)] + extra for n in (1, 2)
                    for extra in ([], ["--bounds", "3,3", "--cap", "100000"])]
 
 
-def _commands_output(name, capsys, commands=COMMANDS):
-    """Exit code, stdout and stderr of each command with --json, as one text."""
+def _commands_output(name, capsys, commands=COMMANDS, output=("--json",)):
+    """Exit code, stdout and stderr of each command, as one text."""
     parts = []
     for cmd in commands:
-        argv = cmd + ["--example", name, "--json"]
+        argv = cmd + ["--example", name, *output]
         code = main(argv)
         captured = capsys.readouterr()
         parts.append("$ plinth %s\n%s%sexit %d\n"
@@ -180,6 +180,18 @@ def test_verify_golden(capsys):
     for name in sorted(FIXTURES):
         out = _commands_output(name, capsys, VERIFY_COMMANDS)
         assert out == (GOLDEN / ("%s.verify.txt" % name)).read_text(), name
+
+
+CAP_COMMANDS = [[command, "--n", str(n), "--cap", cap] for command in ("verify", "image-ideal")
+                for n in (1, 2) for cap in ("0", "500", "5000")]
+
+
+def test_cap_golden(capsys):
+    # which cap check fires first, with its numbers, at three caps; the
+    # text output carries the cap messages that --json leaves out
+    for name in sorted(FIXTURES):
+        out = _commands_output(name, capsys, CAP_COMMANDS, output=())
+        assert out == (GOLDEN / ("%s.caps.txt" % name)).read_text(), name
 
 
 def test_image_ideal_without_factorization(tmp_path, capsys):
@@ -219,6 +231,22 @@ def test_verify_checks_cap_before_building_slices(capsys):
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "oracle entry cap exceeded: solve needs" in capsys.readouterr().out
+
+
+def test_kernel_refusal_applies_no_derivation(capsys, monkeypatch):
+    # wink1's kernel system at 12,12 is refused from exponents alone: D is
+    # applied to none of the 41405 monomials of the slice
+    def applied(*args):
+        raise AssertionError("D applied before the cap check")
+
+    monkeypatch.setattr(oracle._Images, "__call__", applied)
+    monkeypatch.setattr(oracle, "apply", applied)
+    start = time.monotonic()
+    code = main(["image-ideal", "--example", "wink1", "--bounds", "12,12"])
+    assert time.monotonic() - start < 2.0
+    assert code == 2
+    assert ("oracle run hit the entry cap: solve needs 46904 x 41405 = 1942060120 entries, "
+            "cap is 20000") in capsys.readouterr().out
 
 
 def test_image_ideal_honours_cap():

@@ -8,6 +8,7 @@ from plinth.linalg import (
     bareiss_echelon,
     echelon,
     nullspace,
+    nullspace_sparse,
 )
 
 from test_properties import nullspace_naive, random_block_matrix
@@ -42,6 +43,8 @@ def test_nullspace_matches_naive():
     b = nullspace_naive(rows, 4)
     assert a == b
     assert len(a) == 2
+    # the dense form is the sparse one written out
+    assert [{c: int(x) for c, x in enumerate(v) if x} for v in a] == nullspace_sparse(rows, 4)
 
 
 def test_span_solver_express():
@@ -50,7 +53,7 @@ def test_span_solver_express():
     solver = SpanSolver([v1, v2])
     assert solver.rank == 2
     coeffs = solver.express([2, 3, 5])
-    assert coeffs == [Fraction(2), Fraction(3)]
+    assert coeffs == {0: Fraction(2), 1: Fraction(3)}
     assert solver.express([1, 0, 0]) is None
     assert solver.contains([1, -1, 0])
 
@@ -58,9 +61,11 @@ def test_span_solver_express():
 def test_solve_columns():
     cols = [[1, 1], [1, -1]]
     x = SpanSolver(cols).express([3, 1])
-    assert x == [Fraction(2), Fraction(1)]
+    assert x == {0: Fraction(2), 1: Fraction(1)}
+    # express leaves the zero coefficients out
+    assert SpanSolver(cols).express([1, 1]) == {0: Fraction(1)}
     assert SpanSolver([[1, 0]]).express([0, 1]) is None
-    assert SpanSolver([]).express([0, 0]) == []
+    assert SpanSolver([]).express([0, 0]) == {}
     assert SpanSolver([]).express([1, 0]) is None
 
 
@@ -79,7 +84,7 @@ def test_span_solver_dependent_fractions():
     for target in (v1, v2, v3, v5, mix):
         coeffs = solver.express(target)
         assert coeffs is not None
-        assert [sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(4)] \
+        assert [sum(c * vectors[i][k] for i, c in coeffs.items()) for k in range(4)] \
             == [Fraction(x) for x in target]
     assert solver.express([1, 0, 0, 0]) is None
     # the same vectors as sparse dicts give the same answers
@@ -104,7 +109,8 @@ def test_span_solver_random_dependent():
         weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vectors]
         v = [sum(w * vec[k] for w, vec in zip(weights, vectors)) for k in range(dim)]
         coeffs = solver.express(v)
-        assert [sum(c * vec[k] for c, vec in zip(coeffs, vectors)) for k in range(dim)] == v
+        assert all(c for c in coeffs.values())
+        assert [sum(c * vectors[i][k] for i, c in coeffs.items()) for k in range(dim)] == v
 
 
 def test_rank_matches_sympy():
@@ -117,3 +123,24 @@ def test_rank_matches_sympy():
         assert len(echelon(rows)) == expected
         assert SpanSolver(rows).rank == expected
         assert len(nullspace(rows, size)) == size - expected
+
+
+def test_basis_from_spans_the_vanishing_part():
+    # the vectors of the span that vanish in columns 0 and 1, against a
+    # plain rational reference: a nullspace of the first two columns
+    rng = random.Random(13)
+    for _ in range(40):
+        width = rng.randint(3, 7)
+        vectors = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width)]
+                   for _ in range(rng.randint(1, 6))]
+        basis = SpanSolver(vectors).basis_from(2)
+        relations = nullspace_naive([[v[c] for v in vectors] for c in (0, 1)], len(vectors))
+        expected = [[sum(x * v[k] for x, v in zip(rel, vectors)) for k in range(width)]
+                    for rel in relations]
+        assert SpanSolver(expected).rank == len(basis)
+        leads = [min(row) for row in basis]
+        assert leads == sorted(leads, reverse=True) and min(leads, default=2) >= 2
+        for row in basis:
+            assert row[min(row)] > 0
+            assert SpanSolver(expected).contains(row)
+            assert all(c not in row for c in leads if c != min(row))  # reduced

@@ -1,15 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from plinth.derivation import Derivation, iterate
+from plinth.derivation import Derivation, apply, iterate
 from plinth import oracle
 from plinth.cli import FIXTURES, parse_problem
 from plinth.oracle import (
     OracleCapError,
     _Combinations,
-    canonical_basis,
     ideal_membership_bounded,
     kernel_and_image_basis,
     kernel_basis,
@@ -18,6 +22,8 @@ from plinth.oracle import (
     verify_image_ideal,
 )
 from plinth.polyring import CertificateError, MultiPoly, PolyRing
+
+from test_properties import as_poly
 
 
 @pytest.fixture
@@ -44,21 +50,26 @@ def test_slice_basis_dimensions():
     assert slice_basis(PolyRing(("t",), ("X",)), 0, 0).dim == 1
 
 
+def column_polys(mat):
+    """The columns of mat as the polynomials D^n(monomial) they stand for."""
+    return [as_poly(mat.source.ring, col, mat.images.iden ** mat.power) for col in mat.columns]
+
+
 def test_matrix_of_power_identity(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 1, 1)
     mat = matrix_of_power(D, 0, src)
-    for e, col in zip(src.basis, mat.columns):
+    for e, col in zip(src.basis, column_polys(mat)):
         assert col == MultiPoly(rab, {e: Fraction(1)})
 
 
 def test_matrix_of_power_columns(rab):
-    D = nice_ab(rab)
+    D = Derivation(rab, [rab.poly("a/2"), rab.poly("b/3")])  # images with denominators
     src = slice_basis(rab, 0, 1)
     mat = matrix_of_power(D, 1, src)
-    cols = dict(zip(src.basis, mat.columns))
-    assert cols[(0, 0, 1, 0)] == rab.poly("a")
-    assert cols[(0, 0, 0, 1)] == rab.poly("b")
+    cols = dict(zip(src.basis, column_polys(mat)))
+    assert cols[(0, 0, 1, 0)] == rab.poly("a/2")
+    assert cols[(0, 0, 0, 1)] == rab.poly("b/3")
     assert cols[(0, 0, 0, 0)].is_zero()
     for e, col in cols.items():
         assert col == iterate(D, MultiPoly(rab, {e: Fraction(1)}), 1)
@@ -68,7 +79,7 @@ def test_matrix_of_power_vanishes(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 0, 2)
     mat = matrix_of_power(D, 3, src)  # every monomial has deg_D <= 2
-    assert all(col.is_zero() for col in mat.columns)
+    assert not any(mat.columns)
 
 
 def test_kernel_basis_contains_wang_generator(rab):
@@ -78,10 +89,22 @@ def test_kernel_basis_contains_wang_generator(rab):
     assert rab.poly("a*Y - b*X") in basis or rab.poly("-a*Y + b*X") in basis
 
 
+def test_images_sum_the_terms_that_meet(rt):
+    # D(X1) = X1 and D(X2) = -X2 both shift by 0, so the images of X1 and
+    # X2 meet: D(X1^a X2^b) = (a - b) X1^a X2^b, which vanishes for a == b
+    D = Derivation(rt, [rt.poly("X1"), rt.poly("-X2")])
+    slc = slice_basis(rt, 1, 2)
+    images = oracle._Images(D)
+    for e, m in zip(slc.basis, slc.monomials):
+        assert as_poly(rt, images(e), images.iden) == apply(D, m)
+    assert images.support(slc.basis) == {f for m in slc.monomials for f in apply(D, m).terms}
+    assert set(kernel_basis(D, slc)) == {rt.poly(p) for p in ("1", "t", "X1*X2", "t*X1*X2")}
+
+
 def test_kernel_and_image_contains_plinth_elements(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 1, 1)
-    kernel, inter = kernel_and_image_basis(D, 1, src)
+    inter = kernel_and_image_basis(D, 1, src)
     assert rab.poly("a") in inter
     assert rab.poly("b") in inter
 
@@ -107,14 +130,14 @@ def test_slice_yields_one_in_every_image(rt):
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t + 1")])
     for n in (1, 2, 3):
         src = slice_basis(rt, 1, n)
-        _, inter = kernel_and_image_basis(D, n, src, entry_cap=200000)
+        inter = kernel_and_image_basis(D, n, src, entry_cap=200000)
         assert _span_contains(inter, rt.one())
 
 
 def test_huge_power_empty_image(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 0, 2)
-    _, inter = kernel_and_image_basis(D, 5, src)
+    inter = kernel_and_image_basis(D, 5, src)
     assert inter == []
 
 
@@ -177,8 +200,8 @@ def test_monotone_in_bounds(rt):
     from plinth.linalg import SpanSolver
 
     D = tparam(rt)
-    small = kernel_and_image_basis(D, 1, slice_basis(rt, 1, 1))[1]
-    big = kernel_and_image_basis(D, 1, slice_basis(rt, 2, 2), entry_cap=100000)[1]
+    small = kernel_and_image_basis(D, 1, slice_basis(rt, 1, 1))
+    big = kernel_and_image_basis(D, 1, slice_basis(rt, 2, 2), entry_cap=100000)
     support = {}
     for p in small + big:
         for e in p.terms:
@@ -196,14 +219,23 @@ def test_monotone_in_bounds(rt):
 
 
 def test_verify_builds_power_matrix_once(rab, rt, monkeypatch):
+    # one D^j matrix and one map of D on monomials per verify: the chain,
+    # the preimages, the intersection and the kernel all read them
     calls = []
+    maps = []
     real = oracle.matrix_of_power
+    real_init = oracle._Images.__init__
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
+    def counting_init(self, D):
+        maps.append(self)
+        real_init(self, D)
+
     monkeypatch.setattr(oracle, "matrix_of_power", counting)
+    monkeypatch.setattr(oracle._Images, "__init__", counting_init)
     cases = [
         (nice_ab(rab), 1, [rab.poly("a"), rab.poly("b")]),
         (nice_ab(rab), 2, [rab.poly("a^2"), rab.poly("a*b"), rab.poly("b^2")]),
@@ -211,8 +243,14 @@ def test_verify_builds_power_matrix_once(rab, rt, monkeypatch):
     ]
     for D, j, gens in cases:
         calls.clear()
+        maps.clear()
         verify_image_ideal(D, j, gens, 2, 2)
         assert calls == [j]
+        assert len(maps) == 1
+
+
+def canonical_basis(polys):
+    return _Combinations.of_polynomials([(0, p) for p in polys], polys).tail_basis()
 
 
 def test_canonical_basis_depends_only_on_span(rt):
@@ -256,19 +294,79 @@ def test_backward_cofactors_recombine():
         assert total == item.element
 
 
-def test_backward_cofactors_are_rechecked(monkeypatch):
-    D, gens = _wink1()
+def corrupt_answers(slots):
+    """A _Combinations.solve that adds the first main variable to the first
+    polynomial of every answer with the given number of slots: 1 for a
+    forward preimage, one per predicted generator for backward cofactors."""
     solve = _Combinations.solve
 
-    def wrong(self, target):
-        answer = solve(self, target)
-        if answer is not None and len(answer) > 1:  # cofactors, not a preimage
-            answer[0] = answer[0] + 1
+    def wrong(self, *target):
+        answer = solve(self, *target)
+        if answer is not None and len(answer) == slots:
+            ring = answer[0].ring
+            answer[0] = answer[0] + ring.gen(ring.vars[0])
         return answer
 
-    monkeypatch.setattr(_Combinations, "solve", wrong)
+    return wrong
+
+
+def test_backward_cofactors_are_rechecked(monkeypatch):
+    D, gens = _wink1()
+    monkeypatch.setattr(_Combinations, "solve", corrupt_answers(len(gens)))
     with pytest.raises(CertificateError, match="backward cofactors"):
         verify_image_ideal(D, 1, gens, 2, 2)
+
+
+def test_forward_preimages_are_rechecked(monkeypatch):
+    D, gens = _wink1()
+    monkeypatch.setattr(_Combinations, "solve", corrupt_answers(1))
+    with pytest.raises(CertificateError, match="forward preimage"):
+        verify_image_ideal(D, 1, gens, 2, 2)
+
+
+RECHECK_UNDER_OPTIMIZE = """
+import sys
+from plinth.cli import FIXTURES, parse_problem
+from plinth.oracle import _Combinations, verify_image_ideal
+from plinth.polyring import CertificateError
+
+print(sys.flags.optimize)
+spec = parse_problem(FIXTURES["wink1"])
+D, gens = spec.derivation(), list(spec.expect)
+solve = _Combinations.solve
+for slots in (1, len(gens)):
+    def wrong(self, *target, slots=slots):
+        answer = solve(self, *target)
+        if answer is not None and len(answer) == slots:
+            answer[0] = answer[0] + D.ring.gen("X")
+        return answer
+    _Combinations.solve = wrong
+    try:
+        verify_image_ideal(D, 1, gens, 2, 2)
+        print("accepted")
+    except CertificateError as err:
+        print(err)
+"""
+
+
+def test_certificates_are_rechecked_under_optimize():
+    # the re-checks are explicit ifs, so python -O keeps them
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", RECHECK_UNDER_OPTIMIZE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    flag, forward, backward = proc.stdout.splitlines()
+    assert flag == "1"
+    assert forward.startswith("forward preimage of ") and "fails its re-check" in forward
+    assert backward.startswith("backward cofactors of ") and "fail their re-check" in backward
+
+
+def test_wink1_verify_at_5_5_is_fast():
+    D, gens = _wink1()
+    start = time.monotonic()
+    report = verify_image_ideal(D, 1, gens, 5, 5, entry_cap=None)
+    assert time.monotonic() - start < 1.0
+    assert report.overall == "PASS"
 
 
 def test_combinations_against_sympy(seed):
@@ -312,7 +410,7 @@ def test_combinations_against_sympy(seed):
                 columns.append(rand_poly())
         pairs = rng.sample([(s, e) for s in range(nslots) for e in monos], len(columns))
         unknowns = [(s, MultiPoly(ring, {e: 1})) for s, e in pairs]
-        system = _Combinations(unknowns, columns)
+        system = _Combinations.of_polynomials(unknowns, columns)
         rels = system.relations()
         assert len(rels) == len(columns) - rank(columns)
         for rel in rels:

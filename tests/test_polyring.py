@@ -353,6 +353,27 @@ def test_kernels_share_small_integers(rab):
     assert (big * x).terms[(0, 0, 1, 0)] == 10**30
 
 
+def test_generators_zero_and_one_are_shared(rab):
+    # a parsed problem holds its generators, 0 and 1 once each
+    p = poly_from_string(rab, "X*Y + X - 2*a*X")
+    assert rab.gen("X") is rab.gen("X") is poly_from_string(rab, "X")
+    assert rab.zero() is rab.zero() is rab.const(0)
+    assert rab.one() is rab.one() is rab.one() ** 0
+    # so no operation may write into an operand
+    x, y, zero, one = rab.gen("X"), rab.gen("Y"), rab.zero(), rab.one()
+    shared = [x, y, zero, one, p]
+    before = [dict(q.terms) for q in shared]
+    D = Derivation(rab, [one, x])
+    for f in shared:
+        for g in shared:
+            f + g, f - g, f * g, -f
+        apply(D, f)
+        substitute(f, "X", y + one)
+        substitute(f, "Y", zero)
+        f ** 2
+    assert [q.terms for q in shared] == before
+
+
 def test_parse_large_power_is_fast(rab):
     start = time.monotonic()
     p = poly_from_string(rab, "(X+Y+1)^60")

@@ -251,10 +251,10 @@ def check_oracle_monotone(rng, cases=40):
         if img_y.is_zero():
             img_y = ring.one()
         D = Derivation(ring, [img_x, img_y])
-        small = kernel_and_image_basis(D, 1, slice_basis(ring, 1, 1))[1]
+        small = kernel_and_image_basis(D, 1, slice_basis(ring, 1, 1))
         big = kernel_and_image_basis(
             D, 1, slice_basis(ring, 2, 2), entry_cap=200000
-        )[1]
+        )
         if not small:
             continue
         support = {}
@@ -276,15 +276,109 @@ def check_oracle_monotone(rng, cases=40):
 def check_matrix_columns(rng, cases=100):
     """Each matrix column equals D^n(monomial), inside the target slice."""
     ring = PolyRing(("t",), ("X", "Y"))
-    D = Derivation(ring, [ring.poly("t"), ring.poly("X")])
+    D = Derivation(ring, [ring.poly("t/2"), ring.poly("X")])
     src = slice_basis(ring, 2, 2)
     for _ in range(cases):
         n = rng.randint(0, 3)
         mat = matrix_of_power(D, n, src, entry_cap=500000)
         i = rng.randrange(src.dim)
         mono = MultiPoly(ring, {src.basis[i]: Fraction(1)})
-        assert mat.columns[i] == iterate(D, mono, n)
-        assert all(e in mat.target for e in mat.columns[i].terms)
+        assert as_poly(ring, mat.columns[i], mat.images.iden ** n) == iterate(D, mono, n)
+        assert all(e in mat.target for e in mat.columns[i])
+
+
+def as_poly(ring, column, den):
+    """The polynomial an integer column over den stands for."""
+    return MultiPoly(ring, {e: Fraction(c, den) for e, c in column.items()})
+
+
+def canonical_basis_naive(ring, polys):
+    """Plain rational Gauss-Jordan on coefficient rows, monomials in
+    descending grlex order; rows made integer-primitive with a positive
+    leading coefficient and sorted by ascending leading monomial: the
+    reference for the canonical bases of the oracle."""
+    monos = sorted({e for p in polys for e in p.terms}, key=lambda e: (sum(e), e),
+                   reverse=True)
+    work = [[p.terms.get(e, Fraction(0)) for e in monos] for p in polys]
+    r = 0
+    for c in range(len(monos)):
+        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return [MultiPoly(ring, dict(zip(monos, _normalize_vector(row)))) for row in work[r - 1::-1]] \
+        if r else []
+
+
+def kernel_in_image_two_step(D, n, src):
+    """Ker(D) within the span of D^n(slice) by the algorithm the one-elimination
+    chain replaced: the canonical basis of the span of the D^n images, then
+    Ker(D) within that span as the relations among the D-images of that
+    basis, both by plain rational elimination."""
+    ring = D.ring
+    image = canonical_basis_naive(ring, [iterate(D, m, n) for m in src.monomials])
+    images = [apply(D, b) for b in image]
+    monos = sorted({e for p in images for e in p.terms})
+    relations = nullspace_naive([[p.terms.get(e, 0) for p in images] for e in monos],
+                                len(image))
+    return canonical_basis_naive(ring, [sum((x * b for x, b in zip(rel, image)), ring.zero())
+                                        for rel in relations])
+
+
+def random_oracle_derivation(rng):
+    """A triangular derivation of Q[t_1..t_k][X_1..X_n], k = 1..3 and
+    n = 2, 3, with coefficient denominators: D X_i lies in R[X_1..X_(i-1)],
+    so D is locally nilpotent.  Graded ones map X_i to a linear form in the
+    earlier variables, homogeneous of degree 0; ungraded ones add constant
+    terms and products of two earlier variables."""
+    graded = rng.random() < 0.5
+    ring = PolyRing(("a", "b", "c")[:rng.randint(1, 3)], ("X", "Y", "Z")[:rng.randint(2, 3)])
+    k = ring.nparams
+    while True:
+        images = []
+        for i in range(ring.nvars):
+            monos = [(v,) for v in range(i)]
+            if not graded:
+                monos += [()] + [(v, w) for v in range(i) for w in range(v, i)]
+            terms = {}
+            for vs in monos:
+                if rng.random() < 0.6:
+                    e = [0] * ring.arity
+                    if rng.random() < 0.6:
+                        e[rng.randrange(k)] = 1
+                    for v in vs:
+                        e[k + v] += 1
+                    terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                               rng.choice((1, 1, 2, 3)))
+            images.append(MultiPoly(ring, terms))
+        if any(not img.is_zero() for img in images):
+            return Derivation(ring, images)
+
+
+def check_chain_against_two_step(rng, cases=24):
+    """The chain of matrix_of_power against polynomial arithmetic: every
+    column of [D^(n+1) | D^n] equals the iterates of its monomial, and
+    Ker(D) within the span of D^n(slice) equals the two-step reference."""
+    for case in range(cases):
+        D = random_oracle_derivation(rng)
+        n = 1 + case % 3
+        src = slice_basis(D.ring, 1, rng.randint(1, 2))
+        mat = matrix_of_power(D, n, src, entry_cap=None)
+        chain = mat.chain
+        den = mat.images.iden ** (n + 1)
+        for (_, m), (after, block) in zip(chain.unknowns, chain.columns):
+            assert as_poly(D.ring, after, den) == iterate(D, m, n + 1)
+            assert as_poly(D.ring, block, den) == iterate(D, m, n)
+        assert len(chain.unknowns) == sum(1 for col in mat.columns if col)
+        assert kernel_and_image_basis(D, n, src, entry_cap=None, matrix=mat) \
+            == kernel_in_image_two_step(D, n, src)
 
 
 def check_bareiss_vs_naive(rng, cases=CASES):
@@ -349,3 +443,7 @@ def test_matrix_columns(rng):
 
 def test_bareiss_vs_naive(rng):
     check_bareiss_vs_naive(rng)
+
+
+def test_chain_against_two_step(rng):
+    check_chain_against_two_step(rng)
