@@ -333,8 +333,6 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=Non
     nondecreasing in the slice bounds.  matrix, if given, is
     matrix_of_power(D, n, source), already built by the caller.
     """
-    if n < 1:
-        raise PlinthError("kernel_and_image_basis needs n >= 1")
     if matrix is None:
         # a refusal names the kernel system of the slice first, though the
         # kernel is not needed here, so the cap messages stay as they were

@@ -13,10 +13,12 @@ from __future__ import annotations
 import string
 import weakref
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from math import isqrt as _isqrt
 from math import lcm as _ilcm
 from operator import add as _add
+from operator import neg as _neg
 from operator import sub as _sub
 
 
@@ -405,51 +407,88 @@ def substitute(f, name, replacement):
     return out
 
 
-def divide_exact(f, g):
-    """Quotient f/g when g divides f; else ExactDivisionError with witness.
+def _int_divmod(f, g):
+    """Greedy graded-lex division of integer polynomials: (q, r, s) with
+    s*f = q*g + r, s a positive integer and no term of r divisible by the
+    leading monomial of g.
 
-    Single-divisor division: if g | f the graded-lex greedy loop finds the
-    quotient; otherwise it terminates with a nonzero remainder.
+    f, g, q and r are {exps: int}, g primitive.  Each step takes the
+    leading term of the work from a heap, not a scan, as in the heap
+    division of Monagan & Pearce, J. Symb. Comput. 46 (2011); the heap
+    holds (-degree, negated exps, exps), so its least entry is the
+    graded-lex leading term.  If g divides f, every quotient coefficient is
+    an integer (Gauss's lemma) and s = 1; a step that is not exact scales
+    the work, q and r by the missing factor.
     """
+    ge = max(g, key=grlex_key)
+    gc = g[ge]
+    tail = [(e, c) for e, c in g.items() if e != ge]
+    work = dict(f)
+    get = work.get
+    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in work]
+    heapify(heap)
+    q, r, s = {}, {}, 1
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e)
+        if not c:
+            continue
+        qe = tuple(map(_sub, e, ge))
+        if min(qe) < 0:  # ge does not divide e
+            r[e] = c
+            continue
+        if c % gc:
+            m = abs(gc) // _igcd(c, gc)
+            s *= m
+            c *= m
+            for d in (work, q, r):
+                for k in d:
+                    d[k] *= m
+        qc = c // gc
+        q[qe] = qc
+        # the new terms fall below e, so a popped exponent never comes back
+        for t, tc in tail:
+            e2 = tuple(map(_add, qe, t))
+            old = get(e2)
+            if old is None:
+                work[e2] = -qc * tc
+                heappush(heap, (-sum(e2), tuple(map(_neg, e2)), e2))
+            else:
+                work[e2] = old - qc * tc
+    return q, r, s
+
+
+def _divmod(f, g):
+    """(q, r) with f = q*g + r and no term of r divisible by the leading
+    monomial of g: the remainder of greedy graded-lex division, unique
+    because a single polynomial is a Groebner basis of its ideal."""
     if g.is_zero():
         raise PlinthError("division by the zero polynomial")
     ring = f.ring
     if g.ring != ring:
         raise RingMismatchError("dividend and divisor ring mismatch")
-    ge, gc = g.leading()
-    tail = [(e, c) for e, c in g.terms.items() if e != ge]
-    q = {}
-    rem = {}
-    work = dict(f.terms)
-    # the leading exponent strictly falls, so every quotient exponent is new
-    while work:
-        exps = max(work, key=grlex_key)
-        coeff = work.pop(exps)
-        qe = tuple(map(_sub, exps, ge))
-        if min(qe) < 0:
-            rem[exps] = coeff
-            continue
-        qc = coeff / gc
-        q[qe] = qc
-        # subtract qc * x^qe * g from the working dividend
-        for e2, c2 in tail:
-            e = tuple(map(_add, qe, e2))
-            nc = work.get(e, 0) - qc * c2
-            if nc:
-                work[e] = nc
-            else:
-                del work[e]
-    if rem:
-        raise ExactDivisionError(MultiPoly._trusted(ring, rem))
-    return MultiPoly._trusted(ring, q)
+    a, da = _numerators(f.terms)
+    b, db = _numerators(g.terms)
+    cont = _igcd(*[c for _, c in b])
+    q, r, s = _int_divmod(dict(a), {e: c // cont for e, c in b})
+    # f = a/da and g = cont*b'/db, so q/(s*da) * db/cont is f's quotient
+    if db != 1:
+        q = {e: c * db for e, c in q.items()}
+    return (MultiPoly._trusted(ring, _over(q, cont * s * da)),
+            MultiPoly._trusted(ring, _over(r, s * da)))
+
+
+def divide_exact(f, g):
+    """Quotient f/g when g divides f; else ExactDivisionError whose witness
+    is the nonzero remainder of greedy graded-lex division."""
+    q, r = _divmod(f, g)
+    if r.terms:
+        raise ExactDivisionError(r)
+    return q
 
 
 def divides(g, f):
-    try:
-        divide_exact(f, g)
-        return True
-    except ExactDivisionError:
-        return False
+    return not _divmod(f, g)[1].terms
 
 
 def rational_content(f):
@@ -586,7 +625,7 @@ def _gcd_heu(f, g):
             cand = _xi_adic(h, i, xi)
             c = _igcd(*cand.values())
             cand = {e: v // c for e, v in cand.items()}
-            if _int_divides(cand, f) and _int_divides(cand, g):
+            if all(not _int_divmod(p, cand)[1] for p in (f, g)):
                 return {e: v * cont for e, v in cand.items()} if cont > 1 else cand
         xi = xi * 73794 // 27011
     return None
@@ -614,30 +653,6 @@ def _xi_adic(h, i, xi):
             v = (v - d) // xi
             k += 1
     return out
-
-
-def _int_divides(g, f):
-    """Whether the primitive integer polynomial g divides f (over Z, so over Q)."""
-    ge = max(g, key=grlex_key)
-    gc = g[ge]
-    tail = [(e, c) for e, c in g.items() if e != ge]
-    work = dict(f)
-    while work:
-        exps = max(work, key=grlex_key)
-        qe = tuple(map(_sub, exps, ge))
-        if min(qe) < 0:
-            return False
-        qc, r = divmod(work.pop(exps), gc)
-        if r:
-            return False
-        for e2, c2 in tail:
-            e = tuple(map(_add, qe, e2))
-            nc = work.get(e, 0) - qc * c2
-            if nc:
-                work[e] = nc
-            else:
-                del work[e]
-    return True
 
 
 def _gcd2(f, g):
@@ -693,111 +708,34 @@ def _single_param_index(ring, polys):
     return 0
 
 
-def univar_coeffs(f, index):
-    """Dense Fraction coefficient list of a polynomial univariate in one name."""
-    deg = _deg(f, index)
-    coeffs = [Fraction(0)] * (deg + 1) if deg >= 0 else []
-    for exps, coeff in f.terms.items():
-        coeffs[exps[index]] += coeff
-    return coeffs
-
-
-def poly_from_coeffs(ring, index, coeffs):
-    out = {}
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        e = [0] * ring.arity
-        e[index] = k
-        out[tuple(e)] = c
-    return MultiPoly(ring, out)
-
-
-def _list_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _list_divmod(a, b):
-    a = _list_trim(list(a))
-    if len(a) < len(b):
-        return [], a
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        if c == 0:
-            continue
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return q, _list_trim(a)
-
-
-def _egcd_lists(a, b):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b), g monic unless b is zero.
-
-    Each remainder is made monic, which keeps the coefficients small.  The
-    quotients and scales are kept and one backward pass builds the Bezout
-    pair, with one product per step and no recursion.
-    """
-    steps = []
-    while b:
-        q, r = _list_divmod(a, b)
-        c = r[-1] if r else 1
-        steps.append((q, c))
-        a, b = b, [v / c for v in r]
-    x, y = [Fraction(1)], []
-    for q, c in reversed(steps):  # g = x*b + y*r/c with r = a - q*b
-        y = [v / c for v in y]
-        x, y = y, _list_sub(x, _list_mul(q, y))
-    return a, x, y
-
-
-def _list_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _list_trim(out)
-
-
-def _list_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _list_trim(out)
-
-
 def extended_euclid(a, b):
     """(g, alpha, beta) with alpha*a + beta*b = g = gcd(a, b) in Q[t].
 
     Inputs must be univariate in a single coefficient parameter.  The gcd
     is normalized to integer-primitive with positive leading coefficient,
-    and the Bezout pair is rescaled to match.
+    and the Bezout pair is rescaled to match.  Each remainder is made
+    monic, which keeps the coefficients small; the quotients and scales are
+    kept and one backward pass builds the Bezout pair, with one product per
+    step and no recursion.
     """
     if a.is_zero() and b.is_zero():
         raise PlinthError("extended_euclid of two zero polynomials")
     ring = a.ring
     if b.ring != ring:
         raise RingMismatchError("extended_euclid operands ring mismatch")
-    i = _single_param_index(ring, [a, b])
-    la, lb = univar_coeffs(a, i), univar_coeffs(b, i)
-    g, x, y = _egcd_lists(la, lb)
-    gp = poly_from_coeffs(ring, i, g)
-    scale = 1 / rational_content(gp)
-    return (
-        normalize_unit(gp),
-        poly_from_coeffs(ring, i, [c * scale for c in x]),
-        poly_from_coeffs(ring, i, [c * scale for c in y]),
-    )
+    _single_param_index(ring, [a, b])  # raises unless univariate in one parameter
+    steps = []
+    while b.terms:
+        q, r = _divmod(a, b)
+        c = r.leading()[1] if r.terms else _fraction(1)
+        steps.append((-q, c))  # negated: a sum costs one pass, a difference two
+        a, b = b, r * (1 / c)
+    x, y = ring.one(), ring.zero()
+    for nq, c in reversed(steps):  # g = x*b + y*r/c with r = a + nq*b
+        y = y * (1 / c)
+        x, y = y, x + nq * y
+    scale = 1 / rational_content(a)
+    return normalize_unit(a), x * scale, y * scale
 
 
 def reduce_mod_prime(r, p):
@@ -812,38 +750,18 @@ def reduce_mod_prime(r, p):
     if p.is_constant():
         raise PlinthError("modulus must be nonconstant")
     i = _single_param_index(ring, [p])
-    lp = univar_coeffs(p, i)
-    k = ring.nparams
-    # group terms by their main-variable part
-    groups = {}
-    for exps, coeff in r.terms.items():
-        for j in range(k):
-            if j != i and exps[j] > 0:
-                raise PlinthError("reduce_mod_prime supports a single parameter")
-        varpart = exps[k:]
-        groups.setdefault(varpart, {})[exps[i]] = coeff
-    out = {}
-    for varpart, cmap in groups.items():
-        deg = max(cmap)
-        coeffs = [cmap.get(d, Fraction(0)) for d in range(deg + 1)]
-        _, rem = _list_divmod(coeffs, lp)
-        for d, c in enumerate(rem):
-            if c == 0:
-                continue
-            e = [0] * ring.arity
-            e[i] = d
-            for j, ve in enumerate(varpart):
-                e[k + j] = ve
-            out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c
-    return MultiPoly(ring, out)
+    if any(e[j] for e in r.terms for j in range(ring.nparams) if j != i):
+        raise PlinthError("reduce_mod_prime supports a single parameter")
+    # p involves one parameter alone, so greedy division by p reduces
+    # each coefficient in Q[t] on its own
+    return _divmod(r, p)[1]
 
 
 def irreducible_smalldeg(p):
     """True/False for degree <= 3 over Q (rational-root test), None beyond."""
     ring = p.ring
     i = _single_param_index(ring, [p])
-    coeffs = univar_coeffs(p, i)
-    deg = len(coeffs) - 1
+    deg = _deg(p, i)
     if deg <= 0:
         raise PlinthError("constant polynomial has no irreducibility status")
     if deg == 1:
@@ -851,8 +769,9 @@ def irreducible_smalldeg(p):
     if deg >= 4:
         return None
     # degree 2 or 3: irreducible over Q iff no rational root
-    den = _ilcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
+    ints = [0] * (deg + 1)
+    for e, c in _numerators(p.terms)[0]:
+        ints[e[i]] = c
     if deg == 2:
         c, b, a = ints
         disc = b * b - 4 * a * c
@@ -1068,7 +987,10 @@ def poly_from_string(ring, text):
             return inner
         raise PolyParseError("expected a number, variable or '('", pos)
 
-    value = parse_expr()
+    try:
+        value = parse_expr()
+    except RecursionError:  # each '(' costs four frames of the descent
+        raise PolyParseError("parentheses nested too deeply", tok.pos) from None
     kind, _, pos = tok.peek()
     if kind != "end":
         raise PolyParseError("trailing input", pos)

@@ -97,6 +97,26 @@ def test_main_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_verify_n_0_checks_the_kernel(capsys):
+    # I_0 = A; the expect lines of tparam and wink1 predict I_1.  1 is not
+    # in wink1's three-generator ideal, but bounded membership cannot say so
+    codes = {"inice": 0, "pid3": 0, "qnice": 0, "slice1": 0, "slice2": 0,
+             "tparam": 1, "wink1": 2, "notlnd": 3}
+    assert set(codes) == set(FIXTURES)
+    for name, code in codes.items():
+        assert main(["verify", "--example", name, "--n", "0"]) == code, name
+    capsys.readouterr()
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "nested.txt"
+    for depth, code in ((200, 0), (300, 3)):
+        path.write_text("param t\nvar X\nD X = %st%s\n" % ("(" * depth, ")" * depth))
+        assert main(["kernel", str(path)]) == code
+        err = capsys.readouterr().err
+        assert ("input error: parentheses nested too deeply" in err) == (code == 3)
+
+
 def test_main_json_schema(capsys):
     code = main(["image-ideal", "--example", "tparam", "--n", "2", "--json"])
     out = capsys.readouterr().out

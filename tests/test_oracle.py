@@ -109,6 +109,15 @@ def test_kernel_and_image_contains_plinth_elements(rab):
     assert rab.poly("b") in inter
 
 
+def test_image_of_d_0_is_the_kernel():
+    # D^0 is the identity, so the n = 0 basis is Ker(D) in the slice, in
+    # the same canonical form
+    for name in ("inice", "tparam", "wink1"):
+        D = parse_problem(FIXTURES[name]).derivation()
+        slc = slice_basis(D.ring, 2, 2)
+        assert kernel_and_image_basis(D, 0, slc) == kernel_basis(D, slc)
+
+
 def _span_contains(polys, target):
     from plinth.linalg import SpanSolver
 

@@ -24,13 +24,13 @@ from plinth.polyring import (
     multivariate_gcd,
     normalize_unit,
     partial_derivative,
-    poly_from_coeffs,
     poly_from_string,
     poly_to_string,
     reduce_mod_prime,
     restrict,
     substitute,
 )
+from test_properties import poly_from_coeffs
 
 
 @pytest.fixture
@@ -183,6 +183,16 @@ def test_gcd_planted_factor_degree_18_is_fast():
     got = multivariate_gcd([f, g])
     assert time.monotonic() - start < 1.0
     assert got == normalize_unit(common)
+
+
+def test_divide_exact_2268_terms_is_fast(rab):
+    g = rab.poly("X + 2*Y - 3*a + b + 1")
+    f = rab.poly("X + Y + a + b + 1") ** 10 * rab.poly("1/2*X^2 - a*Y + 3") * g
+    assert len(f.terms) == 2268
+    start = time.monotonic()
+    q = divide_exact(f, g)
+    assert time.monotonic() - start < 0.2
+    assert q * g == f
 
 
 def test_extended_euclid_degree_100_is_fast():

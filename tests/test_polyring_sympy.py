@@ -14,9 +14,9 @@ from plinth.polyring import (
     irreducible_smalldeg,
     multivariate_gcd,
     normalize_unit,
-    poly_from_coeffs,
-    univar_coeffs,
+    reduce_mod_prime,
 )
+from test_properties import poly_from_coeffs
 
 sympy = pytest.importorskip("sympy")
 
@@ -38,13 +38,16 @@ def _to_sympy(p, gens):
 
 
 def _univariate(p, t):
-    return sympy.Poly.from_list(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(univar_coeffs(p, 0))],
+    """p, a polynomial in the first parameter alone, as a sympy Poly in t."""
+    return sympy.Poly.from_dict(
+        {e[:1]: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
         t, domain="QQ")
 
 
 def _from_sympy(ring, poly):
-    return MultiPoly(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+    """poly, in the first names of ring, as a MultiPoly of ring."""
+    pad = (0,) * (ring.arity - len(poly.gens))
+    return MultiPoly(ring, {e + pad: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
 
 
 @pytest.fixture
@@ -77,12 +80,39 @@ def test_divide_exact_matches_sympy(rab, rng):
         f = _random_poly(rng, rab, 5, 2)
         g = _random_poly(rng, rab, 3, 2)
         assert divide_exact(f * g, g) == f
-        q, r = sympy.div(_to_sympy(f + g * g, gens), _to_sympy(g, gens))
+        h = f + g * g
+        q, r = sympy.div(_to_sympy(h, gens), _to_sympy(g, gens))
+        # one divisor is a Groebner basis, so the grlex remainder is unique
+        (q_grlex,), r_grlex = sympy.reduced(_to_sympy(h, gens), [_to_sympy(g, gens)],
+                                            order="grlex")
+        witness = _from_sympy(rab, r_grlex)
         if r.is_zero:
-            assert divide_exact(f + g * g, g) == _from_sympy(rab, q)
+            assert divide_exact(h, g) == _from_sympy(rab, q)
+            assert witness.is_zero()
         else:
-            with pytest.raises(ExactDivisionError):
-                divide_exact(f + g * g, g)
+            with pytest.raises(ExactDivisionError) as err:
+                divide_exact(h, g)
+            assert err.value.remainder == witness
+        assert divide_exact(h - witness, g) == _from_sympy(rab, q_grlex)
+
+
+def test_reduce_mod_prime_matches_sympy(rng):
+    ring = PolyRing(("t",), ("X", "Y"))
+    t = sympy.Symbol("t")
+    for _ in range(CASES):
+        p = poly_from_coeffs(ring, 0, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                       for _ in range(rng.randint(1, 4))]
+                             + [Fraction(rng.choice((-3, -1, 1, 2)))])
+        r = _random_poly(rng, ring, 8, 5)
+        coeffs = {}
+        for e, c in r.terms.items():
+            coeffs.setdefault(e[1:], {})[e[:1]] = sympy.Rational(c.numerator, c.denominator)
+        expected = {}
+        for varpart, coeff in coeffs.items():
+            rem = sympy.rem(sympy.Poly.from_dict(coeff, t, domain="QQ"), _univariate(p, t))
+            for (k,), c in rem.terms():
+                expected[(k,) + varpart] = Fraction(int(c.p), int(c.q))
+        assert reduce_mod_prime(r, p) == MultiPoly(ring, expected)
 
 
 def test_extended_euclid_bezout_and_gcd(rng):
@@ -104,6 +134,12 @@ def test_extended_euclid_bezout_and_gcd(rng):
         expected = _univariate(a, t).gcd(_univariate(b, t)).all_coeffs()[::-1]
         assert g == normalize_unit(
             poly_from_coeffs(ring, 0, [Fraction(int(c.p), int(c.q)) for c in expected]))
+        if b.is_zero():  # sympy's gcdex divides by b
+            continue
+        # sympy's gcd is monic; plinth scales the Bezout pair with its gcd
+        s, u, h = sympy.gcdex(_univariate(a, t), _univariate(b, t))
+        scale = g.leading()[1] / Fraction(int(h.LC().p), int(h.LC().q))
+        assert (alpha, beta) == (_from_sympy(ring, s) * scale, _from_sympy(ring, u) * scale)
 
 
 def test_irreducible_smalldeg_matches_sympy(rng):

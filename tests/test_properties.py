@@ -29,6 +29,13 @@ def random_poly(rng, ring, max_terms=4, max_deg=2, nonzero=False):
     return p
 
 
+def poly_from_coeffs(ring, index, coeffs):
+    """The polynomial sum(coeffs[k] * name^k) in the name at index."""
+    origin = (0,) * ring.arity
+    return MultiPoly(ring, {origin[:index] + (k,) + origin[index + 1:]: c
+                            for k, c in enumerate(coeffs)})
+
+
 def random_param_poly(rng, ring, max_deg=2, nonzero=False):
     k = ring.nparams
     terms = {}
