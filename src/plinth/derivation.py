@@ -119,13 +119,13 @@ def iterate(D, f, n):
     return f
 
 
-def _deg_with_status(D, f, cap):
+def _deg_with_status(D, f):
     """(degree, 'finite') or (None, 'overflow'|'cycle')."""
     if f.is_zero():
         return MINUS_INF, "finite"
     seen = {f}
     cur = f
-    for n in range(cap + 1):
+    for n in range(DEFAULT_CAP + 1):
         nxt = apply(D, cur)
         if nxt.is_zero():
             return n, "finite"
@@ -152,11 +152,10 @@ def _is_scalar_multiple(f, g):
     return ratio is not None
 
 
-def deg_d(D, f, cap=DEFAULT_CAP):
-    """deg_D(f): least n with D^(n+1) f = 0; MINUS_INF for 0; OVERFLOW at cap."""
-    if cap < 1:
-        raise PlinthError("cap must be at least 1")
-    value, status = _deg_with_status(D, f, cap)
+def deg_d(D, f):
+    """deg_D(f): least n with D^(n+1) f = 0; MINUS_INF for 0; OVERFLOW at
+    DEFAULT_CAP."""
+    value, status = _deg_with_status(D, f)
     if status == "finite":
         return value
     return OVERFLOW
@@ -191,13 +190,13 @@ class StructureReport:
     notes: list = field(default_factory=list)
 
 
-def classify(D, cap=DEFAULT_CAP):
+def classify(D):
     ring = D.ring
     degrees = []
     lnd = True
     notes = []
     for var, img in zip(ring.vars, D.images):
-        value, status = _deg_with_status(D, ring.gen(var), cap)
+        value, status = _deg_with_status(D, ring.gen(var))
         if status == "finite":
             degrees.append(value)
         elif status == "cycle":
@@ -208,7 +207,7 @@ def classify(D, cap=DEFAULT_CAP):
             degrees.append(OVERFLOW)
             if lnd is True:
                 lnd = None
-                notes.append("iteration cap %d reached on %s" % (cap, var))
+                notes.append("iteration cap %d reached on %s" % (DEFAULT_CAP, var))
     irreducible = multivariate_gcd([i for i in D.images if not i.is_zero()]).is_constant()
     nice_set = frozenset(
         i for i, img in enumerate(D.images) if apply(D, img).is_zero()
@@ -282,10 +281,6 @@ def _extract_quasi(D, nice_set):
     return None
 
 
-def verify_kernel_element(D, g):
-    return apply(D, g).is_zero()
-
-
 def _validate_factored_b(b, factored_b):
     """factored_b: list of (prime, multiplicity[, asserted]) matching b up to
     a rational unit."""
@@ -325,23 +320,19 @@ def localized_fpf(D, rep, p):
     return (not red.is_zero()) and _in_R(red)
 
 
-def _common_zero_at_origin(polys):
-    return all(p.constant_term() == 0 for p in polys)
-
-
-def _bounded_bezout(images, bound):
-    """Search cofactors alpha_i in R (total degree <= bound) with
+def _bounded_bezout(images):
+    """Search cofactors alpha_i in R (total degree <= DEFAULT_BEZOUT_BOUND) with
     sum alpha_i * images_i = 1.  Returns True on success, None on failure."""
     from .oracle import _Combinations, slice_basis  # oracle imports this module
 
     ring = images[0].ring
-    monos = slice_basis(ring, bound, 0).monomials
+    monos = slice_basis(ring, DEFAULT_BEZOUT_BOUND, 0).monomials
     unknowns = [(i, m) for i in range(len(images)) for m in monos]
     system = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
     return True if system.solve(ring.one()) is not None else None
 
 
-def is_fixed_point_free(D, rep, factored_b=None, bezout_bound=DEFAULT_BEZOUT_BOUND):
+def is_fixed_point_free(D, rep, factored_b=None):
     """(DB)B = B test for the structured 2-variable cases; True/False/None.
     rep is classify(D)."""
     ring = D.ring
@@ -361,9 +352,9 @@ def is_fixed_point_free(D, rep, factored_b=None, bezout_bound=DEFAULT_BEZOUT_BOU
         nonzero = [i for i in D.images if not i.is_zero()]
         if not multivariate_gcd(nonzero).is_constant():
             return False
-        if _common_zero_at_origin(nonzero):
+        if all(p.constant_term() == 0 for p in nonzero):  # common zero at the origin
             return False
-        return _bounded_bezout(nonzero, bezout_bound)
+        return _bounded_bezout(nonzero)
     if rep.quasi is not None:
         q = rep.quasi
         if ring.nparams == 0:

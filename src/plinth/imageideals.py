@@ -34,7 +34,6 @@ from .derivation import (
     is_fixed_point_free,
     iterate,
     localized_fpf,
-    verify_kernel_element,
 )
 from .grading import (
     GjSpec,
@@ -166,8 +165,7 @@ def kernel_generator(D, rep):
         raise UnsupportedStructureError(
             "kernel_generator needs a nice or quasi-nice 2-variable derivation"
         )
-    certified = verify_kernel_element(D, g)
-    if not certified:
+    if not apply(D, g).is_zero():
         raise PlinthError("internal: kernel candidate %s is not killed by D" % g)
     return KernelPresentation(generators=[g], certified=True)
 
@@ -281,7 +279,7 @@ def strictness_decompose(D, rep):
 # slices
 
 
-def slice_construct(D, rep, degree_bound=DEFAULT_SLICE_BOUND):
+def slice_construct(D, rep):
     """An s with Ds = 1, or None if none is found within the degree bound;
     rep is classify(D)."""
     ring = D.ring
@@ -301,7 +299,7 @@ def slice_construct(D, rep, degree_bound=DEFAULT_SLICE_BOUND):
             return s
         return None
     one = ring.one()
-    for bound in range(1, degree_bound + 1):
+    for bound in range(1, DEFAULT_SLICE_BOUND + 1):
         monos = slice_basis(ring, bound, bound).monomials
         answer = _Combinations.of_polynomials([(0, m) for m in monos],
                                               [apply(D, m) for m in monos]).solve(one)
@@ -441,10 +439,10 @@ def _adjugate3(M):
     return adj
 
 
-def _find_syzygy(D, degree_bound):
+def _find_syzygy(D):
     """(a, b, c) in R^3, not all zero, gcd a unit, with sum a_i*DX_i = 0."""
     ring = D.ring
-    for bound in range(degree_bound + 1):
+    for bound in range(DEFAULT_SYZYGY_BOUND + 1):
         monos = slice_basis(ring, bound, 0).monomials
         unknowns = [(vi, m) for vi in range(3) for m in monos]
         basis = _Combinations.of_polynomials(
@@ -462,11 +460,11 @@ def _find_syzygy(D, degree_bound):
             coeffs = [-p for p in coeffs]
         return coeffs
     raise UnsupportedStructureError(
-        "no R-linear relation among the images within degree %d" % degree_bound
+        "no R-linear relation among the images within degree %d" % DEFAULT_SYZYGY_BOUND
     )
 
 
-def nice3var_reduce(D, rep, degree_bound=DEFAULT_SYZYGY_BOUND):
+def nice3var_reduce(D, rep):
     """Reduce a nice irreducible 3-variable derivation over Q or Q[t] to a
     nice 2-variable derivation over the enlarged coefficient ring R[U];
     rep is classify(D).
@@ -487,7 +485,7 @@ def nice3var_reduce(D, rep, degree_bound=DEFAULT_SYZYGY_BOUND):
         raise UnsupportedStructureError("nice3var_reduce needs a nice derivation")
     if not rep.irreducible:
         raise PlinthError("derivation is not irreducible")
-    a, b, c = _find_syzygy(D, degree_bound)
+    a, b, c = _find_syzygy(D)
 
     zero, one = ring.zero(), ring.one()
     if a.is_zero() and b.is_zero():
@@ -566,7 +564,7 @@ def nice3var_reduce(D, rep, degree_bound=DEFAULT_SYZYGY_BOUND):
     )
     kern2 = red.to_original(g) * V - red.to_original(f) * W
     for cand in (U, kern2):
-        if not verify_kernel_element(D, cand):
+        if not apply(D, cand).is_zero():
             raise PlinthError("internal: %s is not a kernel element" % cand)
     red.kernel = KernelPresentation(generators=[U, kern2], certified=True)
     return red

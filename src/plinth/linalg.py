@@ -4,7 +4,10 @@ Rows are sparse {column: int} dicts made from the nonzero entries only.
 One kernel inserts rows one at a time into a reduced row echelon form
 whose rows are kept primitive, pivoting on the first nonzero column; rows
 with disjoint supports are never combined, so a block diagonal matrix is
-eliminated block by block.  Dense ``bareiss_echelon`` (Bareiss, Math.
+eliminated block by block.  SpanSolver drives it: one elimination of a
+list of vectors answers span membership with explicit combinations and
+gives the relations among the vectors, and nullspace() is the relations
+among a matrix's columns.  Dense ``bareiss_echelon`` (Bareiss, Math.
 Comp. 22, 1968) is the reference the sparse kernel is checked against.
 """
 
@@ -95,13 +98,13 @@ def _insert(pivots, holders, row):
     ({pivot column: primitive row}); negative columns are tags and never
     pivots.  holders maps each other column to the pivot columns whose rows
     are nonzero there, so the rows a new pivot reduces are found without a
-    scan.  A row that gets no pivot is dropped."""
+    scan.  A row that gets no pivot is returned, reduced to its tags."""
     row = _primitive(row)
     for c in [c for c in row if c in pivots]:
         row = _primitive(_eliminate(row, c, pivots[c])[0])
     lead = min((c for c in row if c >= 0), default=None)
     if lead is None:
-        return
+        return row
     for pc in holders.pop(lead, ()):
         old = pivots[pc]
         new = pivots[pc] = _primitive(_eliminate(old, lead, row)[0])
@@ -115,49 +118,15 @@ def _insert(pivots, holders, row):
     for c in row:
         if c > lead:
             holders.setdefault(c, set()).add(lead)
-
-
-def _echelon(rows):
-    """(pivots, holders) of _insert after inserting every row."""
-    pivots, holders = {}, {}
-    for row in rows:
-        _insert(pivots, holders, _sparse_row(row)[0])
-    return pivots, holders
-
-
-def echelon(rows):
-    """Reduced row echelon form of the rows (dense lists or {column: value}
-    dicts) as {pivot column: primitive integer row}."""
-    return _echelon(rows)[0]
-
-
-def nullspace_sparse(rows, ncols):
-    """Basis of {x : M x = 0} for the matrix with the given rows (dense
-    lists or {column: value} dicts), as sparse integer vectors
-    {column: int}: one vector per free column in ascending order, with that
-    column nonzero and the other free columns 0, made primitive with a
-    positive first nonzero entry."""
-    pivots, holders = _echelon(rows)  # holders: free column -> pivot rows there
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        scale = lcm(*(pivots[pc][pc] for pc in holders.get(free, ())))
-        vec = {free: scale}
-        for pc in holders.get(free, ()):
-            row = pivots[pc]
-            vec[pc] = -row[free] * (scale // row[pc])
-        g = gcd(*vec.values())
-        if vec[min(vec)] < 0:
-            g = -g
-        basis.append({c: v // g for c, v in vec.items()})
-    return basis
+    return None
 
 
 def nullspace(rows, ncols):
-    """nullspace_sparse as dense lists of Fractions of length ncols."""
+    """Basis of {x : M x = 0} for the matrix with the given rows (dense
+    lists of length ncols), as dense lists of Fractions of length ncols:
+    SpanSolver's relations among the columns of M."""
     basis = []
-    for vec in nullspace_sparse(rows, ncols):
+    for vec in SpanSolver([[row[c] for row in rows] for c in range(ncols)]).relations:
         dense = [_ZERO] * ncols
         for c, v in vec.items():
             dense[c] = Fraction(v)
@@ -166,22 +135,32 @@ def nullspace(rows, ncols):
 
 
 class SpanSolver:
-    """Membership and expression in the span of a fixed list of vectors.
+    """Membership, expression and relations in the span of a fixed list of
+    vectors.
 
     Each vector (dense list or {coordinate: value} dict) becomes a sparse
     integer row tagged with an identity entry in column ~i (negative, so
     never a pivot) and is inserted into one reduced echelon form; the tags
-    of a row record which combination of the vectors it is.  Vectors that
-    depend on earlier ones are dropped, so tags name independent vectors
-    only.  Each express() query is a reduction against the pivot rows.
+    of a row record which combination of the vectors it is.  A vector that
+    depends on earlier ones reduces to its tags alone: a relation among it
+    and earlier independent vectors, kept in relations, and the vector is
+    dropped, so pivot rows' tags name independent vectors only.  Each
+    express() query is a reduction against the pivot rows.
     """
 
     def __init__(self, vectors):
         self.pivots, holders = {}, {}
+        # one {i: int} per dependent vector, in input order, with
+        # sum(x_i * vectors[i]) == 0, primitive, first nonzero entry
+        # positive: a basis of all relations among the vectors
+        self.relations = []
         for i, v in enumerate(vectors):
             row, scale = _sparse_row(v)
             row[~i] = scale
-            _insert(self.pivots, holders, row)
+            tags = _insert(self.pivots, holders, row)
+            if tags is not None:
+                sign = -1 if tags[max(tags)] < 0 else 1  # ~k is largest for the least k
+                self.relations.append({~k: sign * x for k, x in sorted(tags.items(), reverse=True)})
 
     def express(self, v):
         """{i: c_i} with sum(c_i * vectors[i]) == v, the zero c_i left out,
@@ -208,9 +187,6 @@ class SpanSolver:
                 g = -g
             basis.append({c: v // g for c, v in row.items()})
         return basis
-
-    def contains(self, v):
-        return self.express(v) is not None
 
     @property
     def rank(self):

@@ -160,7 +160,11 @@ class _Images:
 
 def _check_cap(nrows, ncols, cap):
     """The cap counts the entries of the dense matrix a solve stands for."""
-    if cap is not None and nrows * ncols > cap:
+    if cap is None:
+        return
+    if cap < 0:
+        raise PlinthError("entry cap must be a natural, not %d" % cap)
+    if nrows * ncols > cap:
         raise OracleCapError(
             "solve needs %d x %d = %d entries, cap is %d"
             % (nrows, ncols, nrows * ncols, cap)
@@ -227,12 +231,9 @@ class _Combinations:
         return [MultiPoly._trusted(ring, _over(t, den)) for t in terms]
 
     def relations(self):
-        """A basis of the relations, as linalg.nullspace_sparse orders it."""
-        rows = [{} for _ in range(self.width)]
-        for i, col in enumerate(self.columns):
-            for k, v in self._vector(col).items():
-                rows[k][i] = v
-        return [self._answer(x) for x in linalg.nullspace_sparse(rows, len(self.columns))]
+        """A basis of the relations, one per column that depends on earlier
+        ones, in column order (linalg.SpanSolver.relations)."""
+        return [self._answer(x) for x in self._solver.relations]
 
     @cached_property
     def _solver(self):

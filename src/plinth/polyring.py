@@ -30,12 +30,11 @@ _SMALL = {n: Fraction(n) for n in range(-128, 129)}
 def _fraction(n, d=1):
     """n/d as a Fraction, for integers n and d > 0; shared when it is a
     small integer."""
-    if d != 1:
-        g = _igcd(n, d)
-        n, d = n // g, d // g
-        if d != 1:
-            return Fraction(n, d)
-    return _SMALL[n] if -128 <= n <= 128 else Fraction(n)
+    f = Fraction(n, d)
+    if f.denominator != 1:
+        return f
+    n = f.numerator
+    return _SMALL[n] if -128 <= n <= 128 else f
 
 
 def _numerators(terms):
@@ -491,25 +490,13 @@ def divides(g, f):
     return not _divmod(f, g)[1].terms
 
 
-def rational_content(f):
-    """Signed rational c with f/c integer-primitive and positive leading coeff."""
-    if f.is_zero():
-        raise PlinthError("zero polynomial has no content")
-    c = Fraction(_igcd(*[c.numerator for c in f.terms.values()]),
-                 _ilcm(*[c.denominator for c in f.terms.values()]))
-    _, lead = f.leading()
-    if lead < 0:
-        c = -c
-    return c
-
-
 def normalize_unit(f):
     """Scale by a rational unit: integer-primitive, positive leading coefficient."""
     if f.is_zero():
         return f
     terms, _ = _numerators(f.terms)
     # the gcd of the numerators over the common denominator is the gcd of
-    # the coefficients' own numerators, the numerator of rational_content
+    # the coefficients' own numerators
     g = _igcd(*[c for _, c in terms])
     if f.leading()[1] < 0:
         g = -g
@@ -734,8 +721,9 @@ def extended_euclid(a, b):
     for nq, c in reversed(steps):  # g = x*b + y*r/c with r = a + nq*b
         y = y * (1 / c)
         x, y = y, x + nq * y
-    scale = 1 / rational_content(a)
-    return normalize_unit(a), x * scale, y * scale
+    g = normalize_unit(a)
+    scale = g.leading()[1] / a.leading()[1]
+    return g, x * scale, y * scale
 
 
 def reduce_mod_prime(r, p):

@@ -108,6 +108,18 @@ def test_verify_n_0_checks_the_kernel(capsys):
     capsys.readouterr()
 
 
+def test_negative_cap_is_an_input_error(tmp_path, capsys):
+    assert main(["verify", "--example", "inice", "--cap", "-5"]) == 3
+    assert "input error: entry cap must be a natural" in capsys.readouterr().err
+    path = tmp_path / "cap.txt"
+    path.write_text(FIXTURES["wink1"] + "cap -1\n")
+    for command in ("image-ideal", "verify"):
+        assert main([command, str(path)]) == 3
+        assert "input error: entry cap must be a natural" in capsys.readouterr().err
+    assert main(["verify", "--example", "inice", "--cap", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "nested.txt"
     for depth, code in ((200, 0), (300, 3)):

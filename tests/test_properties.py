@@ -5,7 +5,7 @@ from math import factorial, gcd, lcm
 
 from plinth.derivation import Derivation, apply, deg_d, iterate
 from plinth.grading import WeightedDegree, wdeg_and_tilde
-from plinth.linalg import SpanSolver, bareiss_echelon, echelon, nullspace
+from plinth.linalg import SpanSolver, bareiss_echelon, nullspace
 from plinth.oracle import kernel_and_image_basis, matrix_of_power, slice_basis
 from plinth.polyring import (
     MultiPoly,
@@ -277,7 +277,7 @@ def check_oracle_monotone(rng, cases=40):
 
         solver = SpanSolver([vec(p) for p in big])
         for p in small:
-            assert solver.contains(vec(p))
+            assert solver.express(vec(p)) is not None
 
 
 def check_matrix_columns(rng, cases=100):
@@ -389,10 +389,11 @@ def check_chain_against_two_step(rng, cases=24):
 
 
 def check_bareiss_vs_naive(rng, cases=CASES):
-    """The sparse kernel against plain rational elimination (same nullspace)
-    and against dense Bareiss (same pivot columns and rank), on small dense
+    """The sparse kernel against plain rational elimination (same nullspace,
+    and SpanSolver's relations among the columns are its sparse form) and
+    against dense Bareiss (same pivot columns and rank), on small dense
     matrices with Fraction entries and on sparse block-diagonal ones up to
-    40 x 40 with zero and dependent rows."""
+    40 x 40 with zero and dependent rows and columns."""
     for case in range(cases):
         if case % 4 == 3:
             ncols = rng.randint(1, 40)
@@ -407,10 +408,13 @@ def check_bareiss_vs_naive(rng, cases=CASES):
         a = nullspace([list(r) for r in rows], ncols)
         b = nullspace_naive([list(r) for r in rows], ncols)
         assert a == b
+        columns = [[r[c] for r in rows] for c in range(ncols)]
+        assert SpanSolver(columns).relations \
+            == [{c: int(x) for c, x in enumerate(v) if x} for v in b]
         dens = [lcm(*(Fraction(x).denominator for x in r)) for r in rows]
         ints = [[int(x * d) for x in r] for r, d in zip(rows, dens)]
         _, pivots = bareiss_echelon(ints, ncols)
-        assert sorted(echelon(rows)) == [c for _, c in pivots]
+        assert sorted(SpanSolver(rows).pivots) == [c for _, c in pivots]
 
 
 # -- pytest wrappers ------------------------------------------------------------
