@@ -332,9 +332,14 @@ def _run_kernel(spec):
 
 def _oracle_limits(spec, bounds, cap):
     """Slice bounds and entry cap: the option, else the directive, else the
-    default; a cap of 0 is a cap."""
+    default; a cap of 0 is a cap.  Negative ones are malformed input for
+    every command that takes them, whether or not it runs the oracle."""
     bounds = bounds or spec.bounds or DEFAULT_BOUNDS
     cap = next(c for c in (cap, spec.cap, DEFAULT_ENTRY_CAP) if c is not None)
+    if min(bounds) < 0:
+        raise PlinthError("slice bounds must be naturals")
+    if cap < 0:
+        raise PlinthError("entry cap must be a natural, not %d" % cap)
     return bounds, cap
 
 

@@ -6,7 +6,10 @@ of a derivation map slices to slices.  In one oracle call D acts on
 monomials as integer columns over one denominator, each D(X^e) computed
 once, and D^j of the slice is composed from them.  Stacking [D^(j+1) | D^j]
 for the monomials of the slice gives one elimination that answers both the
-forward preimages and Ker(D) within D^j(slice).  Every question is one
+forward preimages and Ker(D) within D^j(slice).  The backward check of
+several generators writes each cofactor over a basis of Ker(D) within the
+slice, which at j = 1 is read from that same elimination; its columns
+g_i * kappa are products of integer numerators.  Every question is one
 sparse exact system; polynomials appear only at its boundary.  Every
 positive answer carries a certificate (preimage or cofactors) that is
 re-verified by direct polynomial arithmetic; bounded failures are reported
@@ -32,7 +35,6 @@ from .polyring import (
     _over,
     divide_exact,
     grlex_key,
-    normalize_unit,
 )
 
 DEFAULT_ENTRY_CAP = 20000
@@ -136,8 +138,10 @@ class _Images:
         return col
 
     def support(self, basis):
-        """The monomials of the D(X^e), e in basis, from exponents alone."""
-        return {f for e in basis for f, _ in self._terms(e)}
+        """The monomials of the D(X^e), e in basis: from the memo where
+        D(X^e) is known, else from exponents alone."""
+        memo = self.memo
+        return {f for e in basis for f in memo.get(e) or dict(self._terms(e))}
 
     def apply(self, col):
         """D of an integer column, over one more factor iden."""
@@ -293,6 +297,24 @@ class LinearMapMatrix:
              for _, col in pairs],
             iden ** (self.power + 1))
 
+    def kernel(self):
+        """A basis of Ker(D) within the source slice, as integer numerators
+        {exps: int}: the monomials D kills, then sum x_k * m_k for each
+        relation x among the nonzero D(m_k).  At power 1 those D(m_k) are
+        the columns, so the relations are the chain's, already eliminated;
+        at any other power one more elimination finds them."""
+        images = self.images
+        live = [e for e in self.source.basis if images(e)]
+        if self.power == 1:
+            solver = self.chain._solver
+        else:
+            number = {}
+            solver = linalg.SpanSolver(
+                [{number.setdefault(f, len(number)): v for f, v in images(e).items()}
+                 for e in live])
+        return ([{e: 1} for e in self.source.basis if not images(e)]
+                + [{live[k]: x for k, x in rel.items()} for rel in solver.relations])
+
 
 def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     """Exact matrix of D^n from the source slice into an auto-enlarged target."""
@@ -316,18 +338,6 @@ def _refuse_kernel(images, slc, entry_cap):
     _check_cap(len(images.support(slc.basis)), slc.dim, entry_cap)
 
 
-def _kernel(images, slc, entry_cap):
-    _refuse_kernel(images, slc, entry_cap)
-    system = _Combinations([(0, m) for m in slc.monomials],
-                           [(images(e),) for e in slc.basis], images.iden)
-    return [normalize_unit(k) for k, in system.relations()]
-
-
-def kernel_basis(D, slc, entry_cap=DEFAULT_ENTRY_CAP):
-    """Basis of Ker(D) intersected with the slice, as normalized polynomials."""
-    return _kernel(_Images(D), slc, entry_cap)
-
-
 def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=None):
     """The canonical basis (_Combinations.tail_basis) of Ker(D) within the
     span of D^n(source slice): a lower approximation of I_n, monotone
@@ -340,35 +350,6 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=Non
         _refuse_kernel(_Images(D), source, entry_cap)
         matrix = matrix_of_power(D, n, source, entry_cap)
     return matrix.chain.tail_basis(entry_cap)
-
-
-def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=DEFAULT_ENTRY_CAP):
-    """('yes', cofactors) / ('no', remainder) / ('unknown', None).
-
-    Principal ideals get a definitive answer by exact division; otherwise a
-    bounded linear solve for cofactors yields a certificate or 'unknown'.
-    """
-    gens = list(gens)
-    if not gens:
-        raise PlinthError("membership in the ideal of no generators")
-    if h.is_zero():
-        return "yes", [g.ring.zero() for g in gens]
-    if len(gens) == 1:
-        try:
-            q = divide_exact(h, gens[0])
-            return "yes", [q]
-        except ExactDivisionError as err:
-            return "no", err.remainder
-    ring = h.ring
-    monos = slice_basis(ring, *cofactor_bound).monomials
-    unknowns = [(i, m) for i in range(len(gens)) for m in monos]
-    cofactors = _Combinations.of_polynomials(unknowns, [m * gens[i] for i, m in unknowns],
-                                             [h], entry_cap).solve(h)
-    if cofactors is None:
-        return "unknown", None
-    if sum((c * g for c, g in zip(cofactors, gens)), ring.zero()) != h:
-        raise CertificateError("membership cofactors of %s fail their re-check" % h)
-    return "yes", cofactors
 
 
 @dataclass
@@ -481,11 +462,27 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                     )
                 )
     elif predicted:
-        # each cofactor c_i is a combination of the bounded kernel basis
-        kernel = _kernel(mat.images, source, entry_cap)
+        # each cofactor c_i is a combination of the bounded kernel basis; the
+        # columns g_i * kappa are integer numerators over one denominator
+        _refuse_kernel(mat.images, source, entry_cap)
+        kernel = mat.kernel()
+        gens = [_numerators(g.terms) for g in predicted]
+        den = lcm(*(d for _, d in gens))
+        columns = []
+        for g, d in gens:
+            g = [(e, c * (den // d)) for e, c in g]
+            for kappa in kernel:
+                acc = {}
+                get = acc.get
+                for e, c in g:
+                    for f, v in kappa.items():
+                        h = tuple(map(_add, e, f))
+                        acc[h] = get(h, 0) + c * v
+                columns.append(({h: v for h, v in acc.items() if v},))
+        kernel = [MultiPoly._trusted(ring, _over(kappa, 1)) for kappa in kernel]
         unknowns = [(i, kappa) for i in range(len(predicted)) for kappa in kernel]
-        cofactors = _Combinations.of_polynomials(
-            unknowns, [predicted[i] * kappa for i, kappa in unknowns], intersection, entry_cap)
+        cofactors = _Combinations(unknowns, columns, den,
+                                  [(w.terms,) for w in intersection], entry_cap)
         for w in intersection:
             cs = cofactors.solve(w)
             if cs is None:

@@ -120,6 +120,25 @@ def test_negative_cap_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_limits_are_input_errors_without_the_oracle(tmp_path, capsys):
+    # image-ideal answers inice by a formula and never runs the oracle
+    cases = [(["--bounds=-1,2"], "slice bounds must be naturals"),
+             (["--cap", "-5"], "entry cap must be a natural, not -5"),
+             (["--bounds=2,-1", "--cap", "-5"], "slice bounds must be naturals")]
+    for options, message in cases:
+        for argv in (["image-ideal", "--example", "inice"], ["verify", "--example", "inice"],
+                     ["examples", "--name", "inice"]):
+            assert main(argv + options) == 3, argv + options
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == "input error: %s\n" % message
+    path = tmp_path / "bounds.txt"
+    path.write_text(FIXTURES["inice"].replace("bounds 2,2", "bounds -1,2"))
+    assert main(["image-ideal", str(path)]) == 3
+    assert capsys.readouterr().err == "input error: slice bounds must be naturals\n"
+    assert main(["image-ideal", str(path), "--bounds", "2,2"]) == 0
+    capsys.readouterr()
+
+
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "nested.txt"
     for depth, code in ((200, 0), (300, 3)):

@@ -1,0 +1,94 @@
+"""Formula answers against the oracle on seeded random problems.
+
+Each problem comes from a generator below, sampled with the suite's
+--seed, as problem text:
+
+- nice over Q[a, b] (theorem inice): D X = f1, D Y = f2 with (f1, f2) a
+  triangular automorphism of Q[a, b] fixing the origin, so f1 and f2 are
+  coprime and share the zero at the origin;
+- nice 3-variable over Q[t] (theorem pid-3var): D X = 0, D Y = t*p(t),
+  D Z = r*X + t*q(t);
+- strictly 1-quasi-nice over Q[t] (theorem 2varquasi_PID): D X1 = b(t) with
+  its factor lines, D X2 = -df/dX1 for an f of degree >= 2 in X1 whose
+  coefficients have degree < deg b.
+
+Each is answered by image_ideal at j = 1, 2 and checked both ways by the
+oracle at slice bounds 2,2.  With several predicted generators a missing one
+shows only as an INCONCLUSIVE backward item, so the backward side must PASS;
+not failing is not enough.  The forward side must PASS too, except for the
+quasi-nice family: the preimages of (prod of primes)^m often need a larger
+parameter bound than 2.
+"""
+
+import random
+
+import pytest
+
+from plinth.cli import parse_problem
+from plinth.oracle import verify_image_ideal
+
+BOUNDS = (2, 2)
+CAP = 200_000
+COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def _poly(terms):
+    """Text of sum c * monomial over (coefficient, monomial text) pairs."""
+    return " + ".join("(%d)%s" % (c, "*" + m if m else "") for c, m in terms if c) or "0"
+
+
+def nice_problem(rng):
+    # f1 = r*a + p(b), f2 = s*b + q(f1), p(0) = q(0) = 0
+    r, s = rng.choice(COEFFS), rng.choice(COEFFS)
+    p = _poly([(rng.choice(COEFFS), "b")] + [(rng.choice((0,) + COEFFS), "b^2")])
+    f1 = "(%d)*a + %s" % (r, p)
+    q1, q2 = rng.choice(COEFFS), rng.choice((0, 0) + COEFFS)
+    f2 = "(%d)*b + (%d)*(%s) + (%d)*(%s)^2" % (s, q1, f1, q2, f1)
+    return "param a\nparam b\nvar X\nvar Y\nD X = %s\nD Y = %s\n" % (f1, f2), "inice"
+
+
+def pid3_problem(rng):
+    def tpoly(degree):
+        return _poly([(rng.choice(COEFFS), "t^%d" % (k + 1)) for k in range(degree)
+                      if k == 0 or rng.random() < 0.7])
+
+    degree = rng.choice((1, 2))
+    dz = "(%d)*X + %s" % (rng.choice(COEFFS), tpoly(degree))
+    return ("param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = %s\nD Z = %s\n"
+            % (tpoly(degree), dz)), "pid-3var"
+
+
+def quasi_problem(rng):
+    roots = rng.sample((-2, -1, 0, 1, 2), rng.choice((1, 2)))
+    factors = [("t - (%d)" % x, rng.choice((1, 1, 2))) for x in roots]
+    factors.append(("t^2 + %d" % rng.choice((1, 2, 3)), 1))
+    rng.shuffle(factors)
+    b = "(%d)*%s" % (rng.choice((-2, -1, 1, 2)),
+                     "*".join("(%s)^%d" % (text, m) for text, m in factors))
+    # f = c1*X1 + sum_{k >= 2} (c_k0 + c_k1*t) * X1^k; deg b >= 3 > deg c_k
+    dx2 = [(-rng.choice(COEFFS), "")]
+    for k in range(2, rng.choice((2, 3)) + 1):
+        for tpart in ("", "t"):
+            coeff = -k * rng.choice(COEFFS)
+            dx2.append((coeff, "*".join(filter(None, (tpart, "X1^%d" % (k - 1))))))
+    lines = ["param t", "var X1", "var X2", "D X1 = %s" % b, "D X2 = %s" % _poly(dx2)]
+    lines += ["factor %s : %d" % f for f in factors]
+    return "\n".join(lines) + "\n", "2varquasi_PID"
+
+
+@pytest.mark.parametrize("family, forward", [(nice_problem, {"PASS"}),
+                                             (pid3_problem, {"PASS"}),
+                                             (quasi_problem, {"PASS", "INCONCLUSIVE"})],
+                         ids=["nice", "pid3", "quasi"])
+def test_formula_answers_pass_the_oracle(family, forward, seed):
+    rng = random.Random("%s:%d" % (family.__name__, seed))
+    for _ in range(4):
+        text, theorem = family(rng)
+        spec = parse_problem(text)
+        D = spec.derivation()
+        for j in (1, 2):
+            answer = spec.analysis.image_ideal(j, BOUNDS, CAP)
+            assert answer.theorem == theorem, text
+            report = verify_image_ideal(D, j, answer.generators, *BOUNDS, CAP)
+            assert report.forward in forward, (text, j, report.to_dict())
+            assert report.backward == "PASS", (text, j, report.to_dict())

@@ -321,7 +321,7 @@ def test_image_ideal_rejects_reducible(rt):
 
 def test_image_ideal_monotone_containment(rab):
     # each generator of I_{j+1} is a kernel multiple of generators of I_j
-    from plinth.oracle import ideal_membership_bounded
+    from test_oracle import ideal_membership_bounded
 
     D = nice_ab(rab)
     for j in (1, 2):

@@ -14,14 +14,20 @@ from plinth.cli import FIXTURES, parse_problem
 from plinth.oracle import (
     OracleCapError,
     _Combinations,
-    ideal_membership_bounded,
     kernel_and_image_basis,
-    kernel_basis,
     matrix_of_power,
     slice_basis,
     verify_image_ideal,
 )
-from plinth.polyring import CertificateError, MultiPoly, PolyRing
+from plinth.polyring import (
+    CertificateError,
+    ExactDivisionError,
+    MultiPoly,
+    PlinthError,
+    PolyRing,
+    divide_exact,
+    normalize_unit,
+)
 
 from test_properties import as_poly
 
@@ -82,6 +88,17 @@ def test_matrix_of_power_vanishes(rab):
     assert not any(mat.columns)
 
 
+def kernel_basis(D, slc, entry_cap=oracle.DEFAULT_ENTRY_CAP):
+    """Reference for LinearMapMatrix.kernel: Ker(D) within the slice by its
+    own elimination of the D(m) over every monomial m of the slice, as
+    normalized polynomials."""
+    images = oracle._Images(D)
+    oracle._refuse_kernel(images, slc, entry_cap)
+    system = _Combinations([(0, m) for m in slc.monomials],
+                           [(images(e),) for e in slc.basis], images.iden)
+    return [normalize_unit(k) for k, in system.relations()]
+
+
 def test_kernel_basis_contains_wang_generator(rab):
     D = nice_ab(rab)
     slc = slice_basis(rab, 1, 1)
@@ -95,9 +112,11 @@ def test_images_sum_the_terms_that_meet(rt):
     D = Derivation(rt, [rt.poly("X1"), rt.poly("-X2")])
     slc = slice_basis(rt, 1, 2)
     images = oracle._Images(D)
+    support = {f for m in slc.monomials for f in apply(D, m).terms}
+    assert images.support(slc.basis) == support  # from exponents alone
     for e, m in zip(slc.basis, slc.monomials):
         assert as_poly(rt, images(e), images.iden) == apply(D, m)
-    assert images.support(slc.basis) == {f for m in slc.monomials for f in apply(D, m).terms}
+    assert images.support(slc.basis) == support  # from the memo
     assert set(kernel_basis(D, slc)) == {rt.poly(p) for p in ("1", "t", "X1*X2", "t*X1*X2")}
 
 
@@ -148,6 +167,35 @@ def test_huge_power_empty_image(rab):
     src = slice_basis(rab, 0, 2)
     inter = kernel_and_image_basis(D, 5, src)
     assert inter == []
+
+
+def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=oracle.DEFAULT_ENTRY_CAP):
+    """('yes', cofactors) / ('no', remainder) / ('unknown', None).
+
+    Principal ideals get a definitive answer by exact division; otherwise a
+    bounded linear solve for cofactors yields a certificate or 'unknown'.
+    """
+    gens = list(gens)
+    if not gens:
+        raise PlinthError("membership in the ideal of no generators")
+    if h.is_zero():
+        return "yes", [g.ring.zero() for g in gens]
+    if len(gens) == 1:
+        try:
+            q = divide_exact(h, gens[0])
+            return "yes", [q]
+        except ExactDivisionError as err:
+            return "no", err.remainder
+    ring = h.ring
+    monos = slice_basis(ring, *cofactor_bound).monomials
+    unknowns = [(i, m) for i in range(len(gens)) for m in monos]
+    cofactors = _Combinations.of_polynomials(unknowns, [m * gens[i] for i, m in unknowns],
+                                             [h], entry_cap).solve(h)
+    if cofactors is None:
+        return "unknown", None
+    if sum((c * g for c, g in zip(cofactors, gens)), ring.zero()) != h:
+        raise CertificateError("membership cofactors of %s fail their re-check" % h)
+    return "yes", cofactors
 
 
 def test_membership_principal(rt):
@@ -287,20 +335,68 @@ def test_canonical_basis_depends_only_on_span(rt):
         assert all(e not in p.terms for e in leads if e != p.leading()[0])
 
 
+@pytest.mark.parametrize("name", ["inice", "wink1", "pid3", "tparam", "qnice"])
+def test_kernel_matches_the_reference(name):
+    # at power 1 the kernel is read from the chain's elimination; at the
+    # other powers it takes one elimination of its own
+    D = parse_problem(FIXTURES[name]).derivation()
+    for bound in (2, 3):
+        slc = slice_basis(D.ring, bound, bound)
+        reference = kernel_basis(D, slc, None)
+        for j in (0, 1, 2):
+            kernel = [as_poly(D.ring, k, 1) for k in matrix_of_power(D, j, slc, None).kernel()]
+            assert len(kernel) == len(reference)
+            assert all(apply(D, k).is_zero() for k in kernel)
+            assert canonical_basis(kernel) == canonical_basis(reference), (name, bound, j)
+
+
 def _wink1():
     spec = parse_problem(FIXTURES["wink1"])
     return spec.derivation(), list(spec.expect)
 
 
-def test_backward_cofactors_recombine():
-    D, gens = _wink1()
-    report = verify_image_ideal(D, 1, gens, 2, 2)
+def assert_cofactors_recombine(D, j, gens, bounds):
+    report = verify_image_ideal(D, j, gens, *bounds, entry_cap=None)
     passed = [i for i in report.backward_items if i.status == "PASS"]
     assert len(passed) == len(report.backward_items) > 1
     for item in passed:
         assert len(item.certificate) == len(gens)
         total = sum((c * g for c, g in zip(item.certificate, gens)), D.ring.zero())
         assert total == item.element
+
+
+def test_backward_cofactors_recombine():
+    D, gens = _wink1()
+    assert_cofactors_recombine(D, 1, gens, (2, 2))
+
+
+@pytest.mark.parametrize("name, j, bounds", [("inice", 2, (2, 2)), ("pid3", 2, (2, 2)),
+                                             ("inice", 3, (3, 3))])
+def test_backward_cofactors_recombine_at_higher_powers(name, j, bounds):
+    spec = parse_problem(FIXTURES[name])
+    gens = spec.analysis.image_ideal(j, bounds, None).generators
+    assert len(gens) == j + 1
+    assert_cofactors_recombine(spec.derivation(), j, gens, bounds)
+
+
+def test_backward_check_builds_one_kernel_elimination_past_j_1(rab, monkeypatch):
+    # j = 1: the chain and the cofactor system; the kernel comes from the
+    # chain.  j = 2: the kernel takes one elimination of its own.  The
+    # generators have different denominators, which the columns share
+    built = []
+    real_init = oracle.linalg.SpanSolver.__init__
+
+    def counting_init(self, vectors):
+        built.append(self)
+        real_init(self, vectors)
+
+    monkeypatch.setattr(oracle.linalg.SpanSolver, "__init__", counting_init)
+    D = nice_ab(rab)
+    for j, gens, count in ((1, ["a/2", "b"], 2), (2, ["a^2/3", "a*b/2", "b^2"], 3)):
+        built.clear()
+        report = verify_image_ideal(D, j, [rab.poly(g) for g in gens], 2, 2)
+        assert report.overall == "PASS"
+        assert len(built) == count
 
 
 def corrupt_answers(slots):
