@@ -345,7 +345,7 @@ def _oracle_limits(spec, bounds, cap):
 
 def _run_image_ideal(spec, n, bounds, cap):
     try:
-        res = spec.analysis.image_ideal(n, *_oracle_limits(spec, bounds, cap))
+        res = spec.analysis.image_ideal(n, bounds, cap)
     except UnsupportedStructureError as err:
         return RunReport(
             command="image-ideal",
@@ -374,7 +374,6 @@ def _run_image_ideal(spec, n, bounds, cap):
 
 def _run_verify(spec, n, bounds, cap):
     D = spec.derivation()
-    bounds, cap = _oracle_limits(spec, bounds, cap)
     if spec.expect:
         predicted = list(spec.expect)
     else:
@@ -432,6 +431,7 @@ def _run_examples(name, bounds, cap):
             lines=["unknown fixture %r; try: %s" % (name, ", ".join(sorted(FIXTURES)))],
         )
     spec = parse_problem(FIXTURES[name])
+    bounds, cap = _oracle_limits(spec, bounds, cap)
     steps = [("check", _run_check(spec))]
     if steps[0][1].certificates[0]["lnd"] is True:
         steps.append(("kernel", _run_kernel(spec)))
@@ -464,6 +464,7 @@ def _run_examples(name, bounds, cap):
 
 def run(command, spec, n=None, bounds=None, cap=None):
     """Dispatch a command against a parsed problem; returns a RunReport."""
+    bounds, cap = _oracle_limits(spec, bounds, cap)
     if command == "check":
         return _run_check(spec)
     if command == "kernel":

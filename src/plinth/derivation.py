@@ -15,8 +15,6 @@ from .polyring import (
     PlinthError,
     PolyRing,
     RingMismatchError,
-    _numerators,
-    _over,
     divides,
     extended_euclid,
     irreducible_smalldeg,
@@ -79,7 +77,7 @@ def apply(D, f):
     """
     if f.ring is not D.ring and f.ring != D.ring:
         raise RingMismatchError("apply: polynomial ring mismatch")
-    terms, den = _numerators(f.terms)
+    terms = f.nums.items()
     iden, columns = _columns(D)
     acc = {}
     get = acc.get
@@ -91,7 +89,7 @@ def apply(D, f):
                 for e2, c2 in img:
                     e = tuple(map(_add, e1, e2))
                     acc[e] = get(e, 0) + c1 * c2
-    return MultiPoly._trusted(D.ring, _over(acc, den * iden))
+    return MultiPoly._of(D.ring, acc, f.den * iden)
 
 
 @lru_cache(maxsize=1)
@@ -102,11 +100,10 @@ def _columns(D):
     denominator iden, each exponent vector minus the variable's unit
     vector.  Only the last derivation's columns are kept, so a Derivation
     itself carries nothing extra."""
-    images = [_numerators(img.terms) for img in D.images]
-    iden = lcm(*[d for _, d in images])
-    return iden, [(pos, [(e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * (iden // d))
-                         for e, c in img])
-                  for pos, (img, d) in enumerate(images, D.ring.nparams) if img]
+    iden = lcm(*[img.den for img in D.images])
+    return iden, [(pos, [(e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * (iden // img.den))
+                         for e, c in img.nums.items()])
+                  for pos, img in enumerate(D.images, D.ring.nparams) if img.nums]
 
 
 def iterate(D, f, n):
@@ -140,25 +137,13 @@ def _deg_with_status(D, f):
 
 
 def _is_scalar_multiple(f, g):
-    if f.terms.keys() != g.terms.keys():
+    """f = c*g for a rational c != 0: the numerators are proportional."""
+    a, b = f.nums, g.nums
+    if not a or a.keys() != b.keys():
         return False
-    ratio = None
-    for e, c in f.terms.items():
-        r = c / g.terms[e]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return ratio is not None
-
-
-def deg_d(D, f):
-    """deg_D(f): least n with D^(n+1) f = 0; MINUS_INF for 0; OVERFLOW at
-    DEFAULT_CAP."""
-    value, status = _deg_with_status(D, f)
-    if status == "finite":
-        return value
-    return OVERFLOW
+    e = next(iter(a))
+    p, q = a[e], b[e]
+    return all(c * q == b[k] * p for k, c in a.items())
 
 
 @dataclass
@@ -249,7 +234,7 @@ def _in_R_of(f, var):
     ring = f.ring
     k = ring.nparams
     vi = ring.index(var)
-    for exps in f.terms:
+    for exps in f.nums:
         for j in range(k, ring.arity):
             if j != vi and exps[j] > 0:
                 return False
@@ -267,13 +252,12 @@ def _extract_quasi(D, nice_set):
         xvar = ring.vars[pivot]
         if not _in_R_of(g, xvar):
             continue
-        # f = -integral of DX_2 dX_1, normalized with f(0) = 0
-        f = ring.zero()
+        # f = -integral of DX_2 dX_1, normalized with f(0) = 0: the term
+        # c*X_1^k becomes -c/(k+1) * X_1^(k+1), over den * lcm of the k+1
         xi = ring.index(xvar)
-        for exps, coeff in g.terms.items():
-            e = list(exps)
-            e[xi] += 1
-            f = f + MultiPoly(ring, {tuple(e): -coeff / e[xi]})
+        scale = lcm(*[e[xi] + 1 for e in g.nums])
+        f = MultiPoly._of(ring, {e[:xi] + (e[xi] + 1,) + e[xi + 1:]: -c * (scale // (e[xi] + 1))
+                                 for e, c in g.nums.items()}, g.den * scale)
         d = f.degree_in(xvar)
         if d == MINUS_INF:
             d = 0

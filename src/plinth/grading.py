@@ -1,6 +1,5 @@
-"""Weighted degree maps, the top-degree-part (tilde) operator, the graded
-monomial enumeration used for image-ideal generators, and the sound partial
-primality check for top-degree ideals."""
+"""Weighted degree maps, the top-degree-part (tilde) operator, and the
+sound partial primality check for top-degree ideals."""
 
 from __future__ import annotations
 
@@ -57,9 +56,9 @@ def wdeg_and_tilde(wd, p):
         raise RingMismatchError("wdeg_and_tilde ring mismatch")
     if p.is_zero():
         return MINUS_INF, p
-    best = max(wd.of_monomial(e) for e in p.terms)
-    top = {e: c for e, c in p.terms.items() if wd.of_monomial(e) == best}
-    return best, MultiPoly(p.ring, top)
+    best = max(wd.of_monomial(e) for e in p.nums)
+    top = {e: c for e, c in p.nums.items() if wd.of_monomial(e) == best}
+    return best, MultiPoly._of(p.ring, top, p.den)
 
 
 @dataclass
@@ -251,39 +250,3 @@ def prime_after_elimination(gens):
             if r.is_zero() or multivariate_gcd([c, r]).is_constant():
                 return True
     return None
-
-
-@dataclass
-class GjSpec:
-    """Index data for the degree-j graded piece: m slice weights of 1,
-    variable weights u_1..u_n (all >= 1), target degree j."""
-
-    m: int
-    u: tuple
-    j: int
-
-    def __post_init__(self):
-        if any((not isinstance(w, int)) or w < 1 for w in self.u):
-            raise PlinthError("variable weights must be positive integers")
-        if self.m < 0 or self.j < 0:
-            raise PlinthError("m and j must be naturals")
-
-
-def enumerate_gj(spec):
-    """All exponent tuples (j_1..j_{m+n}) with sum of the first m entries
-    plus the u-weighted sum of the rest equal to j, in descending lex order."""
-    weights = [1] * spec.m + list(spec.u)
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            rec(i + 1, remaining - e * w, prefix + [e])
-
-    rec(0, spec.j, [])
-    out.sort(reverse=True)
-    return out

@@ -36,10 +36,8 @@ from .derivation import (
     localized_fpf,
 )
 from .grading import (
-    GjSpec,
     TopDegreeCertificate,
     WeightedDegree,
-    enumerate_gj,
     prime_after_elimination,
     top_degree_ideal,
 )
@@ -232,9 +230,7 @@ def strictness_decompose(D, rep):
         v = divide_exact(f - u, b)
     else:
         # coefficient-wise divisibility split; canonical only when b is prime
-        uterms = {}
-        v = ring.zero()
-        x1 = ring.index(x1name)
+        u = v = ring.zero()
         deg = f.degree_in(x1name)
         deg = 0 if deg == MINUS_INF else int(deg)
         for e in range(deg + 1):
@@ -245,9 +241,7 @@ def strictness_decompose(D, rep):
             if divides(b, c):
                 v = v + divide_exact(c, b) * mono
             else:
-                for exps, coeff in (c * mono).terms.items():
-                    uterms[exps] = coeff
-        u = MultiPoly(ring, uterms)
+                u = u + c * mono
         heuristic = True
         notes.append(
             "multi-parameter coefficient ring: divisibility-based split is "
@@ -778,7 +772,8 @@ def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
     each factor exactly once)."""
     (f1, f2), (p1, p2) = images, preimages
     gens, pres, factors = [], [], []
-    for i1, i2 in enumerate_gj(GjSpec(m=0, u=(1, 1), j=j)):
+    for i2 in range(j + 1):
+        i1 = j - i2
         gen = f1**i1 * f2**i2
         pre = p1**i1 * p2**i2
         factor = Fraction(factorial(j))

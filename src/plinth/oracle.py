@@ -19,7 +19,6 @@ as INCONCLUSIVE, never upgraded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 from operator import add as _add
@@ -31,14 +30,11 @@ from .polyring import (
     ExactDivisionError,
     MultiPoly,
     PlinthError,
-    _numerators,
-    _over,
     divide_exact,
     grlex_key,
 )
 
 DEFAULT_ENTRY_CAP = 20000
-_ONE = Fraction(1)
 
 
 class OracleCapError(PlinthError):
@@ -70,7 +66,7 @@ class DegreeSlice:
     @cached_property
     def monomials(self):
         """The basis monomials as polynomials."""
-        return [MultiPoly._trusted(self.ring, {e: _ONE}) for e in self.basis]
+        return [MultiPoly._of(self.ring, {e: 1}) for e in self.basis]
 
     def __contains__(self, exps):
         k = self.ring.nparams
@@ -209,30 +205,29 @@ class _Combinations:
     @classmethod
     def of_polynomials(cls, unknowns, columns, targets=(), entry_cap=None):
         """The system whose columns are polynomials, in one block."""
-        den = lcm(*(c.denominator for p in columns for c in p.terms.values()))
+        den = lcm(*(p.den for p in columns))
         return cls(unknowns,
-                   [({e: c.numerator * (den // c.denominator) for e, c in p.terms.items()},)
-                    for p in columns],
-                   den, [(t.terms,) for t in targets], entry_cap)
+                   [({e: c * (den // p.den) for e, c in p.nums.items()},) for p in columns],
+                   den, [(t.nums,) for t in targets], entry_cap)
 
     def _vector(self, col):
         return {number[e]: v for number, block in zip(self.numbering, col)
                 for e, v in block.items()}
 
-    def _answer(self, x):
-        """sum_i x_i * unknowns[i] per slot, in integers over one denominator."""
-        parts = [(self.unknowns[i], c, *_numerators(self.unknowns[i][1].terms))
-                 for i, c in x.items()]
-        den = lcm(*(c.denominator * d for _, c, _, d in parts))
-        terms = [{} for _ in range(self.nslots)]
-        for (slot, _), c, nums, d in parts:
-            k = c.numerator * (den // (c.denominator * d))
-            acc = terms[slot]
+    def _answer(self, x, scale=1):
+        """sum_i x_i * unknowns[i] / scale per slot, in integers over one
+        denominator."""
+        parts = [(self.unknowns[i], c) for i, c in x.items()]
+        den = lcm(*(c.denominator * p.den for (_, p), c in parts))
+        nums = [{} for _ in range(self.nslots)]
+        for (slot, p), c in parts:
+            k = c.numerator * (den // (c.denominator * p.den))
+            acc = nums[slot]
             get = acc.get
-            for e, v in nums:
+            for e, v in p.nums.items():
                 acc[e] = get(e, 0) + k * v
         ring = self.unknowns[0][1].ring
-        return [MultiPoly._trusted(ring, _over(t, den)) for t in terms]
+        return [MultiPoly._of(ring, t, den * scale) for t in nums]
 
     def relations(self):
         """A basis of the relations, one per column that depends on earlier
@@ -245,15 +240,18 @@ class _Combinations:
 
     def solve(self, *target):
         """The answer for one solution, or None if target, one polynomial
-        per block, is out of reach."""
+        per block, is out of reach.  It is solved for scale * target in
+        integers, scale the common denominator of its blocks."""
+        scale = lcm(*(p.den for p in target))
         coords = {}
         for number, p in zip(self.numbering, target):
-            for e, c in p.terms.items():
+            k = self.den * (scale // p.den)
+            for e, c in p.nums.items():
                 if e not in number:
                     return None
-                coords[number[e]] = c * self.den
+                coords[number[e]] = c * k
         x = self._solver.express(coords)
-        return None if x is None else self._answer(x)
+        return None if x is None else self._answer(x, scale)
 
     def tail_basis(self, entry_cap=None):
         """The last-block parts of the vectors of the column span whose other
@@ -267,8 +265,8 @@ class _Combinations:
         monos = list(self.numbering[-1])
         start = self.width - len(monos)
         _check_cap(start, self._solver.rank, entry_cap)
-        return [MultiPoly._trusted(self.unknowns[0][1].ring,
-                                   _over({monos[k - start]: v for k, v in row.items()}, 1))
+        return [MultiPoly._of(self.unknowns[0][1].ring,
+                              {monos[k - start]: v for k, v in row.items()})
                 for row in self._solver.basis_from(start)]
 
 
@@ -316,8 +314,9 @@ class LinearMapMatrix:
                 + [{live[k]: x for k, x in rel.items()} for rel in solver.relations])
 
 
-def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
-    """Exact matrix of D^n from the source slice into an auto-enlarged target."""
+def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, images=None):
+    """Exact matrix of D^n from the source slice into an auto-enlarged
+    target; images, if given, is the caller's _Images(D)."""
     if n < 0:
         raise PlinthError("power must be a natural")
     pg, vg = growth_per_application(D)
@@ -325,7 +324,8 @@ def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
         source.ring, source.param_bound + n * pg, source.var_bound + n * vg
     )
     _check_cap(target.dim, source.dim, entry_cap)
-    images = _Images(D)
+    if images is None:
+        images = _Images(D)
     columns = [images.power(e, n) for e in source.basis]
     if any(t not in target for col in columns for t in col):
         raise PlinthError("degree growth bound violated (internal)")
@@ -347,8 +347,9 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=Non
     if matrix is None:
         # a refusal names the kernel system of the slice first, though the
         # kernel is not needed here, so the cap messages stay as they were
-        _refuse_kernel(_Images(D), source, entry_cap)
-        matrix = matrix_of_power(D, n, source, entry_cap)
+        images = _Images(D)
+        _refuse_kernel(images, source, entry_cap)
+        matrix = matrix_of_power(D, n, source, entry_cap, images)
     return matrix.chain.tail_basis(entry_cap)
 
 
@@ -426,7 +427,7 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                 DirectionItem(g, "FAIL", "predicted generator is not in Ker(D)")
             )
             continue
-        if not any(mat.columns) or any(e not in mat.target for e in g.terms):
+        if not any(mat.columns) or any(e not in mat.target for e in g.nums):
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "generator outside the slice window")
             )
@@ -466,11 +467,10 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
         # columns g_i * kappa are integer numerators over one denominator
         _refuse_kernel(mat.images, source, entry_cap)
         kernel = mat.kernel()
-        gens = [_numerators(g.terms) for g in predicted]
-        den = lcm(*(d for _, d in gens))
+        den = lcm(*(g.den for g in predicted))
         columns = []
-        for g, d in gens:
-            g = [(e, c * (den // d)) for e, c in g]
+        for g in predicted:
+            g = [(e, c * (den // g.den)) for e, c in g.nums.items()]
             for kappa in kernel:
                 acc = {}
                 get = acc.get
@@ -479,10 +479,10 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                         h = tuple(map(_add, e, f))
                         acc[h] = get(h, 0) + c * v
                 columns.append(({h: v for h, v in acc.items() if v},))
-        kernel = [MultiPoly._trusted(ring, _over(kappa, 1)) for kappa in kernel]
+        kernel = [MultiPoly._of(ring, kappa) for kappa in kernel]
         unknowns = [(i, kappa) for i in range(len(predicted)) for kappa in kernel]
         cofactors = _Combinations(unknowns, columns, den,
-                                  [(w.terms,) for w in intersection], entry_cap)
+                                  [(w.nums,) for w in intersection], entry_cap)
         for w in intersection:
             cs = cofactors.solve(w)
             if cs is None:

@@ -2,10 +2,13 @@
 
 Polynomials live in a tower Q[t_1..t_k][X_1..X_n]: the t's are
 "coefficient parameters" and the X's are "main variables".  Internally a
-polynomial is a map from exponent vectors (length k+n, params first) to
-nonzero Fractions.  The term order used everywhere (printing, leading
-terms, deterministic pivoting) is graded lex on the combined exponent
-vector.
+polynomial is in content form: a map nums from exponent vectors (length
+k+n, params first) to nonzero integer numerators, over one denominator
+den >= 1 with gcd(den, *nums) == 1.  That form is canonical, so equality
+and hashing compare it directly, and every kernel reads and writes
+integers; the Fraction coefficients are only built on request, by the
+terms view.  The term order used everywhere (printing, leading terms,
+deterministic pivoting) is graded lex on the combined exponent vector.
 """
 
 from __future__ import annotations
@@ -20,39 +23,6 @@ from math import lcm as _ilcm
 from operator import add as _add
 from operator import neg as _neg
 from operator import sub as _sub
-
-
-# One shared Fraction for each small integer (a Fraction is immutable).  The
-# table is built at import, so it stays small.
-_SMALL = {n: Fraction(n) for n in range(-128, 129)}
-
-
-def _fraction(n, d=1):
-    """n/d as a Fraction, for integers n and d > 0; shared when it is a
-    small integer."""
-    f = Fraction(n, d)
-    if f.denominator != 1:
-        return f
-    n = f.numerator
-    return _SMALL[n] if -128 <= n <= 128 else f
-
-
-def _numerators(terms):
-    """([(exps, int)], den): the coefficients of terms as integers over
-    their least common denominator den."""
-    den = _ilcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return [(e, c.numerator) for e, c in terms.items()], 1
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
-
-
-def _over(acc, den):
-    """Clean terms {exps: n / den} from integer numerators; zeros dropped."""
-    if den == 1:
-        small = _SMALL
-        return {e: small[n] if -128 <= n <= 128 else Fraction(n)
-                for e, n in acc.items() if n}
-    return {e: _fraction(n, den) for e, n in acc.items() if n}
 
 
 class PlinthError(Exception):
@@ -116,10 +86,10 @@ class PolyRing:
         ring.names = names
         ring._index = {name: i for i, name in enumerate(names)}
         ring._origin = (0,) * len(names)
-        ring._zero = MultiPoly._trusted(ring, {})
-        ring._one = MultiPoly._trusted(ring, {ring._origin: _fraction(1)})
+        ring._zero = MultiPoly._of(ring, {})
+        ring._one = MultiPoly._of(ring, {ring._origin: 1})
         ring._gens = tuple(
-            MultiPoly._trusted(ring, {ring._origin[:i] + (1,) + ring._origin[i + 1:]: _fraction(1)})
+            MultiPoly._of(ring, {ring._origin[:i] + (1,) + ring._origin[i + 1:]: 1})
             for i in range(len(names)))
         cls._in_use[key] = ring
         return ring
@@ -168,8 +138,7 @@ class PolyRing:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        c = _fraction(c.numerator, c.denominator)
-        return MultiPoly._trusted(self, {self._origin: c})
+        return MultiPoly._of(self, {self._origin: c.numerator}, c.denominator)
 
     def gen(self, name):
         return self._gens[self.index(name)]
@@ -187,12 +156,14 @@ def grlex_key(exps):
 
 
 class MultiPoly:
-    """Sparse exact-rational multivariate polynomial."""
+    """Sparse exact-rational multivariate polynomial: integer numerators
+    nums {exps: int}, none zero, over one denominator den >= 1, in lowest
+    terms (gcd(den, *nums.values()) == 1); zero is ({}, 1)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, terms):
-        self.ring = ring
+        """The polynomial with the coefficients terms {exps: int or Fraction}."""
         cleaned = {}
         arity = ring.arity
         for exps, coeff in terms.items():
@@ -202,26 +173,45 @@ class MultiPoly:
             if len(exps) != arity or any(e < 0 for e in exps):
                 raise PlinthError("bad exponent vector %r for %r" % (exps, ring))
             cleaned[tuple(exps)] = coeff
-        self.terms = cleaned
+        # over the least common denominator the numerators share no factor with it
+        den = _ilcm(*[c.denominator for c in cleaned.values()])
+        self.ring = ring
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
+        self.den = den
 
     @classmethod
-    def _trusted(cls, ring, terms):
-        """Wrap terms that are clean by construction, skipping the checks of __init__."""
+    def _of(cls, ring, nums, den=1):
+        """The polynomial nums / den, for integer numerators nums (taken,
+        not copied) and an integer den >= 1: zeros are dropped and the
+        common factor of den and the numerators divided out."""
+        g = _igcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items() if c}
+            den //= g
+        elif 0 in nums.values():
+            nums = {e: c for e, c in nums.items() if c}
         poly = object.__new__(cls)
         poly.ring = ring
-        poly.terms = terms
+        poly.nums = nums
+        poly.den = den
         return poly
+
+    @property
+    def terms(self):
+        """The coefficients as {exps: Fraction}, a new dict on every read."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- basic structure ------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(all(e == 0 for e in exps) for exps in self.nums)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.arity, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.ring.arity, 0), self.den)
 
     def as_constant(self):
         if not self.is_constant():
@@ -232,35 +222,35 @@ class MultiPoly:
         """(exponent vector, coefficient) of the graded-lex leading term."""
         if self.is_zero():
             raise PlinthError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.nums, key=grlex_key)
+        return exps, Fraction(self.nums[exps], self.den)
 
     def total_degree(self):
         if self.is_zero():
             return float("-inf")
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def degree_in(self, name):
         i = self.ring.index(name)
         if self.is_zero():
             return float("-inf")
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     def param_degree(self):
         k = self.ring.nparams
         if self.is_zero():
             return float("-inf")
-        return max(sum(e[:k]) for e in self.terms)
+        return max(sum(e[:k]) for e in self.nums)
 
     def var_degree(self):
         k = self.ring.nparams
         if self.is_zero():
             return float("-inf")
-        return max(sum(e[k:]) for e in self.terms)
+        return max(sum(e[k:]) for e in self.nums)
 
     def involves(self, name):
         i = self.ring.index(name)
-        return any(e[i] > 0 for e in self.terms)
+        return any(e[i] > 0 for e in self.nums)
 
     def coefficient_of(self, name, power):
         """Coefficient of name**power, a polynomial not involving name."""
@@ -280,57 +270,56 @@ class MultiPoly:
             return self.ring.const(other)
         return NotImplemented
 
-    # Arithmetic clears denominators once per operand, accumulates integer
-    # numerators and builds one Fraction per output term.
+    # Arithmetic works on the integer numerators over one denominator and
+    # reduces the result once.
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, for sign 1 or -1."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da = _numerators(self.terms)
-        b, db = _numerators(other.terms)
+        da, db = self.den, other.den
         den = _ilcm(da, db)
-        sa, sb = den // da, den // db
-        acc = dict(a) if sa == 1 else {e: c * sa for e, c in a}
+        sa, sb = den // da, sign * (den // db)
+        acc = dict(self.nums) if sa == 1 else {e: c * sa for e, c in self.nums.items()}
         get = acc.get
-        for e, c in b:
+        for e, c in other.nums.items():
             acc[e] = get(e, 0) + c * sb
-        return MultiPoly._trusted(self.ring, _over(acc, den))
+        return MultiPoly._of(self.ring, acc, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a, den = _numerators(self.terms)
-        return MultiPoly._trusted(self.ring, _over({e: -c for e, c in a}, den))
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __neg__(self):
+        return MultiPoly._of(self.ring, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da = _numerators(self.terms)
-        b, db = _numerators(other.terms)
-        if len(a) == 1 and not any(a[0][0]):
+        a, b = self.nums, other.nums
+        origin = self.ring._origin
+        if len(a) == 1 and origin in a:
             a, b = b, a
-        if len(b) == 1 and not any(b[0][0]):  # a constant factor keeps the exponents
-            k = b[0][1]
-            acc = {e: c * k for e, c in a}
+        if len(b) == 1 and origin in b:  # a constant factor keeps the exponents
+            k = b[origin]
+            acc = {e: c * k for e, c in a.items()}
         else:
             acc = {}
             get = acc.get
-            for e1, c1 in a:
-                for e2, c2 in b:
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
                     e = tuple(map(_add, e1, e2))
                     acc[e] = get(e, 0) + c1 * c2
-        return MultiPoly._trusted(self.ring, _over(acc, da * db))
+        return MultiPoly._of(self.ring, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -352,10 +341,11 @@ class MultiPoly:
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring == other.ring and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     def __str__(self):
         return poly_to_string(self)
@@ -389,10 +379,9 @@ class IdealPresentation:
 
 def partial_derivative(f, name):
     i = f.ring.index(name)
-    terms, den = _numerators(f.terms)
     out = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-           for exps, c in terms if exps[i]}
-    return MultiPoly._trusted(f.ring, _over(out, den))
+           for exps, c in f.nums.items() if exps[i]}
+    return MultiPoly._of(f.ring, out, f.den)
 
 
 def substitute(f, name, replacement):
@@ -466,67 +455,58 @@ def _divmod(f, g):
     ring = f.ring
     if g.ring != ring:
         raise RingMismatchError("dividend and divisor ring mismatch")
-    a, da = _numerators(f.terms)
-    b, db = _numerators(g.terms)
-    cont = _igcd(*[c for _, c in b])
-    q, r, s = _int_divmod(dict(a), {e: c // cont for e, c in b})
+    b, db = g.nums, g.den
+    cont = _igcd(*b.values())
+    if cont != 1:
+        b = {e: c // cont for e, c in b.items()}
+    q, r, s = _int_divmod(f.nums, b)
     # f = a/da and g = cont*b'/db, so q/(s*da) * db/cont is f's quotient
     if db != 1:
         q = {e: c * db for e, c in q.items()}
-    return (MultiPoly._trusted(ring, _over(q, cont * s * da)),
-            MultiPoly._trusted(ring, _over(r, s * da)))
+    return (MultiPoly._of(ring, q, cont * s * f.den),
+            MultiPoly._of(ring, r, s * f.den))
 
 
 def divide_exact(f, g):
     """Quotient f/g when g divides f; else ExactDivisionError whose witness
     is the nonzero remainder of greedy graded-lex division."""
     q, r = _divmod(f, g)
-    if r.terms:
+    if r.nums:
         raise ExactDivisionError(r)
     return q
 
 
 def divides(g, f):
-    return not _divmod(f, g)[1].terms
+    return not _divmod(f, g)[1].nums
 
 
 def normalize_unit(f):
     """Scale by a rational unit: integer-primitive, positive leading coefficient."""
-    if f.is_zero():
+    nums = f.nums
+    if not nums:
         return f
-    terms, _ = _numerators(f.terms)
-    # the gcd of the numerators over the common denominator is the gcd of
-    # the coefficients' own numerators
-    g = _igcd(*[c for _, c in terms])
-    if f.leading()[1] < 0:
+    g = _igcd(*nums.values())
+    if nums[max(nums, key=grlex_key)] < 0:
         g = -g
-    return MultiPoly._trusted(f.ring, _over({e: c // g for e, c in terms}, 1))
+    return MultiPoly._of(f.ring, {e: c // g for e, c in nums.items()})
 
 
 # -- gcd machinery -----------------------------------------------------------
 
 
 def _deg(f, i):
-    return max((e[i] for e in f.terms), default=-1)
+    return max((e[i] for e in f.nums), default=-1)
 
 
 def _coeff_at(f, i, power):
-    out = {}
-    for exps, coeff in f.terms.items():
-        if exps[i] == power:
-            e = list(exps)
-            e[i] = 0
-            out[tuple(e)] = coeff
-    return MultiPoly._trusted(f.ring, out)
+    out = {exps[:i] + (0,) + exps[i + 1:]: c
+           for exps, c in f.nums.items() if exps[i] == power}
+    return MultiPoly._of(f.ring, out, f.den)
 
 
 def _shift(f, i, power):
-    out = {}
-    for exps, coeff in f.terms.items():
-        e = list(exps)
-        e[i] += power
-        out[tuple(e)] = coeff
-    return MultiPoly._trusted(f.ring, out)
+    out = {exps[:i] + (exps[i] + power,) + exps[i + 1:]: c for exps, c in f.nums.items()}
+    return MultiPoly._of(f.ring, out, f.den)
 
 
 def _content_pp(f, i):
@@ -560,7 +540,7 @@ def _gcd_prs(f, g):
         return g
     if g.is_zero():
         return f
-    idx = [i for i, col in enumerate(zip(*f.terms, *g.terms)) if any(col)]
+    idx = [i for i, col in enumerate(zip(*f.nums, *g.nums)) if any(col)]
     if not idx:
         return f.ring.one()
     i = idx[-1]
@@ -648,10 +628,10 @@ def _gcd2(f, g):
         raise RingMismatchError("gcd operands ring mismatch")
     if f.is_zero() or g.is_zero():
         return g if f.is_zero() else f
-    h = _gcd_heu(dict(_numerators(f.terms)[0]), dict(_numerators(g.terms)[0]))
+    h = _gcd_heu(f.nums, g.nums)
     if h is None:
         return _gcd_prs(f, g)
-    return MultiPoly._trusted(f.ring, _over(h, 1))
+    return MultiPoly._of(f.ring, h)
 
 
 def multivariate_gcd(fs):
@@ -676,7 +656,7 @@ def _single_param_index(ring, polys):
     """Index of the unique parameter the given polynomials may involve."""
     used = set()
     for p in polys:
-        for exps in p.terms:
+        for exps in p.nums:
             for i, e in enumerate(exps):
                 if e > 0:
                     if i >= ring.nparams:
@@ -712,9 +692,9 @@ def extended_euclid(a, b):
         raise RingMismatchError("extended_euclid operands ring mismatch")
     _single_param_index(ring, [a, b])  # raises unless univariate in one parameter
     steps = []
-    while b.terms:
+    while b.nums:
         q, r = _divmod(a, b)
-        c = r.leading()[1] if r.terms else _fraction(1)
+        c = r.leading()[1] if r.nums else Fraction(1)
         steps.append((-q, c))  # negated: a sum costs one pass, a difference two
         a, b = b, r * (1 / c)
     x, y = ring.one(), ring.zero()
@@ -738,7 +718,7 @@ def reduce_mod_prime(r, p):
     if p.is_constant():
         raise PlinthError("modulus must be nonconstant")
     i = _single_param_index(ring, [p])
-    if any(e[j] for e in r.terms for j in range(ring.nparams) if j != i):
+    if any(e[j] for e in r.nums for j in range(ring.nparams) if j != i):
         raise PlinthError("reduce_mod_prime supports a single parameter")
     # p involves one parameter alone, so greedy division by p reduces
     # each coefficient in Q[t] on its own
@@ -758,7 +738,7 @@ def irreducible_smalldeg(p):
         return None
     # degree 2 or 3: irreducible over Q iff no rational root
     ints = [0] * (deg + 1)
-    for e, c in _numerators(p.terms)[0]:
+    for e, c in p.nums.items():  # over one denominator, which leaves the roots
         ints[e[i]] = c
     if deg == 2:
         c, b, a = ints
@@ -803,12 +783,12 @@ def embed(f, ring):
     """Map a polynomial into a ring containing the same names (by name)."""
     mapping = [ring.index(name) for name in f.ring.names]
     out = {}
-    for exps, coeff in f.terms.items():
+    for exps, c in f.nums.items():
         e = [0] * ring.arity
         for src, dst in enumerate(mapping):
             e[dst] = exps[src]
-        out[tuple(e)] = coeff
-    return MultiPoly(ring, out)
+        out[tuple(e)] = c
+    return MultiPoly._of(ring, out, f.den)
 
 
 def restrict(f, ring):
@@ -819,15 +799,15 @@ def restrict(f, ring):
             mapping.append((i, ring.index(name)))
         else:
             j = f.ring.index(name)
-            if any(e[j] > 0 for e in f.terms):
+            if any(e[j] > 0 for e in f.nums):
                 raise PlinthError("polynomial involves %r, absent from target ring" % name)
     out = {}
-    for exps, coeff in f.terms.items():
+    for exps, c in f.nums.items():
         e = [0] * ring.arity
         for src, dst in mapping:
             e[dst] = exps[src]
-        out[tuple(e)] = coeff
-    return MultiPoly(ring, out)
+        out[tuple(e)] = c
+    return MultiPoly._of(ring, out, f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -838,26 +818,17 @@ def poly_to_string(f):
     if f.is_zero():
         return "0"
     parts = []
-    for exps in sorted(f.terms, key=grlex_key, reverse=True):
-        coeff = f.terms[exps]
-        num, den = coeff.numerator, coeff.denominator
-        names = []
-        for name, e in zip(f.ring.names, exps):
-            if e == 1:
-                names.append(name)
-            elif e > 1:
-                names.append("%s^%d" % (name, e))
-        mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
-        if not names:
-            body = mag
-        elif mag == "1":
-            body = "*".join(names)
-        else:
-            body = "*".join([mag] + names)
-        if not parts:
-            parts.append(body if num > 0 else "-" + body)
-        else:
-            parts.append((" + " if num > 0 else " - ") + body)
+    nums, den, names = f.nums, f.den, f.ring.names
+    for exps in sorted(nums, key=grlex_key, reverse=True):
+        num = nums[exps]
+        g = _igcd(num, den)  # each coefficient is printed in lowest terms
+        mag = str(abs(num) // g) if g == den else "%d/%d" % (abs(num) // g, den // g)
+        factors = [name if e == 1 else "%s^%d" % (name, e) for name, e in zip(names, exps) if e]
+        if parts:
+            parts.append(" + " if num > 0 else " - ")
+        elif num < 0:
+            parts.append("-")
+        parts.append("*".join(factors if factors and mag == "1" else [mag] + factors))
     return "".join(parts)
 
 

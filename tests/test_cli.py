@@ -284,6 +284,36 @@ def test_verify_checks_cap_before_building_slices(capsys):
     assert "oracle entry cap exceeded: solve needs" in capsys.readouterr().out
 
 
+def test_negative_limits_are_input_errors_on_every_command(capsys):
+    # check and kernel take --bounds and --cap as well, though neither runs
+    # the oracle, and so does examples on a fixture that is not an LND
+    cases = [(["--bounds=-1,2"], "slice bounds must be naturals"),
+             (["--cap", "-5"], "entry cap must be a natural, not -5")]
+    for options, message in cases:
+        for argv in (["check", "--example", "inice"], ["kernel", "--example", "inice"],
+                     ["examples", "--name", "notlnd"]):
+            assert main(argv + options) == 3, argv + options
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == "input error: %s\n" % message
+    assert main(["check", "--example", "inice", "--bounds", "0,0", "--cap", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_oracle_only_image_ideal_builds_images_once(monkeypatch):
+    built = []
+    init = oracle._Images.__init__
+
+    def counted(self, D):
+        built.append(D)
+        init(self, D)
+
+    monkeypatch.setattr(oracle._Images, "__init__", counted)
+    report = run("image-ideal", parse_problem(FIXTURES["wink1"]), bounds=(2, 2))
+    assert report.certificates[0]["theorem"] == "oracle-only"
+    assert report.generators
+    assert len(built) == 1
+
+
 def test_kernel_refusal_applies_no_derivation(capsys, monkeypatch):
     # wink1's kernel system at 12,12 is refused from exponents alone: D is
     # applied to none of the 41405 monomials of the slice

@@ -7,12 +7,12 @@ from plinth.derivation import (
     UnsupportedStructureError,
     apply,
     classify,
-    deg_d,
     is_fixed_point_free,
     iterate,
     localized_fpf,
 )
 from plinth.polyring import PolyRing
+from test_properties import deg_d
 
 
 @pytest.fixture

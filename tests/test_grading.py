@@ -1,10 +1,8 @@
 import pytest
 
 from plinth.grading import (
-    GjSpec,
     HypothesisError,
     WeightedDegree,
-    enumerate_gj,
     prime_after_elimination,
     top_degree_ideal,
     wdeg_and_tilde,
@@ -112,16 +110,3 @@ def test_prime_after_elimination_zero_ideal(ext):
 
 def test_prime_after_elimination_square_factor(ext):
     assert prime_after_elimination([ext.poly("X^2 + 2*X*Y + Y^2")]) is False
-
-
-def test_enumerate_gj_examples():
-    assert enumerate_gj(GjSpec(m=0, u=(1, 1), j=2)) == [(2, 0), (1, 1), (0, 2)]
-    assert enumerate_gj(GjSpec(m=1, u=(2,), j=2)) == [(2, 0), (0, 1)]
-    assert enumerate_gj(GjSpec(m=0, u=(1, 2), j=3)) == [(3, 0), (1, 1)]
-
-
-def test_gjspec_validation():
-    with pytest.raises(PlinthError):
-        GjSpec(m=0, u=(0,), j=1)
-    with pytest.raises(PlinthError):
-        GjSpec(m=-1, u=(1,), j=1)

@@ -3,6 +3,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 import pytest
@@ -353,14 +354,88 @@ def test_kernels_match_fraction_reference(rng):
             _assert_clean(got.terms)
 
 
-def test_kernels_share_small_integers(rab):
-    x, y = rab.gen("X"), rab.gen("Y")
-    p = (x + 2 * y - 3) * (x - y) + rab.const(Fraction(4, 2))
-    q = -p
-    assert all(c is polyring._fraction(c.numerator) for c in p.terms.values())
-    assert all(c is polyring._fraction(c.numerator) for c in q.terms.values())
-    big = rab.const(10**30)
-    assert (big * x).terms[(0, 0, 1, 0)] == 10**30
+def _assert_content_form(p):
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    if p.is_zero():
+        assert (p.nums, p.den) == ({}, 1)
+
+
+def test_kernels_keep_content_form(rng):
+    ring = PolyRing(("a", "b"), ("X", "Y"))
+    for _ in range(150):
+        f, g = _kernel_poly(rng, ring), _kernel_poly(rng, ring)
+        if rng.random() < 0.2:
+            g = -f + _kernel_poly(rng, ring) * rng.randint(0, 1)  # cancellation
+        images = [_kernel_poly(rng, ring) for _ in ring.vars]
+        if all(img.is_zero() for img in images):
+            images[0] = ring.one()
+        results = [f + g, f - g, f * g, -f, f - f, apply(Derivation(ring, images), f),
+                   normalize_unit(f)]
+        if not g.is_zero():
+            results.append(divide_exact(f * g, g))
+            assert results[-1] == f
+        if not (f.is_zero() and g.is_zero()):
+            results.append(multivariate_gcd([f, g]))
+        for p in results:
+            _assert_content_form(p)
+    x = ring.gen("X")
+    assert (ring.const(10**30) * x).terms == {(0, 0, 1, 0): 10**30}
+    assert (x * Fraction(2, 3) + x * Fraction(1, 3)).nums == {(0, 0, 1, 0): 1}
+
+
+def _fraction_terms(rng, ring):
+    """Up to 5 clean terms with mixed denominators, some beyond 2**64."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 2) for _ in range(ring.arity))
+        num = rng.choice((rng.randint(1, 9), rng.randint(2**64, 2**70))) * rng.choice((1, -1))
+        terms[e] = Fraction(num, rng.choice((1, 2, 6, 35, 3**41)))
+    return terms
+
+
+def test_equality_and_hash_follow_the_coefficients(rng):
+    ring = PolyRing(("a",), ("X", "Y"))
+    for _ in range(300):
+        t = _fraction_terms(rng, ring)
+        p = MultiPoly(ring, t)
+        assert p.terms == t
+        _assert_content_form(p)
+        # the same polynomial by another route has the same form and hash
+        k = Fraction(rng.choice((3, 2**65 + 1)), rng.choice((7, 3**41)))
+        q = p * k * (1 / k)
+        assert q == p and hash(q) == hash(p) and (q.nums, q.den) == (p.nums, p.den)
+        u = dict(t)
+        if u and rng.random() < 0.5:
+            e = rng.choice(sorted(u))
+            u[e] = rng.choice((u[e] * 2, u[e] + Fraction(1, 3**41), -u[e]))
+        r = MultiPoly(ring, u)
+        assert (p == r) == (t == r.terms)
+        assert (p != r) == (t != r.terms)
+        if p == r:
+            assert hash(p) == hash(r)
+
+
+def test_kernels_never_read_the_terms_view(monkeypatch, rab):
+    reads = []
+    view = MultiPoly.terms
+    monkeypatch.setattr(MultiPoly, "terms",
+                        property(lambda p: reads.append(p) or view.fget(p)))
+    p = poly_from_string(rab, "(X/2 + Y/3 + a)^62")
+    q = poly_from_string(rab, "X - b/5")
+    small = poly_from_string(rab, "(X/2 + Y/3 + a)^6")
+    assert len(p.nums) == 2016
+    D = Derivation(rab, [rab.gen("b"), rab.gen("a")])
+    pq = p * q
+    assert divide_exact(pq, q) == p
+    p + q, p - q, -p, normalize_unit(p), apply(D, p)
+    assert multivariate_gcd([small * q, small]) == normalize_unit(small)
+    assert reads == []
+    for f in (p, pq, small):
+        str(f)
+        assert len(reads) <= 1
+        reads.clear()
 
 
 def test_generators_zero_and_one_are_shared(rab):

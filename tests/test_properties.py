@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from plinth.derivation import Derivation, apply, deg_d, iterate
+from plinth.derivation import OVERFLOW, Derivation, _deg_with_status, apply, iterate
 from plinth.grading import WeightedDegree, wdeg_and_tilde
 from plinth.linalg import SpanSolver, bareiss_echelon, nullspace
 from plinth.oracle import kernel_and_image_basis, matrix_of_power, slice_basis
@@ -27,6 +27,13 @@ def random_poly(rng, ring, max_terms=4, max_deg=2, nonzero=False):
     if nonzero and p.is_zero():
         return ring.const(rng.randint(1, 5))
     return p
+
+
+def deg_d(D, f):
+    """deg_D(f): least n with D^(n+1) f = 0; -inf for 0; OVERFLOW at the
+    iteration cap."""
+    value, status = _deg_with_status(D, f)
+    return value if status == "finite" else OVERFLOW
 
 
 def poly_from_coeffs(ring, index, coeffs):
