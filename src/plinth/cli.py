@@ -354,7 +354,8 @@ def _run_image_ideal(spec, n, bounds, cap):
             exit_code=2,
             lines=["unsupported structure: %s" % err],
         )
-    gens = [poly_to_string(g) for g in res.generators]
+    cert = res.to_dict()
+    gens = cert["generators"]
     lines = ["I_%d generators: %s" % (n, ", ".join(gens) or "(none found)")]
     lines.append("theorem: %s" % res.theorem)
     if res.m is not None:
@@ -367,7 +368,7 @@ def _run_image_ideal(spec, n, bounds, cap):
         verdict=verdict,
         exit_code=0 if verdict == "PASS" else 2,
         generators=gens,
-        certificates=[res.to_dict()],
+        certificates=[cert],
         lines=lines,
     )
 
@@ -388,25 +389,24 @@ def _run_verify(spec, n, bounds, cap):
             exit_code=2,
             lines=["oracle entry cap exceeded: %s" % err],
         )
-    lines = ["predicted generators: %s" % ", ".join(str(p) for p in predicted)]
-    for item in report.forward_items:
-        lines.append("forward  %-12s %s: %s" % (item.status, item.element, item.detail))
-    for item in report.backward_items:
-        lines.append("backward %-12s %s: %s" % (item.status, item.element, item.detail))
+    cert = report.to_dict()  # prints each element once; one forward item per generator
+    gens = [i["element"] for i in cert["forward_items"]]
+    lines = ["predicted generators: %s" % ", ".join(gens)]
+    for direction in ("forward", "backward"):
+        for i in cert[direction + "_items"]:
+            lines.append("%-8s %-12s %s: %s"
+                         % (direction, i["status"], i["element"], i["detail"]))
     lines.append("forward: %s, backward: %s" % (report.forward, report.backward))
-    witnesses = [
-        str(i.element)
-        for i in report.forward_items + report.backward_items
-        if i.status == "FAIL"
-    ]
+    witnesses = [i["element"] for i in cert["forward_items"] + cert["backward_items"]
+                 if i["status"] == "FAIL"]
     code = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[report.overall]
     return RunReport(
         command="verify",
         spec_echo=spec.echo,
         verdict=report.overall,
         exit_code=code,
-        generators=[str(p) for p in predicted],
-        certificates=[report.to_dict()],
+        generators=gens,
+        certificates=[cert],
         witnesses=witnesses,
         lines=lines,
     )
@@ -562,7 +562,12 @@ def _emit(report, as_json):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        if err.code == 0:  # --help
+            raise
+        return 3  # argparse has printed the usage error: malformed input
     try:
         bounds = _parse_bounds(args.bounds)
         if args.command == "examples":

@@ -16,7 +16,6 @@ from .polyring import (
     PolyRing,
     RingMismatchError,
     divides,
-    extended_euclid,
     irreducible_smalldeg,
     multivariate_gcd,
     reduce_mod_prime,
@@ -316,29 +315,28 @@ def _bounded_bezout(images):
     return True if system.solve(ring.one()) is not None else None
 
 
+def nice_fixed_point_free(images):
+    """(DB)B = B for a nice derivation whose images, not all zero, lie in R:
+    the images must generate the unit ideal of R, so their gcd must be a
+    unit.  Over Q or Q[t], a PID, that is enough (Bezout); over more
+    parameters a common zero at the origin is a sound no, a bounded Bezout
+    certificate a sound yes, and otherwise the answer is None."""
+    nonzero = [i for i in images if not i.is_zero()]
+    if not multivariate_gcd(nonzero).is_constant():
+        return False
+    if nonzero[0].ring.nparams <= 1:
+        return True
+    if all(p.constant_term() == 0 for p in nonzero):
+        return False
+    return _bounded_bezout(nonzero)
+
+
 def is_fixed_point_free(D, rep, factored_b=None):
     """(DB)B = B test for the structured 2-variable cases; True/False/None.
     rep is classify(D)."""
     ring = D.ring
     if rep.classification == "nice" and rep.nice_pair is not None:
-        a_img, b_img = D.images
-        k = ring.nparams
-        if k == 0:
-            return not (a_img.is_zero() and b_img.is_zero())
-        if k == 1:
-            if a_img.is_zero() or b_img.is_zero():
-                nz = b_img if a_img.is_zero() else a_img
-                return nz.is_constant()
-            g, _, _ = extended_euclid(a_img, b_img)
-            return g.is_constant()
-        # multi-parameter UFD: sound no via a visible common zero, sound yes
-        # via a bounded Bezout certificate, otherwise unknown
-        nonzero = [i for i in D.images if not i.is_zero()]
-        if not multivariate_gcd(nonzero).is_constant():
-            return False
-        if all(p.constant_term() == 0 for p in nonzero):  # common zero at the origin
-            return False
-        return _bounded_bezout(nonzero)
+        return nice_fixed_point_free(D.images)
     if rep.quasi is not None:
         q = rep.quasi
         if ring.nparams == 0:

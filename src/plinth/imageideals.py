@@ -34,6 +34,7 @@ from .derivation import (
     is_fixed_point_free,
     iterate,
     localized_fpf,
+    nice_fixed_point_free,
 )
 from .grading import (
     TopDegreeCertificate,
@@ -698,12 +699,8 @@ def _quasi_branch(an):
         # in the coordinates (X_1, X_2 + v) the derivation is nice
         newc = dec.new_coordinate
         f2 = dec.new_image
-        equiv_images = [None, None]
-        equiv_images[q.pivot] = q.b
-        equiv_images[q.other] = f2
-        equiv = Derivation(ring, equiv_images)
         return _nice_branch(
-            an, is_fixed_point_free(equiv, classify(equiv)),
+            an, nice_fixed_point_free((q.b, f2)),
             "fixed-point-freeness undetermined within bounds", "inice",
             (q.b, f2), (ring.gen(ring.vars[q.pivot]), newc), (ring, q.b, f2),
             ["after the coordinate change %s -> %s" % (ring.vars[q.other], newc)])
@@ -739,7 +736,7 @@ def _pid3var_branch(an):
     U, V, W = red.coords
     # the graded certificate lives on the reduced 2-variable problem
     return _nice_branch(
-        an, is_fixed_point_free(red.reduced, classify(red.reduced)),
+        an, nice_fixed_point_free((f, g)),
         "fixed-point-freeness of the reduction undetermined", "pid-3var",
         (red.to_original(f), red.to_original(g)), (V, W), (red.new_ring, f, g),
         ["coordinates U=%s, V=%s, W=%s; A = R[U, %s]" % (U, V, W, red.kernel.generators[1])])

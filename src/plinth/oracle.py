@@ -8,12 +8,11 @@ once, and D^j of the slice is composed from them.  Stacking [D^(j+1) | D^j]
 for the monomials of the slice gives one elimination that answers both the
 forward preimages and Ker(D) within D^j(slice).  The backward check of
 several generators writes each cofactor over a basis of Ker(D) within the
-slice, which at j = 1 is read from that same elimination; its columns
-g_i * kappa are products of integer numerators.  Every question is one
-sparse exact system; polynomials appear only at its boundary.  Every
-positive answer carries a certificate (preimage or cofactors) that is
-re-verified by direct polynomial arithmetic; bounded failures are reported
-as INCONCLUSIVE, never upgraded.
+slice, which at j = 1 is read from that same elimination.  Every question
+is one sparse exact system; polynomials appear only at its boundary.
+Every positive answer carries a certificate (preimage or cofactors) that
+is re-verified by direct polynomial arithmetic; bounded failures are
+reported as INCONCLUSIVE, never upgraded.
 """
 
 from __future__ import annotations
@@ -300,18 +299,14 @@ class LinearMapMatrix:
         {exps: int}: the monomials D kills, then sum x_k * m_k for each
         relation x among the nonzero D(m_k).  At power 1 those D(m_k) are
         the columns, so the relations are the chain's, already eliminated;
-        at any other power one more elimination finds them."""
-        images = self.images
-        live = [e for e in self.source.basis if images(e)]
-        if self.power == 1:
-            solver = self.chain._solver
-        else:
-            number = {}
-            solver = linalg.SpanSolver(
-                [{number.setdefault(f, len(number)): v for f, v in images(e).items()}
-                 for e in live])
-        return ([{e: 1} for e in self.source.basis if not images(e)]
-                + [{live[k]: x for k, x in rel.items()} for rel in solver.relations])
+        at any other power one more system of those D(m_k) finds them."""
+        images, basis = self.images, self.source.basis
+        live = [k for k, e in enumerate(basis) if images(e)]
+        system = self.chain if self.power == 1 else _Combinations(
+            [(0, self.source.monomials[k]) for k in live], [(images(basis[k]),) for k in live])
+        return ([{e: 1} for e in basis if not images(e)]
+                + [{basis[live[k]]: x for k, x in rel.items()}
+                   for rel in system._solver.relations])
 
 
 def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, images=None):
@@ -463,26 +458,12 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                     )
                 )
     elif predicted:
-        # each cofactor c_i is a combination of the bounded kernel basis; the
-        # columns g_i * kappa are integer numerators over one denominator
+        # each cofactor c_i is a combination of the bounded kernel basis
         _refuse_kernel(mat.images, source, entry_cap)
-        kernel = mat.kernel()
-        den = lcm(*(g.den for g in predicted))
-        columns = []
-        for g in predicted:
-            g = [(e, c * (den // g.den)) for e, c in g.nums.items()]
-            for kappa in kernel:
-                acc = {}
-                get = acc.get
-                for e, c in g:
-                    for f, v in kappa.items():
-                        h = tuple(map(_add, e, f))
-                        acc[h] = get(h, 0) + c * v
-                columns.append(({h: v for h, v in acc.items() if v},))
-        kernel = [MultiPoly._of(ring, kappa) for kappa in kernel]
+        kernel = [MultiPoly._of(ring, kappa) for kappa in mat.kernel()]
         unknowns = [(i, kappa) for i in range(len(predicted)) for kappa in kernel]
-        cofactors = _Combinations(unknowns, columns, den,
-                                  [(w.nums,) for w in intersection], entry_cap)
+        cofactors = _Combinations.of_polynomials(
+            unknowns, [predicted[i] * kappa for i, kappa in unknowns], intersection, entry_cap)
         for w in intersection:
             cs = cofactors.solve(w)
             if cs is None:

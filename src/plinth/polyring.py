@@ -515,7 +515,7 @@ def _content_pp(f, i):
               if not c.is_zero()]
     cont = coeffs[0]
     for c in coeffs[1:]:
-        cont = _gcd_prs(cont, c)
+        cont = _gcd2(cont, c)
         if cont.is_constant():
             break
     cont = normalize_unit(cont)
@@ -535,18 +535,16 @@ def _prem(f, g, i):
 
 
 def _gcd_prs(f, g):
-    """gcd by primitive pseudo-remainder sequences, recursive in the variables."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
+    """gcd of two nonzero polynomials by primitive pseudo-remainder sequences
+    in their last variable; the contents, one variable fewer, go through
+    _gcd2, so the heuristic gets the first try at every level."""
     idx = [i for i, col in enumerate(zip(*f.nums, *g.nums)) if any(col)]
     if not idx:
         return f.ring.one()
     i = idx[-1]
     fc, fp = _content_pp(f, i)
     gc, gp = _content_pp(g, i)
-    cont = _gcd_prs(fc, gc)
+    cont = _gcd2(fc, gc)
     a, b = fp, gp
     if _deg(a, i) < _deg(b, i):
         a, b = b, a

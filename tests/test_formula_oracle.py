@@ -18,13 +18,19 @@ shows only as an INCONCLUSIVE backward item, so the backward side must PASS;
 not failing is not enough.  The forward side must PASS too, except for the
 quasi-nice family: the preimages of (prod of primes)^m often need a larger
 parameter bound than 2.
+
+Near-miss inputs each break one hypothesis of a formula.  On the command
+line each must end as oracle-only, with exit 2 or 3, or with a formula tag
+whose backward check PASSes at bounds 2,2 and whose forward check does not
+FAIL.
 """
 
+import json
 import random
 
 import pytest
 
-from plinth.cli import parse_problem
+from plinth.cli import main, parse_problem
 from plinth.oracle import verify_image_ideal
 
 BOUNDS = (2, 2)
@@ -92,3 +98,49 @@ def test_formula_answers_pass_the_oracle(family, forward, seed):
             report = verify_image_ideal(D, j, answer.generators, *BOUNDS, CAP)
             assert report.forward in forward, (text, j, report.to_dict())
             assert report.backward == "PASS", (text, j, report.to_dict())
+
+
+NEAR_MISSES = [
+    # nice over Q[t] with coprime images: fixed point free, a slice
+    ("fpf-nice-Qt", "param t\nvar X\nvar Y\nD X = t^2 + 1\nD Y = t\n", "slice"),
+    ("fpf-nice-Qt-zero-image", "param t\nvar X\nvar Y\nD X = 0\nD Y = 2\n", "slice"),
+    # over Q[a,b]: (1 + a) - a = 1 certifies fixed-point-freeness
+    ("bezout-Qab", "param a\nparam b\nvar X\nvar Y\nD X = 1 + a\nD Y = a\n", "slice"),
+    # coprime, but both vanish at a = 0, b = -1: no Bezout certificate exists
+    ("zero-off-origin-Qab", "param a\nparam b\nvar X\nvar Y\nD X = a\nD Y = 1 + b\n",
+     "oracle-only"),
+    # quasi-nice, not strict: X2 -> X2 + X1^2 makes it nice with images in R
+    ("nice-able-Qt", "param t\nvar X1\nvar X2\nD X1 = t^2 + 1\n"
+     "D X2 = -2*(t^2 + 1)*X1 - t\n", "slice"),
+    ("nice-able-Qab", "param a\nparam b\nvar X1\nvar X2\nD X1 = a\nD X2 = -2*a*X1 - b\n",
+     "inice"),
+    ("pid-3var", "param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = t^2\nD Z = X + t\n",
+     "pid-3var"),
+    # a reducible D(X1) needs factor lines, and they must multiply to it
+    ("reducible-unfactored", "param t\nvar X1\nvar X2\nD X1 = t^2 - 1\nD X2 = -2*X1\n", 3),
+    ("wrong-factor", "param t\nvar X1\nvar X2\nD X1 = t^2 - 1\nD X2 = -2*X1\n"
+     "factor t - 1 : 1\nfactor t + 2 : 1\n", 3),
+]
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in NEAR_MISSES],
+                         ids=[case[0] for case in NEAR_MISSES])
+def test_near_misses_end_honestly(text, expected, tmp_path, capsys):
+    path = tmp_path / "problem.txt"
+    path.write_text(text)
+    for j in ("1", "2"):
+        code = main(["image-ideal", str(path), "--n", j, "--json"])
+        out = capsys.readouterr().out
+        certificates = json.loads(out)["certificates"] if out else []
+        theorem = certificates[0]["theorem"] if certificates else None
+        assert code in (0, 2, 3), (text, j)
+        assert (theorem if code == 0 or theorem == "oracle-only" else code) == expected, \
+            (text, j, code, theorem)
+        if code != 0:
+            continue
+        # the formula's generators, checked both ways by the oracle
+        code = main(["verify", str(path), "--n", j, "--bounds", "%d,%d" % BOUNDS,
+                     "--cap", str(CAP), "--json"])
+        report, = json.loads(capsys.readouterr().out)["certificates"]
+        assert report["backward"] == "PASS", (text, j, report)
+        assert report["forward"] != "FAIL", (text, j, report)

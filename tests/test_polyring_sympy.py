@@ -1,10 +1,14 @@
 """Cross-checks of the polynomial core against sympy (seeded; --seed changes
 the sample).  sympy is used here only, never by the package."""
 
+import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
 
+from plinth import polyring
 from plinth.polyring import (
     ExactDivisionError,
     MultiPoly,
@@ -63,6 +67,42 @@ def test_gcd_matches_sympy(rab, rng):
         g = common * _random_poly(rng, rab, 4, 2)
         expected = _to_sympy(f, gens).gcd(_to_sympy(g, gens))
         assert multivariate_gcd([f, g]) == normalize_unit(_from_sympy(rab, expected))
+
+
+def test_gcd_fallback_on_case_115_is_fast(rab, monkeypatch):
+    # case 115 of test_gcd_matches_sympy at seed 5: 4 and 16 terms of total
+    # degrees 9 and 10 with a 4-term common factor.  With the top-level
+    # heuristic made to give up, the PRS fallback must take its contents
+    # through the heuristic again: by PRS alone they swell for minutes
+    rng = random.Random(5)
+    for _ in range(116):
+        common = _random_poly(rng, rab, 4, 2)
+        f = common * _random_poly(rng, rab, 4, 2)
+        g = common * _random_poly(rng, rab, 4, 2)
+    assert [len(f.nums), len(g.nums), f.total_degree(), g.total_degree()] == [4, 16, 9, 10]
+    expected = multivariate_gcd([f, g])
+    heuristic = polyring._gcd_heu
+    calls = []
+
+    def gives_up_once(p, q):
+        calls.append(1)
+        return None if len(calls) == 1 else heuristic(p, q)
+
+    def stop(signum, frame):
+        raise TimeoutError("the gcd fallback ran past 5 s")
+
+    monkeypatch.setattr(polyring, "_gcd_heu", gives_up_once)
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        start = time.monotonic()
+        got = multivariate_gcd([f, g])
+        elapsed = time.monotonic() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(calls) > 1 and elapsed < 1.0
+    assert got == expected == normalize_unit(common)
 
 
 def test_products_match_sympy_expand(rab, rng):
