@@ -11,6 +11,7 @@ from operator import add as _add
 from typing import Optional
 
 from .polyring import (
+    CertificateError,
     MultiPoly,
     PlinthError,
     PolyRing,
@@ -305,28 +306,40 @@ def localized_fpf(D, rep, p):
 
 def _bounded_bezout(images):
     """Search cofactors alpha_i in R (total degree <= DEFAULT_BEZOUT_BOUND) with
-    sum alpha_i * images_i = 1.  Returns True on success, None on failure."""
+    sum alpha_i * images_i = 1.  One elimination, one pass: the columns
+    m * images_i come image by image, each by ascending degree of m, and the
+    search stops at the first column that brings 1 into their span
+    (oracle._Combinations.solve_first).  Interleaving the images by degree
+    stops sooner but makes the pass without a certificate slower.  The
+    cofactors are re-checked by polynomial arithmetic.  Returns True on
+    success, None on failure."""
     from .oracle import _Combinations, slice_basis  # oracle imports this module
 
     ring = images[0].ring
-    monos = slice_basis(ring, DEFAULT_BEZOUT_BOUND, 0).monomials
+    monos = slice_basis(ring, DEFAULT_BEZOUT_BOUND, 0).monomials  # ascending degree
     unknowns = [(i, m) for i in range(len(images)) for m in monos]
     system = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
-    return True if system.solve(ring.one()) is not None else None
+    alphas = system.solve_first(ring.one())
+    if alphas is None:
+        return None
+    if sum((a * f for a, f in zip(alphas, images)), ring.zero()) != ring.one():
+        raise CertificateError("Bezout cofactors of %s fail their re-check"
+                               % ", ".join(map(str, images)))
+    return True
 
 
 def nice_fixed_point_free(images):
     """(DB)B = B for a nice derivation whose images, not all zero, lie in R:
-    the images must generate the unit ideal of R, so their gcd must be a
-    unit.  Over Q or Q[t], a PID, that is enough (Bezout); over more
-    parameters a common zero at the origin is a sound no, a bounded Bezout
-    certificate a sound yes, and otherwise the answer is None."""
+    the images must generate the unit ideal of R.  Over Q or Q[t], a PID, a
+    unit gcd is enough (Bezout).  Over more parameters a common zero at the
+    origin, tested first as the cheaper, or a non-unit gcd is a sound no, a
+    bounded Bezout certificate a sound yes, and otherwise the answer is
+    None."""
     nonzero = [i for i in images if not i.is_zero()]
-    if not multivariate_gcd(nonzero).is_constant():
-        return False
     if nonzero[0].ring.nparams <= 1:
-        return True
-    if all(p.constant_term() == 0 for p in nonzero):
+        return multivariate_gcd(nonzero).is_constant()
+    if (all(p.constant_term() == 0 for p in nonzero)
+            or not multivariate_gcd(nonzero).is_constant()):
         return False
     return _bounded_bezout(nonzero)
 

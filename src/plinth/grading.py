@@ -4,7 +4,6 @@ sound partial primality check for top-degree ideals."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .polyring import (
     IdealPresentation,
@@ -82,7 +81,7 @@ def _substitution_shape(f):
             continue
         rest = f.coefficient_of(name, 0)
         # f = c*V + rest, V not in rest by construction
-        g = rest * Fraction(-1, 1) * (1 / c.as_constant())
+        g = rest * (-1 / c.as_constant())
         yield name, g
 
 
@@ -200,10 +199,12 @@ def _square_factor_probe(h):
 def prime_after_elimination(gens):
     """Sound partial primality test for an ideal given by generators.
 
-    Substitution-shaped generators are eliminated; a single remaining
-    generator is accepted when it is linear in some variable with coprime
-    coefficient and remainder, rejected on a visible factorization, and
-    'unknown' otherwise."""
+    Substitution-shaped generators are eliminated.  A single remaining
+    generator h is accepted first when it is linear in some variable V,
+    h = c*V + r with gcd(c, r) a unit (with r = 0, c itself a unit), as a
+    primitive linear polynomial is irreducible; only when that fails are
+    the content gcds and the square-factor probe run, which reject it on a
+    visible factorization; otherwise the answer is 'unknown'."""
     gens = [g for g in gens]
     ring = gens[0].ring if gens else None
     work = list(gens)
@@ -228,6 +229,13 @@ def prime_after_elimination(gens):
     h = work[0]
     if h.is_constant():
         return False  # unit ideal
+    # linear-in-a-variable criterion; gcd(c, 0) is c
+    for name in ring.names:
+        if h.degree_in(name) == 1:
+            c = h.coefficient_of(name, 1)
+            r = h.coefficient_of(name, 0)
+            if multivariate_gcd([c, r]).is_constant():
+                return True
     # visible factorizations
     for name in ring.names:
         deg = h.degree_in(name)
@@ -240,13 +248,4 @@ def prime_after_elimination(gens):
             return False
     if _square_factor_probe(h) is not None:
         return False
-    # linear-in-a-variable criterion
-    for name in ring.names:
-        if h.degree_in(name) == 1:
-            c = h.coefficient_of(name, 1)
-            r = h.coefficient_of(name, 0)
-            if c.involves(name):
-                continue
-            if r.is_zero() or multivariate_gcd([c, r]).is_constant():
-                return True
     return None

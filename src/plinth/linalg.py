@@ -144,23 +144,34 @@ class SpanSolver:
     of a row record which combination of the vectors it is.  A vector that
     depends on earlier ones reduces to its tags alone: a relation among it
     and earlier independent vectors, kept in relations, and the vector is
-    dropped, so pivot rows' tags name independent vectors only.  Each
+    dropped, so pivot rows' tags name independent vectors only.  Vectors
+    are inserted one at a time by add(), so a caller can stop early.  Each
     express() query is a reduction against the pivot rows.
     """
 
     def __init__(self, vectors):
-        self.pivots, holders = {}, {}
+        self.pivots, self._holders = {}, {}
         # one {i: int} per dependent vector, in input order, with
         # sum(x_i * vectors[i]) == 0, primitive, first nonzero entry
         # positive: a basis of all relations among the vectors
         self.relations = []
-        for i, v in enumerate(vectors):
-            row, scale = _sparse_row(v)
-            row[~i] = scale
-            tags = _insert(self.pivots, holders, row)
-            if tags is not None:
-                sign = -1 if tags[max(tags)] < 0 else 1  # ~k is largest for the least k
-                self.relations.append({~k: sign * x for k, x in sorted(tags.items(), reverse=True)})
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v):
+        """Insert the next vector; its relation with earlier independent
+        vectors (also appended to relations) if it depends on them, else
+        None."""
+        i = len(self.pivots) + len(self.relations)  # each earlier vector made one
+        row, scale = _sparse_row(v)
+        row[~i] = scale
+        tags = _insert(self.pivots, self._holders, row)
+        if tags is None:
+            return None
+        sign = -1 if tags[max(tags)] < 0 else 1  # ~k is largest for the least k
+        relation = {~k: sign * x for k, x in sorted(tags.items(), reverse=True)}
+        self.relations.append(relation)
+        return relation
 
     def express(self, v):
         """{i: c_i} with sum(c_i * vectors[i]) == v, the zero c_i left out,

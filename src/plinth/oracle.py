@@ -178,7 +178,8 @@ class _Combinations:
     tuple of blocks of integer numerators {exps: int}, every column over the
     one denominator den.  relations() gives the x with
     sum(x_i * columns[i]) == 0 and solve(*target) an x with
-    sum(x_i * columns[i]) == target, each as one polynomial per slot;
+    sum(x_i * columns[i]) == target, each as one polynomial per slot
+    (solve_first(*target) one that uses the fewest leading columns);
     tail_basis() spans the vectors of the column span whose blocks before
     the last vanish.  Coordinates number the monomials of each block in
     descending grlex order, block after block.  The cap counts coordinates x
@@ -237,10 +238,11 @@ class _Combinations:
     def _solver(self):
         return linalg.SpanSolver([self._vector(col) for col in self.columns])
 
-    def solve(self, *target):
-        """The answer for one solution, or None if target, one polynomial
-        per block, is out of reach.  It is solved for scale * target in
-        integers, scale the common denominator of its blocks."""
+    def _coordinates(self, target):
+        """(coords, scale): scale * target, one polynomial per block, in the
+        coordinates of the columns (which are over den), scale the common
+        denominator of its blocks; None if a monomial of target is in no
+        column."""
         scale = lcm(*(p.den for p in target))
         coords = {}
         for number, p in zip(self.numbering, target):
@@ -249,8 +251,38 @@ class _Combinations:
                 if e not in number:
                     return None
                 coords[number[e]] = c * k
+        return coords, scale
+
+    def solve(self, *target):
+        """The answer for one solution, or None if target, one polynomial
+        per block, is out of reach.  It is solved for scale * target in
+        integers, scale the common denominator of its blocks."""
+        found = self._coordinates(target)
+        if found is None:
+            return None
+        coords, scale = found
         x = self._solver.express(coords)
         return None if x is None else self._answer(x, scale)
+
+    def solve_first(self, *target):
+        """solve(*target), a nonzero target, from the fewest leading columns
+        that reach it: one elimination inserts target, then the columns in
+        order, and stops at the first relation that involves target, so the
+        columns after it are never eliminated.  None if all of them fall
+        short."""
+        found = self._coordinates(target)
+        if found is None:
+            return None
+        coords, scale = found
+        solver = linalg.SpanSolver([coords])
+        for col in self.columns:
+            relation = solver.add(self._vector(col))
+            if relation and 0 in relation:
+                # relation[0] * target + sum relation[i] * columns[i - 1] == 0,
+                # relation[0] > 0 as the first entry
+                return self._answer({i - 1: -x for i, x in relation.items() if i},
+                                    scale * relation[0])
+        return None
 
     def tail_basis(self, entry_cap=None):
         """The last-block parts of the vectors of the column span whose other

@@ -1,17 +1,23 @@
+from fractions import Fraction
+
 import pytest
 
+from plinth import linalg
 from plinth.derivation import (
+    DEFAULT_BEZOUT_BOUND,
     OVERFLOW,
     Derivation,
     PlinthError,
     UnsupportedStructureError,
+    _bounded_bezout,
     apply,
     classify,
     is_fixed_point_free,
     iterate,
     localized_fpf,
 )
-from plinth.polyring import PolyRing
+from plinth.oracle import _Combinations, slice_basis
+from plinth.polyring import MultiPoly, PolyRing
 from test_properties import deg_d
 
 
@@ -142,3 +148,68 @@ def test_fpf_unsupported(rab):
     D = Derivation(ring, [ring.poly("a"), ring.poly("b"), ring.poly("b*X - a*Y")])
     with pytest.raises(UnsupportedStructureError):
         is_fixed_point_free(D, classify(D))
+
+
+def _random_ab(rng, ring, degree):
+    """A random nonzero polynomial of total degree <= degree in a, b."""
+    while True:
+        p = MultiPoly(ring, {(i, j, 0, 0): Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                             for i in range(degree + 1) for j in range(degree + 1 - i)})
+        if not p.is_zero():
+            return p
+
+
+def bezout_pairs(rng, ring, count=4):
+    """Seeded pairs over Q[a, b] with a certificate, (f, 1 + f*g) in either
+    order, then pairs of degree 2 and 4 with a common zero at (1, 1)."""
+    certified, common_zero = [], []
+    for k in range(count):
+        f = _random_ab(rng, ring, 2)
+        pair = [f, ring.one() + f * _random_ab(rng, ring, 2)]
+        certified.append(pair[::-1] if k % 2 else pair)
+        common_zero.append([p - ring.const(sum(p.terms.values()))  # p(1, 1) = 0
+                            for p in (_random_ab(rng, ring, 2), _random_ab(rng, ring, 4))])
+    return certified, common_zero
+
+
+def test_bounded_bezout_agrees_with_the_full_solve(rng, rab):
+    # the one-pass search answers as one solve of the whole degree-6 system
+    monos = slice_basis(rab, DEFAULT_BEZOUT_BOUND, 0).monomials
+    certified, common_zero = bezout_pairs(rng, rab)
+    for images, expected in [(p, True) for p in certified] + [(p, None) for p in common_zero]:
+        unknowns = [(i, m) for i in range(len(images)) for m in monos]
+        full = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
+        assert (None if full.solve(rab.one()) is None else True) == expected
+        assert _bounded_bezout(images) == expected, images
+
+
+def test_bezout_search_inserts_each_column_once(rng, rab, monkeypatch):
+    # without a certificate: one solver, the target and then every column
+    # m * f_i once; with one, the search stops before the last column
+    built, added = [], []
+    real_init, real_add = linalg.SpanSolver.__init__, linalg.SpanSolver.add
+
+    def counting_init(self, vectors):
+        built.append(self)
+        real_init(self, vectors)
+
+    def counting_add(self, v):
+        added.append(frozenset(v.items()))
+        return real_add(self, v)
+
+    monkeypatch.setattr(linalg.SpanSolver, "__init__", counting_init)
+    monkeypatch.setattr(linalg.SpanSolver, "add", counting_add)
+    columns = 2 * len(slice_basis(rab, DEFAULT_BEZOUT_BOUND, 0).basis)
+    certified, common_zero = bezout_pairs(rng, rab, count=2)
+    for images in common_zero:
+        built.clear()
+        added.clear()
+        assert _bounded_bezout(images) is None
+        assert len(built) == 1
+        assert len(added) == len(set(added)) == 1 + columns
+    for images in certified:
+        built.clear()
+        added.clear()
+        assert _bounded_bezout(images) is True
+        assert len(built) == 1
+        assert len(added) < 1 + columns

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from plinth.grading import (
@@ -7,7 +9,7 @@ from plinth.grading import (
     top_degree_ideal,
     wdeg_and_tilde,
 )
-from plinth.polyring import PlinthError, PolyRing
+from plinth.polyring import MultiPoly, PlinthError, PolyRing
 
 
 @pytest.fixture
@@ -110,3 +112,54 @@ def test_prime_after_elimination_zero_ideal(ext):
 
 def test_prime_after_elimination_square_factor(ext):
     assert prime_after_elimination([ext.poly("X^2 + 2*X*Y + Y^2")]) is False
+
+
+def test_prime_after_elimination_rejects_non_unit_linear_coefficient(ext):
+    # c*V with c not a unit is reducible; the linear criterion alone would
+    # see r = 0 and must still ask for a constant c
+    assert prime_after_elimination([ext.poly("a*X")]) is False
+    assert prime_after_elimination([ext.poly("S1 - X"), ext.poly("a*S1 + b*S1")]) is False
+    assert prime_after_elimination([ext.poly("2*X")]) is True
+
+
+def _random_coefficient(rng, ring, skip):
+    """A random polynomial of degree <= 2 in the names of ring other than
+    the one at index skip, possibly zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        e = [0] * ring.arity
+        for _ in range(rng.randint(0, 2)):
+            e[rng.choice([i for i in range(ring.arity) if i != skip])] += 1
+        terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2)))
+    return MultiPoly(ring, terms)
+
+
+def test_prime_after_elimination_against_sympy(rng):
+    """Whenever a generator linear in one variable is accepted, sympy finds
+    it irreducible: a single non-constant factor of multiplicity 1.  The
+    sample mixes coprime c, r with shared factors and r = 0."""
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("a", "b"), ("X", "Y", "Z"))
+    gens = sympy.symbols(ring.names)
+    seen = set()
+    for _ in range(60):
+        v = rng.randrange(ring.arity)
+        c, r = _random_coefficient(rng, ring, v), _random_coefficient(rng, ring, v)
+        if c.is_zero():
+            c = ring.one()
+        if rng.random() < 0.3:
+            shared = _random_coefficient(rng, ring, v)
+            if not shared.is_zero():
+                c, r = c * shared, r * shared
+        if rng.random() < 0.2:
+            r = ring.zero()
+        h = c * ring.gen(ring.names[v]) + r
+        verdict = prime_after_elimination([h])
+        seen.add(verdict)
+        if verdict is True:
+            expr = sum(sympy.Rational(q.numerator, q.denominator)
+                       * sympy.prod(g ** k for g, k in zip(gens, e))
+                       for e, q in h.terms.items())
+            _, factors = sympy.factor_list(expr, *gens)
+            assert len(factors) == 1 and factors[0][1] == 1, h
+    assert True in seen and False in seen

@@ -466,6 +466,41 @@ def test_certificates_are_rechecked_under_optimize():
     assert backward.startswith("backward cofactors of ") and "fail their re-check" in backward
 
 
+RECHECK_BEZOUT_UNDER_OPTIMIZE = """
+import sys
+from plinth.cli import parse_problem, run
+from plinth.oracle import _Combinations
+from plinth.polyring import CertificateError
+
+print(sys.flags.optimize)
+spec = parse_problem("param a\\nparam b\\nvar X\\nvar Y\\nD X = a + 1\\nD Y = 1 + (a + 1)*b\\n")
+solve_first = _Combinations.solve_first
+
+def wrong(self, *target):
+    answer = solve_first(self, *target)
+    answer[0] = answer[0] + answer[0].ring.one()
+    return answer
+
+_Combinations.solve_first = wrong
+try:
+    print(run("image-ideal", spec, n=1).certificates[0]["theorem"])
+except CertificateError as err:
+    print(err)
+"""
+
+
+def test_bezout_certificate_is_rechecked_under_optimize():
+    # a slice-bezout input: the cofactors of sum alpha_i * f_i = 1 are
+    # re-checked by an explicit if, so python -O keeps the check
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", RECHECK_BEZOUT_UNDER_OPTIMIZE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    flag, message = proc.stdout.splitlines()
+    assert flag == "1"
+    assert message == "Bezout cofactors of a + 1, a*b + b + 1 fail their re-check"
+
+
 def test_wink1_verify_at_5_5_is_fast():
     D, gens = _wink1()
     start = time.monotonic()
