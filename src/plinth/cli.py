@@ -14,7 +14,7 @@ from typing import Optional
 from .derivation import Derivation, UnsupportedStructureError
 from .imageideals import Analysis, KernelPresentation, kernel_generator
 from .oracle import DEFAULT_ENTRY_CAP, OracleCapError, verify_image_ideal
-from .polyring import PlinthError, PolyRing, poly_to_string
+from .polyring import CertificateError, PlinthError, PolyRing, poly_to_string
 
 DEFAULT_BOUNDS = (3, 3)
 
@@ -274,6 +274,8 @@ def _run_check(spec):
         fpf = spec.analysis.fixed_point_free
         lines.append("fixed point free: %s" % fpf)
     except (UnsupportedStructureError, PlinthError) as err:
+        if isinstance(err, CertificateError):  # a failed re-check is no answer
+            raise
         lines.append("fixed point free: undetermined (%s)" % err)
     lines.extend(rep.notes)
     if rep.lnd is True:
@@ -311,6 +313,8 @@ def _run_kernel(spec):
         else:
             pres = kernel_generator(an.D, an.report)
     except (UnsupportedStructureError, PlinthError) as err:
+        if isinstance(err, CertificateError):
+            raise
         return RunReport(
             command="kernel",
             spec_echo=spec.echo,
@@ -586,6 +590,9 @@ def main(argv=None):
         return 3
     except UnsupportedStructureError as err:
         print("unsupported structure: %s" % err, file=sys.stderr)
+        return 2
+    except CertificateError as err:  # a failed re-check: no certified answer
+        print("internal error: %s" % err, file=sys.stderr)
         return 2
     except PlinthError as err:
         print("input error: %s" % err, file=sys.stderr)

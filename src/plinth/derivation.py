@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
-from operator import add as _add
 from typing import Optional
 
 from .polyring import (
+    FIELD_MASK,
     CertificateError,
     MultiPoly,
     PlinthError,
@@ -73,7 +73,7 @@ def apply(D, f):
 
     One pass over integer numerators, all over one common denominator: the
     term c*X^e of f contributes e_i * c * (DX_i) * X^(e - unit_i) for each
-    main variable X_i in it.
+    main variable X_i in it, at the key of e plus a delta of _columns.
     """
     if f.ring is not D.ring and f.ring != D.ring:
         raise RingMismatchError("apply: polynomial ring mismatch")
@@ -81,29 +81,31 @@ def apply(D, f):
     iden, columns = _columns(D)
     acc = {}
     get = acc.get
-    for pos, img in columns:
+    for s, img in columns:
         for e1, c1 in terms:
-            k = e1[pos]
+            k = e1 >> s & FIELD_MASK
             if k:
                 c1 *= k
-                for e2, c2 in img:
-                    e = tuple(map(_add, e1, e2))
+                for d, c2 in img:
+                    e = e1 + d
                     acc[e] = get(e, 0) + c1 * c2
+    if acc:
+        D.ring.check_degree(max(acc))
     return MultiPoly._of(D.ring, acc, f.den * iden)
 
 
 @lru_cache(maxsize=1)
 def _columns(D):
-    """(iden, [(pos, terms)]) for apply and for the oracle's D on monomials:
-    per main variable with a nonzero image, its position in the exponent
-    vector and the terms of its image as integers over the common
-    denominator iden, each exponent vector minus the variable's unit
-    vector.  Only the last derivation's columns are kept, so a Derivation
-    itself carries nothing extra."""
+    """(iden, [(shift, terms)]) for apply and for the oracle's D on
+    monomials: per main variable with a nonzero image, the offset of its
+    field in a key and the terms of its image as integers over the common
+    denominator iden, each key minus the variable's key.  Only the last
+    derivation's columns are kept, so a Derivation carries nothing extra."""
     iden = lcm(*[img.den for img in D.images])
-    return iden, [(pos, [(e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * (iden // img.den))
-                         for e, c in img.nums.items()])
-                  for pos, img in enumerate(D.images, D.ring.nparams) if img.nums]
+    ring = D.ring
+    return iden, [(ring._shifts[pos], [(k - ring._units[pos], c * (iden // img.den))
+                                       for k, c in img.nums.items()])
+                  for pos, img in enumerate(D.images, ring.nparams) if img.nums]
 
 
 def iterate(D, f, n):
@@ -232,13 +234,8 @@ def _in_R(f):
 def _in_R_of(f, var):
     """f in R[var]: no main variable other than var occurs."""
     ring = f.ring
-    k = ring.nparams
-    vi = ring.index(var)
-    for exps in f.nums:
-        for j in range(k, ring.arity):
-            if j != vi and exps[j] > 0:
-                return False
-    return True
+    s = ring._shifts[ring.index(var)]
+    return all(ring.degrees(k)[1] == k >> s & FIELD_MASK for k in f.nums)
 
 
 def _extract_quasi(D, nice_set):
@@ -255,9 +252,11 @@ def _extract_quasi(D, nice_set):
         # f = -integral of DX_2 dX_1, normalized with f(0) = 0: the term
         # c*X_1^k becomes -c/(k+1) * X_1^(k+1), over den * lcm of the k+1
         xi = ring.index(xvar)
-        scale = lcm(*[e[xi] + 1 for e in g.nums])
-        f = MultiPoly._of(ring, {e[:xi] + (e[xi] + 1,) + e[xi + 1:]: -c * (scale // (e[xi] + 1))
+        s, unit = ring._shifts[xi], ring._units[xi]
+        scale = lcm(*[(e >> s & FIELD_MASK) + 1 for e in g.nums])
+        f = MultiPoly._of(ring, {e + unit: -c * (scale // ((e >> s & FIELD_MASK) + 1))
                                  for e, c in g.nums.items()}, g.den * scale)
+        ring.check_degree(max(f.nums, default=0))
         d = f.degree_in(xvar)
         if d == MINUS_INF:
             d = 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .polyring import (
+    FIELD_MASK,
     IdealPresentation,
     MultiPoly,
     PlinthError,
@@ -27,7 +28,7 @@ class HypothesisError(PlinthError):
 class WeightedDegree:
     """A weighted degree map: natural weights on variables, 0 on parameters."""
 
-    __slots__ = ("ring", "weights")
+    __slots__ = ("ring", "weights", "_fields")
 
     def __init__(self, ring, weights):
         ws = {}
@@ -44,9 +45,10 @@ class WeightedDegree:
             ws[name] = w
         self.ring = ring
         self.weights = ws
+        self._fields = [(s, ws[name]) for name, s in zip(ring.names, ring._shifts) if ws[name]]
 
-    def of_monomial(self, exps):
-        return sum(e * self.weights[name] for name, e in zip(self.ring.names, exps))
+    def of_monomial(self, key):
+        return sum(w * (key >> s & FIELD_MASK) for s, w in self._fields)
 
 
 def wdeg_and_tilde(wd, p):

@@ -165,7 +165,7 @@ def kernel_generator(D, rep):
             "kernel_generator needs a nice or quasi-nice 2-variable derivation"
         )
     if not apply(D, g).is_zero():
-        raise PlinthError("internal: kernel candidate %s is not killed by D" % g)
+        raise CertificateError("kernel candidate %s is not killed by D" % g)
     return KernelPresentation(generators=[g], certified=True)
 
 
@@ -255,7 +255,7 @@ def strictness_decompose(D, rep):
     if du <= 1:
         newc = ring.gen(x2name) + v
         if not iterate(D, newc, 2).is_zero():
-            raise PlinthError("internal: coordinate change did not make D nice")
+            raise CertificateError("coordinate change did not make D nice")
         return StrictnessResult(
             verdict="nice-able",
             u=u,
@@ -516,7 +516,7 @@ def nice3var_reduce(D, rep):
     )
     U, V, W = coords
     if not apply(D, U).is_zero():
-        raise PlinthError("internal: U is not a kernel element")
+        raise CertificateError("U is not a kernel element")
 
     un, vn, wn = _fresh_names(("U", "V", "W"), ring.names)
     big = ring.extend((un, vn, wn))
@@ -560,7 +560,7 @@ def nice3var_reduce(D, rep):
     kern2 = red.to_original(g) * V - red.to_original(f) * W
     for cand in (U, kern2):
         if not apply(D, cand).is_zero():
-            raise PlinthError("internal: %s is not a kernel element" % cand)
+            raise CertificateError("%s is not a kernel element" % cand)
     red.kernel = KernelPresentation(generators=[U, kern2], certified=True)
     return red
 
@@ -731,6 +731,8 @@ def _pid3var_branch(an):
     try:
         red = an.reduction
     except PlinthError as err:
+        if isinstance(err, CertificateError):
+            raise
         return partial(_oracle_only, "3-variable reduction failed: %s" % err)
     f, g = red.reduced.images
     U, V, W = red.coords
@@ -775,9 +777,9 @@ def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
         pre = p1**i1 * p2**i2
         factor = Fraction(factorial(j))
         if iterate(D, pre, j) != factor * gen:
-            raise PlinthError("internal: preimage identity failed for %s" % gen)
+            raise CertificateError("preimage identity failed for %s" % gen)
         if not apply(D, gen).is_zero():
-            raise PlinthError("internal: generator %s is not in Ker(D)" % gen)
+            raise CertificateError("generator %s is not in Ker(D)" % gen)
         gens.append(gen)
         pres.append(pre)
         factors.append(factor)

@@ -65,8 +65,6 @@ def _sparse_row(row):
     items = row.items() if isinstance(row, dict) else enumerate(row)
     items = [(c, x) for c, x in items if x]
     den = lcm(*(x.denominator for _, x in items))
-    if den == 1:
-        return {c: x.numerator for c, x in items}, 1
     return {c: x.numerator * (den // x.denominator) for c, x in items}, den
 
 
@@ -123,10 +121,14 @@ def _insert(pivots, holders, row):
 
 def nullspace(rows, ncols):
     """Basis of {x : M x = 0} for the matrix with the given rows (dense
-    lists of length ncols), as dense lists of Fractions of length ncols:
-    SpanSolver's relations among the columns of M."""
+    lists of length ncols of ints and Fractions), as dense lists of
+    Fractions of length ncols: SpanSolver's relations among the columns of
+    M, each column scaled to integers over its denominator."""
+    solver = SpanSolver([])
+    for c in range(ncols):
+        solver.add(*_sparse_row([row[c] for row in rows]))
     basis = []
-    for vec in SpanSolver([[row[c] for row in rows] for c in range(ncols)]).relations:
+    for vec in solver.relations:
         dense = [_ZERO] * ncols
         for c, v in vec.items():
             dense[c] = Fraction(v)
@@ -138,14 +140,15 @@ class SpanSolver:
     """Membership, expression and relations in the span of a fixed list of
     vectors.
 
-    Each vector (dense list or {coordinate: value} dict) becomes a sparse
-    integer row tagged with an identity entry in column ~i (negative, so
-    never a pivot) and is inserted into one reduced echelon form; the tags
-    of a row record which combination of the vectors it is.  A vector that
-    depends on earlier ones reduces to its tags alone: a relation among it
-    and earlier independent vectors, kept in relations, and the vector is
-    dropped, so pivot rows' tags name independent vectors only.  Vectors
-    are inserted one at a time by add(), so a caller can stop early.  Each
+    A vector is an integer row {coordinate: int} without zero entries,
+    over a scale given to add(), 1 by default.  Each is taken, not copied,
+    tagged with the entry scale in column ~i (negative, so never a pivot)
+    and inserted into one reduced echelon form; the tags of a row record
+    which combination of the vectors it is.  A vector that depends on
+    earlier ones reduces to its tags alone: a relation among it and earlier
+    independent vectors, kept in relations, and the vector is dropped, so
+    pivot rows' tags name independent vectors only.  Vectors are inserted
+    one at a time by add(), so a caller can stop early.  Each
     express() query is a reduction against the pivot rows.
     """
 
@@ -158,12 +161,11 @@ class SpanSolver:
         for v in vectors:
             self.add(v)
 
-    def add(self, v):
-        """Insert the next vector; its relation with earlier independent
-        vectors (also appended to relations) if it depends on them, else
-        None."""
+    def add(self, row, scale=1):
+        """Insert the next vector, row / scale; its relation with earlier
+        independent vectors (also appended to relations) if it depends on
+        them, else None."""
         i = len(self.pivots) + len(self.relations)  # each earlier vector made one
-        row, scale = _sparse_row(v)
         row[~i] = scale
         tags = _insert(self.pivots, self._holders, row)
         if tags is None:
@@ -174,9 +176,9 @@ class SpanSolver:
         return relation
 
     def express(self, v):
-        """{i: c_i} with sum(c_i * vectors[i]) == v, the zero c_i left out,
-        or None."""
-        w, scale = _sparse_row(v)
+        """{i: c_i} with sum(c_i * vectors[i]) == v, an integer row, the zero
+        c_i left out, or None."""
+        w, scale = v, 1
         # invariant: scale * v == (columns >= 0 of w) - sum_i w[~i] * vectors[i]
         for c in [c for c in w if c in self.pivots]:
             w, a = _eliminate(w, c, self.pivots[c])

@@ -20,17 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, lcm
-from operator import add as _add
 
 from . import linalg
 from .derivation import _columns, apply, iterate
 from .polyring import (
+    FIELD_MASK,
     CertificateError,
     ExactDivisionError,
     MultiPoly,
     PlinthError,
     divide_exact,
-    grlex_key,
 )
 
 DEFAULT_ENTRY_CAP = 20000
@@ -57,19 +56,19 @@ class DegreeSlice:
 
     @cached_property
     def basis(self):
-        """The monomials in ascending graded-lex order."""
+        """The monomial keys in ascending graded-lex order."""
         pmonos = _bounded_tuples(self.ring.nparams, self.param_bound)
         vmonos = _bounded_tuples(self.ring.nvars, self.var_bound)
-        return tuple(sorted((p + v for p in pmonos for v in vmonos), key=grlex_key))
+        return tuple(sorted(self.ring.encode(p + v) for p in pmonos for v in vmonos))
 
     @cached_property
     def monomials(self):
         """The basis monomials as polynomials."""
         return [MultiPoly._of(self.ring, {e: 1}) for e in self.basis]
 
-    def __contains__(self, exps):
-        k = self.ring.nparams
-        return sum(exps[:k]) <= self.param_bound and sum(exps[k:]) <= self.var_bound
+    def __contains__(self, key):
+        p, v = self.ring.degrees(key)
+        return p <= self.param_bound and v <= self.var_bound
 
 
 def slice_basis(ring, param_bound, var_bound):
@@ -100,36 +99,39 @@ def growth_per_application(D):
 
 
 class _Images:
-    """D on monomials: D(X^e) as integer numerators {exps: int} over iden,
+    """D on monomials: D(X^e) as integer numerators {key: int} over iden,
     the common denominator of derivation._columns(D).  Each is computed
     once, for the life of this object, which is one oracle call; the
     columns it returns are shared and never written."""
 
     def __init__(self, D):
         self.iden, columns = _columns(D)
-        # X^e contributes e_pos * c * X^(e + s) for each term c*X^s of a
-        # column; a shift s found in several columns sums their terms
-        shifts = {}
-        for pos, img in columns:
-            for s, c in img:
-                shifts.setdefault(s, []).append((pos, c))
-        self.shifts = list(shifts.items())
+        self.check_degree = D.ring.check_degree
+        # X^e contributes e_pos * c at key e + d for each term (d, c) of a
+        # column; a delta found in several columns sums their terms
+        deltas = {}
+        for shift, img in columns:
+            for d, c in img:
+                deltas.setdefault(d, []).append((shift, c))
+        self.deltas = list(deltas.items())
         self.memo = {}
 
     def _terms(self, e):
-        for s, parts in self.shifts:
+        for d, parts in self.deltas:
             v = 0
-            for pos, c in parts:
-                k = e[pos]
+            for shift, c in parts:
+                k = e >> shift & FIELD_MASK
                 if k:
                     v += k * c
             if v:
-                yield tuple(map(_add, e, s)), v
+                yield e + d, v
 
     def __call__(self, e):
         col = self.memo.get(e)
         if col is None:
             col = self.memo[e] = dict(self._terms(e))
+            if col:
+                self.check_degree(max(col))
         return col
 
     def support(self, basis):
@@ -175,7 +177,7 @@ class _Combinations:
 
     Unknown i is a (slot, polynomial) pair standing for x_i times that
     polynomial in the answer of its slot, and columns[i] is its image: a
-    tuple of blocks of integer numerators {exps: int}, every column over the
+    tuple of blocks of integer numerators {key: int}, every column over the
     one denominator den.  relations() gives the x with
     sum(x_i * columns[i]) == 0 and solve(*target) an x with
     sum(x_i * columns[i]) == target, each as one polynomial per slot
@@ -196,7 +198,7 @@ class _Combinations:
         self.numbering = []
         width = 0
         for found in monos:
-            ordered = sorted(found, key=grlex_key, reverse=True)
+            ordered = sorted(found, reverse=True)
             self.numbering.append({e: width + k for k, e in enumerate(ordered)})
             width += len(ordered)
         self.width = width
@@ -328,7 +330,7 @@ class LinearMapMatrix:
 
     def kernel(self):
         """A basis of Ker(D) within the source slice, as integer numerators
-        {exps: int}: the monomials D kills, then sum x_k * m_k for each
+        {key: int}: the monomials D kills, then sum x_k * m_k for each
         relation x among the nonzero D(m_k).  At power 1 those D(m_k) are
         the columns, so the relations are the chain's, already eliminated;
         at any other power one more system of those D(m_k) finds them."""

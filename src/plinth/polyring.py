@@ -2,17 +2,24 @@
 
 Polynomials live in a tower Q[t_1..t_k][X_1..X_n]: the t's are
 "coefficient parameters" and the X's are "main variables".  Internally a
-polynomial is in content form: a map nums from exponent vectors (length
-k+n, params first) to nonzero integer numerators, over one denominator
-den >= 1 with gcd(den, *nums) == 1.  That form is canonical, so equality
-and hashing compare it directly, and every kernel reads and writes
-integers; the Fraction coefficients are only built on request, by the
-terms view.  The term order used everywhere (printing, leading terms,
-deterministic pivoting) is graded lex on the combined exponent vector.
+polynomial is in content form: a map nums from monomial keys to nonzero
+integer numerators, over one denominator den >= 1 with gcd(den, *nums) ==
+1.  That form is canonical, so equality and hashing compare it directly,
+and every kernel reads and writes integers.  A key packs an exponent
+vector (length k+n, params first) into one natural number (Monagan &
+Pearce, CASC 2007): the total degree in the top field, below it one
+FIELD_BITS-bit field per name in ring-name order.  So a product of
+monomials is the sum of their keys, and integer order is graded lex, the
+term order used everywhere.  The top bit of a name's field is a guard, so
+a difference of keys shows divisibility.  Degrees stay below DEGREE_LIMIT:
+a result that would reach it raises PlinthError, never carries into the
+next field.  Exponent tuples appear only at the boundary: in
+MultiPoly(ring, terms) and in the terms view.
 """
 
 from __future__ import annotations
 
+import re
 import string
 import weakref
 from fractions import Fraction
@@ -20,9 +27,10 @@ from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from math import isqrt as _isqrt
 from math import lcm as _ilcm
-from operator import add as _add
-from operator import neg as _neg
-from operator import sub as _sub
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)  # the top bit of a field is its guard
 
 
 class PlinthError(Exception):
@@ -58,14 +66,16 @@ class PolyRing:
     """Descriptor of the ring Q[params][vars].
 
     A ring is immutable, so equal rings are one object while any of them
-    is in use: every problem parsed over the same names shares it, and
-    every constant and variable shares the ring's origin and unit exponent
-    vectors.  Polynomials are immutable too, so zero(), one() and gen()
-    hand out one shared polynomial each.
+    is in use: every problem parsed over the same names shares it.
+    Polynomials are immutable too, so zero(), one() and gen() hand out one
+    shared polynomial each.  The ring is the codec of its keys: _shifts[i]
+    is the offset of name i's field, _top the degree field's, _units[i] the
+    key of name i, _cap the least key of degree DEGREE_LIMIT and _guards
+    the guard bits of the name fields.
     """
 
-    __slots__ = ("params", "vars", "names", "_index", "_origin", "_zero", "_one", "_gens",
-                 "__weakref__")
+    __slots__ = ("params", "vars", "names", "_index", "_shifts", "_top", "_units", "_cap",
+                 "_guards", "_zero", "_one", "_gens", "__weakref__")
     _in_use = weakref.WeakValueDictionary()
 
     def __new__(cls, params, vars):
@@ -85,12 +95,14 @@ class PolyRing:
         ring.params, ring.vars = key
         ring.names = names
         ring._index = {name: i for i, name in enumerate(names)}
-        ring._origin = (0,) * len(names)
+        ring._top = FIELD_BITS * len(names)
+        ring._shifts = tuple(range(ring._top - FIELD_BITS, -1, -FIELD_BITS))
+        ring._units = tuple((1 << ring._top) + (1 << s) for s in ring._shifts)
+        ring._cap = DEGREE_LIMIT << ring._top
+        ring._guards = sum(DEGREE_LIMIT << s for s in ring._shifts)
         ring._zero = MultiPoly._of(ring, {})
-        ring._one = MultiPoly._of(ring, {ring._origin: 1})
-        ring._gens = tuple(
-            MultiPoly._of(ring, {ring._origin[:i] + (1,) + ring._origin[i + 1:]: 1})
-            for i in range(len(names)))
+        ring._one = MultiPoly._of(ring, {0: 1})
+        ring._gens = tuple(MultiPoly._of(ring, {unit: 1}) for unit in ring._units)
         cls._in_use[key] = ring
         return ring
 
@@ -115,6 +127,32 @@ class PolyRing:
         except KeyError:
             raise PlinthError("unknown variable %r in ring %r" % (name, self)) from None
 
+    def encode(self, exps):
+        """The key of an exponent vector."""
+        if len(exps) != len(self.names) or min(exps) < 0:
+            raise PlinthError("bad exponent vector %r for %r" % (exps, self))
+        key = sum(exps)
+        for e in exps:
+            key = key << FIELD_BITS | e
+        return self.check_degree(key)
+
+    def decode(self, key):
+        """The exponent vector of a key."""
+        return tuple(key >> s & FIELD_MASK for s in self._shifts)
+
+    def degrees(self, key):
+        """(parameter degree, main-variable degree) of a key."""
+        p = sum(key >> s & FIELD_MASK for s in self._shifts[:len(self.params)])
+        return p, (key >> self._top) - p
+
+    def check_degree(self, key):
+        """key, if its degree is below DEGREE_LIMIT; a kernel passes its
+        greatest key, which reaches _cap if a field would overflow."""
+        if key >= self._cap:
+            raise PlinthError("degree limit: monomial degrees must stay below %d"
+                              % DEGREE_LIMIT)
+        return key
+
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
@@ -138,7 +176,7 @@ class PolyRing:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return MultiPoly._of(self, {self._origin: c.numerator}, c.denominator)
+        return MultiPoly._of(self, {0: c.numerator}, c.denominator)
 
     def gen(self, name):
         return self._gens[self.index(name)]
@@ -151,33 +189,26 @@ class PolyRing:
         return poly_from_string(self, text)
 
 
-def grlex_key(exps):
-    return (sum(exps), exps)
+def _content_form(coeffs):
+    """(nums, den) of the coefficients {key: int or Fraction}: the nonzero
+    ones over their least common denominator, coprime to the numerators."""
+    coeffs = [(k, c) for k, c in coeffs.items() if c]
+    den = _ilcm(*[c.denominator for _, c in coeffs])
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs}, den
 
 
 class MultiPoly:
     """Sparse exact-rational multivariate polynomial: integer numerators
-    nums {exps: int}, none zero, over one denominator den >= 1, in lowest
+    nums {key: int}, none zero, over one denominator den >= 1, in lowest
     terms (gcd(den, *nums.values()) == 1); zero is ({}, 1)."""
 
     __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, terms):
         """The polynomial with the coefficients terms {exps: int or Fraction}."""
-        cleaned = {}
-        arity = ring.arity
-        for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(exps) != arity or any(e < 0 for e in exps):
-                raise PlinthError("bad exponent vector %r for %r" % (exps, ring))
-            cleaned[tuple(exps)] = coeff
-        # over the least common denominator the numerators share no factor with it
-        den = _ilcm(*[c.denominator for c in cleaned.values()])
         self.ring = ring
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
-        self.den = den
+        self.nums, self.den = _content_form(
+            {ring.encode(e): Fraction(c) for e, c in terms.items() if c})
 
     @classmethod
     def _of(cls, ring, nums, den=1):
@@ -199,8 +230,8 @@ class MultiPoly:
     @property
     def terms(self):
         """The coefficients as {exps: Fraction}, a new dict on every read."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.nums.items()}
+        den, decode = self.den, self.ring.decode
+        return {decode(k): Fraction(c, den) for k, c in self.nums.items()}
 
     # -- basic structure ------------------------------------------------
 
@@ -208,10 +239,10 @@ class MultiPoly:
         return not self.nums
 
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.nums)
+        return not any(self.nums)
 
     def constant_term(self):
-        return Fraction(self.nums.get((0,) * self.ring.arity, 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def as_constant(self):
         if not self.is_constant():
@@ -222,35 +253,24 @@ class MultiPoly:
         """(exponent vector, coefficient) of the graded-lex leading term."""
         if self.is_zero():
             raise PlinthError("zero polynomial has no leading term")
-        exps = max(self.nums, key=grlex_key)
-        return exps, Fraction(self.nums[exps], self.den)
+        key = max(self.nums)
+        return self.ring.decode(key), Fraction(self.nums[key], self.den)
 
     def total_degree(self):
-        if self.is_zero():
-            return float("-inf")
-        return max(sum(e) for e in self.nums)
+        return max(self.nums) >> self.ring._top if self.nums else float("-inf")
 
     def degree_in(self, name):
         i = self.ring.index(name)
-        if self.is_zero():
-            return float("-inf")
-        return max(e[i] for e in self.nums)
+        return _deg(self, i) if self.nums else float("-inf")
 
     def param_degree(self):
-        k = self.ring.nparams
-        if self.is_zero():
-            return float("-inf")
-        return max(sum(e[:k]) for e in self.nums)
+        return max((self.ring.degrees(k)[0] for k in self.nums), default=float("-inf"))
 
     def var_degree(self):
-        k = self.ring.nparams
-        if self.is_zero():
-            return float("-inf")
-        return max(sum(e[k:]) for e in self.nums)
+        return max((self.ring.degrees(k)[1] for k in self.nums), default=float("-inf"))
 
     def involves(self, name):
-        i = self.ring.index(name)
-        return any(e[i] > 0 for e in self.nums)
+        return _deg(self, self.ring.index(name)) > 0
 
     def coefficient_of(self, name, power):
         """Coefficient of name**power, a polynomial not involving name."""
@@ -306,18 +326,19 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.nums, other.nums
-        origin = self.ring._origin
-        if len(a) == 1 and origin in a:
+        if len(a) == 1 and 0 in a:
             a, b = b, a
-        if len(b) == 1 and origin in b:  # a constant factor keeps the exponents
-            k = b[origin]
+        if len(b) == 1 and 0 in b:  # a constant factor keeps the monomials
+            k = b[0]
             acc = {e: c * k for e, c in a.items()}
         else:
+            # the leading monomials' product is the product's greatest key
+            self.ring.check_degree(max(a, default=0) + max(b, default=0))
             acc = {}
             get = acc.get
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
-                    e = tuple(map(_add, e1, e2))
+                    e = e1 + e2
                     acc[e] = get(e, 0) + c1 * c2
         return MultiPoly._of(self.ring, acc, self.den * other.den)
 
@@ -379,8 +400,8 @@ class IdealPresentation:
 
 def partial_derivative(f, name):
     i = f.ring.index(name)
-    out = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-           for exps, c in f.nums.items() if exps[i]}
+    s, unit = f.ring._shifts[i], f.ring._units[i]
+    out = {k - unit: c * (k >> s & FIELD_MASK) for k, c in f.nums.items() if k >> s & FIELD_MASK}
     return MultiPoly._of(f.ring, out, f.den)
 
 
@@ -395,34 +416,34 @@ def substitute(f, name, replacement):
     return out
 
 
-def _int_divmod(f, g):
+def _int_divmod(f, g, guards):
     """Greedy graded-lex division of integer polynomials: (q, r, s) with
     s*f = q*g + r, s a positive integer and no term of r divisible by the
     leading monomial of g.
 
-    f, g, q and r are {exps: int}, g primitive.  Each step takes the
-    leading term of the work from a heap, not a scan, as in the heap
-    division of Monagan & Pearce, J. Symb. Comput. 46 (2011); the heap
-    holds (-degree, negated exps, exps), so its least entry is the
-    graded-lex leading term.  If g divides f, every quotient coefficient is
-    an integer (Gauss's lemma) and s = 1; a step that is not exact scales
-    the work, q and r by the missing factor.
+    f, g, q and r are {key: int}, g primitive, and guards is the ring's
+    _guards.  Each step takes the leading term of the work from a heap, not
+    a scan, as in the heap division of Monagan & Pearce, J. Symb. Comput.
+    46 (2011); the heap holds negated keys, so its least entry is the
+    leading term.  If g divides f, every quotient coefficient is an
+    integer (Gauss's lemma) and s = 1; a step that is not exact scales the
+    work, q and r by the missing factor.
     """
-    ge = max(g, key=grlex_key)
+    ge = max(g)
     gc = g[ge]
     tail = [(e, c) for e, c in g.items() if e != ge]
     work = dict(f)
     get = work.get
-    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in work]
+    heap = [-e for e in work]
     heapify(heap)
     q, r, s = {}, {}, 1
     while heap:
-        e = heappop(heap)[2]
+        e = -heappop(heap)
         c = work.pop(e)
         if not c:
             continue
-        qe = tuple(map(_sub, e, ge))
-        if min(qe) < 0:  # ge does not divide e
+        qe = e - ge
+        if qe & guards:  # a field borrowed: ge does not divide e
             r[e] = c
             continue
         if c % gc:
@@ -436,11 +457,11 @@ def _int_divmod(f, g):
         q[qe] = qc
         # the new terms fall below e, so a popped exponent never comes back
         for t, tc in tail:
-            e2 = tuple(map(_add, qe, t))
+            e2 = qe + t
             old = get(e2)
             if old is None:
                 work[e2] = -qc * tc
-                heappush(heap, (-sum(e2), tuple(map(_neg, e2)), e2))
+                heappush(heap, -e2)
             else:
                 work[e2] = old - qc * tc
     return q, r, s
@@ -459,7 +480,7 @@ def _divmod(f, g):
     cont = _igcd(*b.values())
     if cont != 1:
         b = {e: c // cont for e, c in b.items()}
-    q, r, s = _int_divmod(f.nums, b)
+    q, r, s = _int_divmod(f.nums, b, ring._guards)
     # f = a/da and g = cont*b'/db, so q/(s*da) * db/cont is f's quotient
     if db != 1:
         q = {e: c * db for e, c in q.items()}
@@ -486,7 +507,7 @@ def normalize_unit(f):
     if not nums:
         return f
     g = _igcd(*nums.values())
-    if nums[max(nums, key=grlex_key)] < 0:
+    if nums[max(nums)] < 0:
         g = -g
     return MultiPoly._of(f.ring, {e: c // g for e, c in nums.items()})
 
@@ -495,18 +516,20 @@ def normalize_unit(f):
 
 
 def _deg(f, i):
-    return max((e[i] for e in f.nums), default=-1)
+    s = f.ring._shifts[i]
+    return max((k >> s & FIELD_MASK for k in f.nums), default=-1)
 
 
 def _coeff_at(f, i, power):
-    out = {exps[:i] + (0,) + exps[i + 1:]: c
-           for exps, c in f.nums.items() if exps[i] == power}
+    s, unit = f.ring._shifts[i], power * f.ring._units[i]
+    out = {k - unit: c for k, c in f.nums.items() if k >> s & FIELD_MASK == power}
     return MultiPoly._of(f.ring, out, f.den)
 
 
-def _shift(f, i, power):
-    out = {exps[:i] + (exps[i] + power,) + exps[i + 1:]: c for exps, c in f.nums.items()}
-    return MultiPoly._of(f.ring, out, f.den)
+def _last_used(ring, keys):
+    """The index of the last name that one of the keys involves, or -1."""
+    return max((i for i, s in enumerate(ring._shifts) if any(k >> s & FIELD_MASK for k in keys)),
+               default=-1)
 
 
 def _content_pp(f, i):
@@ -530,7 +553,7 @@ def _prem(f, g, i):
     while not r.is_zero() and _deg(r, i) >= dg:
         dr = _deg(r, i)
         lcr = _coeff_at(r, i, dr)
-        r = lcg * r - _shift(lcr * g, i, dr - dg)
+        r = lcg * r - lcr * g * f.ring._gens[i] ** (dr - dg)
     return r
 
 
@@ -538,10 +561,9 @@ def _gcd_prs(f, g):
     """gcd of two nonzero polynomials by primitive pseudo-remainder sequences
     in their last variable; the contents, one variable fewer, go through
     _gcd2, so the heuristic gets the first try at every level."""
-    idx = [i for i, col in enumerate(zip(*f.nums, *g.nums)) if any(col)]
-    if not idx:
+    i = _last_used(f.ring, (*f.nums, *g.nums))
+    if i < 0:
         return f.ring.one()
-    i = idx[-1]
     fc, fp = _content_pp(f, i)
     gc, gp = _content_pp(g, i)
     cont = _gcd2(fc, gc)
@@ -562,7 +584,7 @@ _HEU_TRIES = 6
 _HEU_MAX_BITS = 1 << 18
 
 
-def _gcd_heu(f, g):
+def _gcd_heu(ring, f, g):
     """gcd of two nonzero integer polynomials by GCDHEU, or None on giving up.
 
     Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989); Geddes, Czapor &
@@ -573,48 +595,51 @@ def _gcd_heu(f, g):
     """
     cf, cg = _igcd(*f.values()), _igcd(*g.values())
     cont = _igcd(cf, cg)
-    zero = (0,) * len(next(iter(f)))
-    if f.keys() == {zero} or g.keys() == {zero}:
-        return {zero: cont}
-    i = max(i for i, col in enumerate(zip(*f, *g)) if any(col))
-    deg = max(e[i] for e in (*f, *g))
+    if f.keys() == {0} or g.keys() == {0}:
+        return {0: cont}
+    i = _last_used(ring, (*f, *g))
+    s, unit = ring._shifts[i], ring._units[i]
+    deg = max(k >> s & FIELD_MASK for k in (*f, *g))
     f = {e: c // cf for e, c in f.items()}
     g = {e: c // cg for e, c in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_TRIES):
         if xi.bit_length() * deg > _HEU_MAX_BITS:
             return None
-        fx, gx = _eval_at(f, i, xi), _eval_at(g, i, xi)
-        h = _gcd_heu(fx, gx) if fx and gx else None
+        fx, gx = _eval_at(f, s, unit, xi), _eval_at(g, s, unit, xi)
+        h = _gcd_heu(ring, fx, gx) if fx and gx else None
         if h is not None:
-            cand = _xi_adic(h, i, xi)
+            cand = _xi_adic(h, unit, xi)
             c = _igcd(*cand.values())
             cand = {e: v // c for e, v in cand.items()}
-            if all(not _int_divmod(p, cand)[1] for p in (f, g)):
+            if max(cand) < ring._cap and all(not _int_divmod(p, cand, ring._guards)[1]
+                                             for p in (f, g)):
                 return {e: v * cont for e, v in cand.items()} if cont > 1 else cand
         xi = xi * 73794 // 27011
     return None
 
 
-def _eval_at(f, i, xi):
-    """f with variable i set to the integer xi."""
+def _eval_at(f, s, unit, xi):
+    """f with the variable of field offset s and key unit set to the integer xi."""
     out = {}
-    for exps, c in f.items():
-        e = exps[:i] + (0,) + exps[i + 1:]
-        out[e] = out.get(e, 0) + c * xi ** exps[i]
+    for key, c in f.items():
+        k = key >> s & FIELD_MASK
+        e = key - k * unit
+        out[e] = out.get(e, 0) + c * xi ** k
     return {e: c for e, c in out.items() if c}
 
 
-def _xi_adic(h, i, xi):
-    """Polynomial in variable i whose coefficients are h's symmetric xi-adic digits."""
+def _xi_adic(h, unit, xi):
+    """Polynomial in the variable of key unit whose coefficients are h's
+    symmetric xi-adic digits."""
     half = xi // 2
     out = {}
-    for exps, v in h.items():
+    for key, v in h.items():
         k = 0
         while v:
             d = (v + half) % xi - half
             if d:
-                out[exps[:i] + (k,) + exps[i + 1:]] = d
+                out[key + k * unit] = d
             v = (v - d) // xi
             k += 1
     return out
@@ -626,7 +651,7 @@ def _gcd2(f, g):
         raise RingMismatchError("gcd operands ring mismatch")
     if f.is_zero() or g.is_zero():
         return g if f.is_zero() else f
-    h = _gcd_heu(f.nums, g.nums)
+    h = _gcd_heu(f.ring, f.nums, g.nums)
     if h is None:
         return _gcd_prs(f, g)
     return MultiPoly._of(f.ring, h)
@@ -654,8 +679,8 @@ def _single_param_index(ring, polys):
     """Index of the unique parameter the given polynomials may involve."""
     used = set()
     for p in polys:
-        for exps in p.nums:
-            for i, e in enumerate(exps):
+        for key in p.nums:
+            for i, e in enumerate(ring.decode(key)):
                 if e > 0:
                     if i >= ring.nparams:
                         raise PlinthError(
@@ -716,7 +741,7 @@ def reduce_mod_prime(r, p):
     if p.is_constant():
         raise PlinthError("modulus must be nonconstant")
     i = _single_param_index(ring, [p])
-    if any(e[j] for e in r.nums for j in range(ring.nparams) if j != i):
+    if any(ring.degrees(k)[0] != ring.decode(k)[i] for k in r.nums):
         raise PlinthError("reduce_mod_prime supports a single parameter")
     # p involves one parameter alone, so greedy division by p reduces
     # each coefficient in Q[t] on its own
@@ -736,8 +761,9 @@ def irreducible_smalldeg(p):
         return None
     # degree 2 or 3: irreducible over Q iff no rational root
     ints = [0] * (deg + 1)
-    for e, c in p.nums.items():  # over one denominator, which leaves the roots
-        ints[e[i]] = c
+    s = ring._shifts[i]
+    for k, c in p.nums.items():  # over one denominator, which leaves the roots
+        ints[k >> s & FIELD_MASK] = c
     if deg == 2:
         c, b, a = ints
         disc = b * b - 4 * a * c
@@ -779,14 +805,7 @@ def _integer_root_cubic(c2, c1, c0):
 
 def embed(f, ring):
     """Map a polynomial into a ring containing the same names (by name)."""
-    mapping = [ring.index(name) for name in f.ring.names]
-    out = {}
-    for exps, c in f.nums.items():
-        e = [0] * ring.arity
-        for src, dst in enumerate(mapping):
-            e[dst] = exps[src]
-        out[tuple(e)] = c
-    return MultiPoly._of(ring, out, f.den)
+    return _rename(f, ring, [(i, ring.index(name)) for i, name in enumerate(f.ring.names)])
 
 
 def restrict(f, ring):
@@ -795,16 +814,19 @@ def restrict(f, ring):
     for i, name in enumerate(f.ring.names):
         if name in ring._index:
             mapping.append((i, ring.index(name)))
-        else:
-            j = f.ring.index(name)
-            if any(e[j] > 0 for e in f.nums):
-                raise PlinthError("polynomial involves %r, absent from target ring" % name)
+        elif f.involves(name):
+            raise PlinthError("polynomial involves %r, absent from target ring" % name)
+    return _rename(f, ring, mapping)
+
+
+def _rename(f, ring, mapping):
+    """f in ring, name src of f's ring becoming name dst of ring."""
     out = {}
-    for exps, c in f.nums.items():
-        e = [0] * ring.arity
+    for k, c in f.nums.items():
+        exps, e = f.ring.decode(k), [0] * ring.arity
         for src, dst in mapping:
             e[dst] = exps[src]
-        out[tuple(e)] = c
+        out[ring.encode(e)] = c
     return MultiPoly._of(ring, out, f.den)
 
 
@@ -816,12 +838,13 @@ def poly_to_string(f):
     if f.is_zero():
         return "0"
     parts = []
-    nums, den, names = f.nums, f.den, f.ring.names
-    for exps in sorted(nums, key=grlex_key, reverse=True):
-        num = nums[exps]
+    nums, den, fields = f.nums, f.den, list(zip(f.ring.names, f.ring._shifts))
+    for key in sorted(nums, reverse=True):
+        num = nums[key]
         g = _igcd(num, den)  # each coefficient is printed in lowest terms
         mag = str(abs(num) // g) if g == den else "%d/%d" % (abs(num) // g, den // g)
-        factors = [name if e == 1 else "%s^%d" % (name, e) for name, e in zip(names, exps) if e]
+        factors = [name if e == 1 else "%s^%d" % (name, e)
+                   for name, s in fields if (e := key >> s & FIELD_MASK)]
         if parts:
             parts.append(" + " if num > 0 else " - ")
         elif num < 0:
@@ -830,125 +853,124 @@ def poly_to_string(f):
     return "".join(parts)
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+class _Parser:
+    """Recursive descent over the tokens of a text, (kind, value, position)
+    found in one regex pass; a character that starts no token fails once
+    the parser reaches it.  A term is built as coeff * monomial * poly: its
+    numbers and variables multiply into coeff and one key, its
+    parenthesized factors into poly.  The parser is an object, not nested
+    functions, so its tokens are freed as soon as the parse ends."""
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def __init__(self, ring, text):
+        self.ring, self.units, self.tokens, self.i = ring, ring._units, [], 0
+        for m in re.finditer(r"[ \t]*(?:(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])"
+                             r"|(?P<bad>.))", text, re.S):
+            kind = m.lastgroup
+            value = int(m.group(kind)) if kind == "int" else m.group(kind)
+            self.tokens.append((value if kind == "op" else kind, value, m.start(kind)))
+        self.tokens.append(("end", None, len(text)))
 
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("int", int(self.text[self.pos:j]), self.pos)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[self.pos:j], self.pos)
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos)
-        raise PolyParseError("unexpected character %r" % ch, self.pos)
+        kind, value, pos = token = self.tokens[self.i]
+        if kind == "bad":
+            raise PolyParseError("unexpected character %r" % value, pos)
+        return token
 
     def next(self):
-        kind, value, pos = self.peek()
-        if kind == "int":
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        elif kind == "name":
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-        elif kind != "end":
-            self.pos += 1
-        return kind, value, pos
+        token = self.peek()
+        if token[0] != "end":
+            self.i += 1
+        return token
 
-
-def poly_from_string(ring, text):
-    """Parse the polynomial grammar: + - * / ^ ( ), implicit products allowed."""
-    tok = _Tokenizer(text)
-
-    def parse_expr():
-        kind, _, _ = tok.peek()
-        negate = False
-        if kind in ("+", "-"):
-            tok.next()
-            negate = kind == "-"
-        value = parse_term()
-        if negate:
-            value = -value
-        while True:
-            kind, _, _ = tok.peek()
-            if kind == "+":
-                tok.next()
-                value = value + parse_term()
-            elif kind == "-":
-                tok.next()
-                value = value - parse_term()
+    def expr(self):
+        """The sum of the terms; those without a poly in one accumulator."""
+        ring, units = self.ring, self.units
+        acc, polys = {}, []
+        kind, _, _ = self.peek()
+        while True:  # kind is a sign, or the first term has none
+            sign = -1 if kind == "-" else 1
+            if kind in ("+", "-"):
+                self.next()
+            coeff, key, poly = self.term()
+            c = sign * coeff
+            if poly is None:
+                acc[key] = acc.get(key, 0) + c
             else:
-                return value
+                polys.append(poly if c == 1 and not key else
+                             poly * MultiPoly._of(ring, {key: c.numerator}, c.denominator))
+            kind, _, _ = self.peek()
+            if kind not in ("+", "-"):
+                break
+        if not polys and len(acc) == 1 and acc[key] == 1 and key in units:
+            return ring._gens[units.index(key)]  # a variable is shared
+        value = MultiPoly._of(ring, *_content_form(acc)) if acc or not polys else polys.pop()
+        for poly in polys:
+            value = value + poly
+        return value
 
-    def parse_term():
-        value = parse_factor()
+    def term(self):
+        """(coeff, key, poly) for coeff * monomial(key) * poly, None for a poly of 1."""
+        coeff, key, poly = self.factor()
         while True:
-            kind, _, _ = tok.peek()
-            if kind == "*":
-                tok.next()
-                value = value * parse_factor()
-            elif kind == "/":
-                tok.next()
-                knd, val, pos = tok.next()
+            kind, _, _ = self.peek()
+            if kind == "/":
+                self.next()
+                knd, val, pos = self.next()
                 if knd != "int":
                     raise PolyParseError("expected an integer denominator", pos)
                 if val == 0:
                     raise PolyParseError("division by zero", pos)
-                value = value * Fraction(1, val)
-            elif kind in ("int", "name", "("):
-                value = value * parse_factor()  # juxtaposition
-            else:
-                return value
+                coeff = Fraction(coeff, val)
+                continue
+            if kind == "*":
+                self.next()
+            elif kind not in ("int", "name", "("):  # not juxtaposition either
+                return coeff, self.ring.check_degree(key), poly
+            c, k, p = self.factor()
+            coeff, key = coeff * c, key + k if key else k  # k may be a shared unit key
+            if p is not None:
+                poly = p if poly is None else poly * p
 
-    def parse_factor():
-        base = parse_base()
-        kind, _, _ = tok.peek()
+    def factor(self):
+        coeff, key, poly = self.base()
+        kind, _, _ = self.peek()
         if kind == "^":
-            tok.next()
-            knd, val, pos = tok.next()
+            self.next()
+            knd, val, pos = self.next()
             if knd != "int":
                 raise PolyParseError("expected a natural exponent after '^'", pos)
-            return base**val
-        return base
+            if poly is not None:
+                return 1, 0, poly**val
+            return coeff**val, key * val, None
+        return coeff, key, poly
 
-    def parse_base():
-        kind, value, pos = tok.next()
+    def base(self):
+        kind, value, pos = self.next()
         if kind == "int":
-            return ring.const(value)
+            return value, 0, None
         if kind == "name":
-            if value not in ring._index:
+            if value not in self.ring._index:
                 raise PolyParseError("unknown variable %r" % value, pos)
-            return ring.gen(value)
+            return 1, self.units[self.ring._index[value]], None
         if kind == "(":
-            inner = parse_expr()
-            knd, _, pos2 = tok.next()
+            inner = self.expr()
+            knd, _, pos2 = self.next()
             if knd != ")":
                 raise PolyParseError("expected ')'", pos2)
-            return inner
+            return 1, 0, inner
         raise PolyParseError("expected a number, variable or '('", pos)
 
+
+def poly_from_string(ring, text):
+    """Parse the polynomial grammar: + - * / ^ ( ), implicit products allowed,
+    in one pass (_Parser)."""
+    parser = _Parser(ring, text)
     try:
-        value = parse_expr()
+        value = parser.expr()
     except RecursionError:  # each '(' costs four frames of the descent
-        raise PolyParseError("parentheses nested too deeply", tok.pos) from None
-    kind, _, pos = tok.peek()
+        raise PolyParseError("parentheses nested too deeply",
+                             parser.tokens[parser.i][2]) from None
+    kind, _, pos = parser.peek()
     if kind != "end":
         raise PolyParseError("trailing input", pos)
     return value

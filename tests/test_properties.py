@@ -5,7 +5,7 @@ from math import factorial, gcd, lcm
 
 from plinth.derivation import OVERFLOW, Derivation, _deg_with_status, apply, iterate
 from plinth.grading import WeightedDegree, wdeg_and_tilde
-from plinth.linalg import SpanSolver, bareiss_echelon, nullspace
+from plinth.linalg import SpanSolver, _sparse_row, bareiss_echelon, nullspace
 from plinth.oracle import kernel_and_image_basis, matrix_of_power, slice_basis
 from plinth.polyring import (
     MultiPoly,
@@ -79,6 +79,19 @@ def _normalize_vector(vec):
     if first < 0:
         g = -g
     return [Fraction(x, g) for x in ints]
+
+
+class FractionSpanSolver(SpanSolver):
+    """SpanSolver over dense lists or {column: value} dicts of ints and
+    Fractions, each vector scaled to an integer row over its denominator."""
+
+    def add(self, v):
+        return super().add(*_sparse_row(v))
+
+    def express(self, v):
+        row, scale = _sparse_row(v)
+        x = super().express(row)
+        return None if x is None else {i: c / scale for i, c in x.items()}
 
 
 def nullspace_naive(rows, ncols):
@@ -282,7 +295,7 @@ def check_oracle_monotone(rng, cases=40):
                 v[support[e]] = c
             return v
 
-        solver = SpanSolver([vec(p) for p in big])
+        solver = FractionSpanSolver([vec(p) for p in big])
         for p in small:
             assert solver.express(vec(p)) is not None
 
@@ -296,14 +309,14 @@ def check_matrix_columns(rng, cases=100):
         n = rng.randint(0, 3)
         mat = matrix_of_power(D, n, src, entry_cap=500000)
         i = rng.randrange(src.dim)
-        mono = MultiPoly(ring, {src.basis[i]: Fraction(1)})
+        mono = MultiPoly(ring, {ring.decode(src.basis[i]): Fraction(1)})
         assert as_poly(ring, mat.columns[i], mat.images.iden ** n) == iterate(D, mono, n)
         assert all(e in mat.target for e in mat.columns[i])
 
 
 def as_poly(ring, column, den):
-    """The polynomial an integer column over den stands for."""
-    return MultiPoly(ring, {e: Fraction(c, den) for e, c in column.items()})
+    """The polynomial an integer column {key: int} over den stands for."""
+    return MultiPoly(ring, {ring.decode(e): Fraction(c, den) for e, c in column.items()})
 
 
 def canonical_basis_naive(ring, polys):
@@ -416,12 +429,12 @@ def check_bareiss_vs_naive(rng, cases=CASES):
         b = nullspace_naive([list(r) for r in rows], ncols)
         assert a == b
         columns = [[r[c] for r in rows] for c in range(ncols)]
-        assert SpanSolver(columns).relations \
+        assert FractionSpanSolver(columns).relations \
             == [{c: int(x) for c, x in enumerate(v) if x} for v in b]
         dens = [lcm(*(Fraction(x).denominator for x in r)) for r in rows]
         ints = [[int(x * d) for x in r] for r, d in zip(rows, dens)]
         _, pivots = bareiss_echelon(ints, ncols)
-        assert sorted(SpanSolver(rows).pivots) == [c for _, c in pivots]
+        assert sorted(FractionSpanSolver(rows).pivots) == [c for _, c in pivots]
 
 
 # -- pytest wrappers ------------------------------------------------------------
