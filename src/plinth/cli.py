@@ -2,14 +2,8 @@
 verify / examples commands, canonical printing, JSON reports, and the
 built-in fixture suite."""
 
-from __future__ import annotations
-
-import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 from .derivation import Derivation, UnsupportedStructureError
 from .imageideals import Analysis, KernelPresentation, kernel_generator
@@ -25,16 +19,22 @@ class ProblemFormatError(PlinthError):
         self.line = line
 
 
-@dataclass
 class ProblemSpec:
-    params: tuple
-    vars: tuple
-    ring: PolyRing
-    images: dict  # var name -> MultiPoly
-    factored_b: Optional[list] = None  # (MultiPoly, multiplicity, asserted)
-    bounds: Optional[tuple] = None
-    cap: Optional[int] = None
-    expect: Optional[list] = None  # predicted generators for verify
+    def __init__(self, params, vars, ring, images, factored_b=None, bounds=None,
+                 cap=None, expect=None):
+        self.params = params
+        self.vars = vars
+        self.ring = ring
+        self.images = images  # var name -> MultiPoly
+        self.factored_b = factored_b  # (MultiPoly, multiplicity, asserted)
+        self.bounds = bounds
+        self.cap = cap
+        self.expect = expect  # predicted generators for verify
+
+    def __eq__(self, other):  # the fields, not what is cached on first use
+        keys = ("params", "vars", "ring", "images", "factored_b", "bounds", "cap", "expect")
+        return type(other) is ProblemSpec and all(
+            getattr(self, k) == getattr(other, k) for k in keys)
 
     # Built on first use and shared by every command run on this spec, so
     # the spec is not changed after its first run.
@@ -239,16 +239,17 @@ FIXTURES = {
 # command runners
 
 
-@dataclass
 class RunReport:
-    command: str
-    spec_echo: str
-    verdict: str
-    exit_code: int
-    generators: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    lines: list = field(default_factory=list)  # human-readable body
+    def __init__(self, command, spec_echo, verdict, exit_code, generators=None,
+                 certificates=None, witnesses=None, lines=None):
+        self.command = command
+        self.spec_echo = spec_echo
+        self.verdict = verdict
+        self.exit_code = exit_code
+        self.generators = [] if generators is None else generators
+        self.certificates = [] if certificates is None else certificates
+        self.witnesses = [] if witnesses is None else witnesses
+        self.lines = [] if lines is None else lines  # human-readable body
 
     def to_json(self):
         return {
@@ -485,6 +486,7 @@ def run(command, spec, n=None, bounds=None, cap=None):
 
 
 def _build_parser():
+    import argparse  # the command line alone needs it; the library does not
     parser = argparse.ArgumentParser(
         prog="plinth",
         description=(
@@ -556,6 +558,7 @@ def _load_spec(args):
 
 def _emit(report, as_json):
     if as_json:
+        import json  # only --json needs it
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         for line in report.lines:
@@ -597,6 +600,9 @@ def main(argv=None):
     except PlinthError as err:
         print("input error: %s" % err, file=sys.stderr)
         return 3
+    except Exception as err:  # a fault of plinth: no certified answer
+        print("internal error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        return 2
     return _emit(report, args.json)
 
 

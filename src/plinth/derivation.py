@@ -2,19 +2,14 @@
 variables, with local-nilpotence / irreducibility checks and structural
 classification (nice / quasi-nice) plus fixed-point-freeness tests."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
-from typing import Optional
 
 from .polyring import (
     FIELD_MASK,
     CertificateError,
     MultiPoly,
     PlinthError,
-    PolyRing,
     RingMismatchError,
     divides,
     irreducible_smalldeg,
@@ -148,7 +143,6 @@ def _is_scalar_multiple(f, g):
     return all(c * q == b[k] * p for k, c in a.items())
 
 
-@dataclass
 class QuasiData:
     """Extracted shape of a 1-quasi-nice 2-variable derivation.
 
@@ -157,24 +151,22 @@ class QuasiData:
     f(0) = 0, so D(other) = -f'(pivot).
     """
 
-    pivot: int
-    other: int
-    b: MultiPoly
-    f: MultiPoly
-    d: int
+    def __init__(self, pivot, other, b, f, d):
+        self.pivot, self.other, self.b, self.f, self.d = pivot, other, b, f, d
 
 
-@dataclass
 class StructureReport:
-    lnd: Optional[bool]
-    degrees: tuple
-    irreducible: bool
-    nice_set: frozenset
-    classification: str
-    quasi: Optional[QuasiData] = None
-    nice_pair: Optional[tuple] = None  # (b, a) with D = b d/dX - a d/dY
-    strict_candidate: bool = False
-    notes: list = field(default_factory=list)
+    def __init__(self, lnd, degrees, irreducible, nice_set, classification, quasi=None,
+                 nice_pair=None, strict_candidate=False, notes=None):
+        self.lnd = lnd
+        self.degrees = degrees
+        self.irreducible = irreducible
+        self.nice_set = nice_set
+        self.classification = classification
+        self.quasi = quasi
+        self.nice_pair = nice_pair  # (b, a) with D = b d/dX - a d/dY
+        self.strict_candidate = strict_candidate
+        self.notes = [] if notes is None else notes
 
 
 def classify(D):

@@ -1,10 +1,6 @@
 """Weighted degree maps, the top-degree-part (tilde) operator, and the
 sound partial primality check for top-degree ideals."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .polyring import (
     FIELD_MASK,
     IdealPresentation,
@@ -62,13 +58,13 @@ def wdeg_and_tilde(wd, p):
     return best, MultiPoly._of(p.ring, top, p.den)
 
 
-@dataclass
 class TopDegreeCertificate:
     """What was machine-checked while forming the top-degree ideal."""
 
-    homogeneous_checked: list
-    nonzerodivisor: str
-    notes: list = field(default_factory=list)
+    def __init__(self, homogeneous_checked, nonzerodivisor, notes=None):
+        self.homogeneous_checked = homogeneous_checked
+        self.nonzerodivisor = nonzerodivisor
+        self.notes = [] if notes is None else notes
 
 
 def _substitution_shape(f):

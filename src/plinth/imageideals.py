@@ -16,13 +16,9 @@ certificate) and shared by every command and every j; the per-j step
 only builds generators and preimages and re-checks them.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import factorial
-from typing import Optional
 
 from .derivation import (
     MINUS_INF,
@@ -37,7 +33,6 @@ from .derivation import (
     nice_fixed_point_free,
 )
 from .grading import (
-    TopDegreeCertificate,
     WeightedDegree,
     prime_after_elimination,
     top_degree_ideal,
@@ -51,7 +46,6 @@ from .oracle import (
 )
 from .polyring import (
     CertificateError,
-    MultiPoly,
     PlinthError,
     PolyRing,
     divide_exact,
@@ -69,27 +63,28 @@ DEFAULT_SLICE_BOUND = 4
 DEFAULT_SYZYGY_BOUND = 6
 
 
-@dataclass
 class KernelPresentation:
     """Generators of Ker(D) over R, each re-checked to be killed by D."""
 
-    generators: list
-    certified: bool
+    def __init__(self, generators, certified):
+        self.generators, self.certified = generators, certified
 
 
-@dataclass
 class TheoremCertificate:
     """Machine-checked hypothesis record attached to a formula result."""
 
-    irreducible: bool
-    fixed_point_free: Optional[bool] = None
-    top_degree: Optional[TopDegreeCertificate] = None
-    top_degree_generators: Optional[tuple] = None
-    primality: Optional[bool] = None
-    strictness: Optional[str] = None
-    heuristic: bool = False
-    localized: Optional[list] = None  # (prime, multiplicity, stays fpf)
-    notes: list = field(default_factory=list)
+    def __init__(self, irreducible, fixed_point_free=None, top_degree=None,
+                 top_degree_generators=None, primality=None, strictness=None,
+                 heuristic=False, localized=None, notes=None):
+        self.irreducible = irreducible
+        self.fixed_point_free = fixed_point_free
+        self.top_degree = top_degree  # a TopDegreeCertificate
+        self.top_degree_generators = top_degree_generators
+        self.primality = primality
+        self.strictness = strictness
+        self.heuristic = heuristic
+        self.localized = localized  # (prime, multiplicity, stays fpf)
+        self.notes = [] if notes is None else notes
 
     def to_dict(self):
         out = {
@@ -112,18 +107,20 @@ class TheoremCertificate:
         return out
 
 
-@dataclass
 class ImageIdealResult:
     """Generators of I_n = Ker(D) intersected with D^n B, as elements of B."""
 
-    n: int
-    generators: list
-    theorem: str  # trivial / slice / inice / 2varquasi / 2varquasi_PID / pid-3var / oracle-only
-    certificate: TheoremCertificate
-    preimages: Optional[list] = None
-    preimage_factors: Optional[list] = None
-    m: Optional[int] = None
-    notes: list = field(default_factory=list)
+    def __init__(self, n, generators, theorem, certificate, preimages=None,
+                 preimage_factors=None, m=None, notes=None):
+        self.n = n
+        self.generators = generators
+        # trivial / slice / inice / 2varquasi / 2varquasi_PID / pid-3var / oracle-only
+        self.theorem = theorem
+        self.certificate = certificate  # a TheoremCertificate
+        self.preimages = preimages
+        self.preimage_factors = preimage_factors
+        self.m = m
+        self.notes = [] if notes is None else notes
 
     def to_dict(self):
         return {
@@ -186,15 +183,15 @@ def min_exponent(j, d):
 # strictness detection
 
 
-@dataclass
 class StrictnessResult:
-    verdict: str  # nice-able / strictly-1-quasi / slice / undetermined
-    u: MultiPoly
-    v: MultiPoly
-    new_coordinate: Optional[MultiPoly] = None
-    new_image: Optional[MultiPoly] = None
-    heuristic: bool = False
-    notes: list = field(default_factory=list)
+    def __init__(self, verdict, u, v, new_coordinate=None, new_image=None,
+                 heuristic=False, notes=None):
+        self.verdict = verdict  # nice-able / strictly-1-quasi / slice / undetermined
+        self.u, self.v = u, v
+        self.new_coordinate = new_coordinate
+        self.new_image = new_image
+        self.heuristic = heuristic
+        self.notes = [] if notes is None else notes
 
 
 def strictness_decompose(D, rep):
@@ -367,13 +364,13 @@ def _quasi_top_degree_certificate(ring, q):
 # the 3-variable nice reduction
 
 
-@dataclass
 class ThreeVarReduction:
-    matrix: list  # 3x3 change of coordinates over R, determinant 1
-    new_ring: PolyRing  # R[U] as coefficient ring, main variables V, W
-    reduced: Derivation  # D expressed on the new ring
-    kernel: KernelPresentation  # [U, g*V - f*W] in the original coordinates
-    coords: tuple  # (U, V, W) as polynomials of the original ring
+    def __init__(self, matrix, new_ring, reduced, kernel, coords):
+        self.matrix = matrix  # 3x3 change of coordinates over R, determinant 1
+        self.new_ring = new_ring  # R[U] as coefficient ring, main variables V, W
+        self.reduced = reduced  # D expressed on the new ring
+        self.kernel = kernel  # [U, g*V - f*W] in the original coordinates
+        self.coords = coords  # (U, V, W) as polynomials of the original ring
 
     def to_original(self, p):
         """Map a polynomial of the reduced ring back to the original ring."""

@@ -11,8 +11,6 @@ among a matrix's columns.  Dense ``bareiss_echelon`` (Bareiss, Math.
 Comp. 22, 1968) is the reference the sparse kernel is checked against.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

@@ -15,9 +15,6 @@ is re-verified by direct polynomial arithmetic; bounded failures are
 reported as INCONCLUSIVE, never upgraded.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, lcm
 
@@ -39,15 +36,13 @@ class OracleCapError(PlinthError):
     """A solve would exceed the configured matrix-entry cap."""
 
 
-@dataclass(frozen=True)
 class DegreeSlice:
     """All monomials within a parameter-degree and a variable-degree bound.
     The dimension comes from the bounds alone, so caps are checked before
     the basis is enumerated."""
 
-    ring: object
-    param_bound: int
-    var_bound: int
+    def __init__(self, ring, param_bound, var_bound):
+        self.ring, self.param_bound, self.var_bound = ring, param_bound, var_bound
 
     @property
     def dim(self):
@@ -303,17 +298,14 @@ class _Combinations:
                 for row in self._solver.basis_from(start)]
 
 
-@dataclass
 class LinearMapMatrix:
     """D^power from the source slice into the target slice.  columns[i] is
     D^power of the i-th source monomial, integer numerators over
     images.iden ** power; images is the D of the call that built it."""
 
-    source: DegreeSlice
-    target: DegreeSlice
-    power: int
-    columns: list
-    images: _Images
+    def __init__(self, source, target, power, columns, images):
+        self.source, self.target, self.power = source, target, power
+        self.columns, self.images = columns, images
 
     @cached_property
     def chain(self):
@@ -382,20 +374,17 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=Non
     return matrix.chain.tail_basis(entry_cap)
 
 
-@dataclass
 class DirectionItem:
-    element: object
-    status: str  # PASS / FAIL / INCONCLUSIVE
-    detail: str = ""
-    certificate: object = None
+    def __init__(self, element, status, detail="", certificate=None):
+        self.element = element
+        self.status = status  # PASS / FAIL / INCONCLUSIVE
+        self.detail, self.certificate = detail, certificate
 
 
-@dataclass
 class VerifyReport:
-    n: int
-    forward_items: list
-    backward_items: list
-    notes: list = field(default_factory=list)
+    def __init__(self, n, forward_items, backward_items, notes=None):
+        self.n, self.forward_items, self.backward_items = n, forward_items, backward_items
+        self.notes = [] if notes is None else notes
 
     @staticmethod
     def _verdict(items):

@@ -17,10 +17,7 @@ next field.  Exponent tuples appear only at the boundary: in
 MultiPoly(ring, terms) and in the terms view.
 """
 
-from __future__ import annotations
-
 import re
-import string
 import weakref
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -31,6 +28,7 @@ from math import lcm as _ilcm
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)  # the top bit of a field is its guard
+NAME_STARTS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"  # a name's first letter
 
 
 class PlinthError(Exception):
@@ -89,7 +87,7 @@ class PolyRing:
         if not key[1]:
             raise PlinthError("a ring needs at least one main variable")
         for name in names:
-            if not name or name[0] not in string.ascii_letters + "_":
+            if not name or name[0] not in NAME_STARTS:
                 raise PlinthError("bad variable name %r" % name)
         ring = super().__new__(cls)
         ring.params, ring.vars = key

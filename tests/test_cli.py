@@ -56,6 +56,10 @@ def test_round_trip_canonical():
         assert parse_problem(printed) == spec
         # printing is idempotent: canonical form prints to itself
         assert problem_to_string(parse_problem(printed)) == printed
+        # one field more or different is a different problem
+        for extra in ("bounds 3,3\n", "cap 7\n"):
+            changed = parse_problem(printed + extra)
+            assert changed != spec and spec != changed, (name, extra)
 
 
 def test_run_check_pass():
@@ -130,6 +134,39 @@ def test_failed_recheck_is_an_internal_error(tmp_path, capsys, monkeypatch):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("internal error: ") and "kernel" in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # an exception main does not name is a fault of plinth, not a verified
+    # fail: exit 2 with one "internal error" line and no traceback
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "run", broken)
+    for argv in (["check", "--example", "inice"], ["image-ideal", "--example", "inice"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+IMPORTED_BY_PLINTH = """
+import sys
+before = set(sys.modules)
+import plinth, plinth.cli, plinth.oracle
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_cli_only_modules():
+    # the library imports no dataclasses (which pulls in inspect) and leaves
+    # argparse to the command line and json to --json
+    src = str(Path(plinth.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", IMPORTED_BY_PLINTH], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    added = set(proc.stdout.split())
+    assert "plinth.cli" in added and "plinth.oracle" in added
+    assert added & {"dataclasses", "inspect", "argparse", "json", "string"} == set()
 
 
 def test_degree_limit_is_an_input_error(tmp_path, capsys):
