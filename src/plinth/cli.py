@@ -2,6 +2,7 @@
 verify / examples commands, canonical printing, JSON reports, and the
 built-in fixture suite."""
 
+import os
 import sys
 from functools import cached_property
 
@@ -557,13 +558,20 @@ def _load_spec(args):
 
 
 def _emit(report, as_json):
-    if as_json:
-        import json  # only --json needs it
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        for line in report.lines:
-            print(line)
-        print("verdict: %s" % report.verdict)
+    try:
+        if as_json:
+            import json  # only --json needs it
+            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        else:
+            for line in report.lines:
+                print(line)
+            print("verdict: %s" % report.verdict)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        # what is still buffered goes to devnull, so the exit flush cannot fail
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return report.exit_code
 
 

@@ -1,17 +1,21 @@
 """Exact linear algebra over Q by sparse fraction-free elimination.
 
 Rows are sparse {column: int} dicts made from the nonzero entries only.
-One kernel inserts rows one at a time into a reduced row echelon form
-whose rows are kept primitive, pivoting on the first nonzero column; rows
-with disjoint supports are never combined, so a block diagonal matrix is
-eliminated block by block.  SpanSolver drives it: one elimination of a
-list of vectors answers span membership with explicit combinations and
-gives the relations among the vectors, and nullspace() is the relations
-among a matrix's columns.  Dense ``bareiss_echelon`` (Bareiss, Math.
-Comp. 22, 1968) is the reference the sparse kernel is checked against.
+One kernel inserts rows one at a time into a semi-echelon form: a new row
+is reduced at the pivot columns it meets, in ascending order, made
+primitive and kept under its least column, and no earlier row is ever
+rewritten; rows with disjoint supports are never combined, so a block
+diagonal matrix is eliminated block by block.  SpanSolver drives it: one
+elimination of a list of vectors answers span membership with explicit
+combinations and gives the relations among the vectors, and nullspace()
+is the relations among a matrix's columns.  Only basis_from()
+back-reduces, and only the rows it returns.  Dense ``bareiss_echelon``
+(Bareiss, Math. Comp. 22, 1968) is the reference the sparse kernel is
+checked against.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -89,32 +93,24 @@ def _eliminate(row, c, top):
     return out, a
 
 
-def _insert(pivots, holders, row):
-    """Add one integer row to the reduced echelon form pivots
-    ({pivot column: primitive row}); negative columns are tags and never
-    pivots.  holders maps each other column to the pivot columns whose rows
-    are nonzero there, so the rows a new pivot reduces are found without a
-    scan.  A row that gets no pivot is returned, reduced to its tags."""
-    row = _primitive(row)
-    for c in [c for c in row if c in pivots]:
-        row = _primitive(_eliminate(row, c, pivots[c])[0])
-    lead = min((c for c in row if c >= 0), default=None)
-    if lead is None:
-        return row
-    for pc in holders.pop(lead, ()):
-        old = pivots[pc]
-        new = pivots[pc] = _primitive(_eliminate(old, lead, row)[0])
-        for c in old.keys() - new.keys():
-            if c >= 0 and c != lead:
-                holders[c].discard(pc)
-        for c in new.keys() - old.keys():
-            if c >= 0:
-                holders.setdefault(c, set()).add(pc)
-    pivots[lead] = row
-    for c in row:
-        if c > lead:
-            holders.setdefault(c, set()).add(lead)
-    return None
+def _reduce(pivots, row):
+    """(a * row - a combination of the pivot rows, a): row reduced at every
+    pivot column it meets, in ascending order.  A pivot row's other columns
+    lie after its lead, so a cleared column never comes back."""
+    heap = [c for c in row if c in pivots]
+    heapify(heap)
+    scale = 1
+    while heap:
+        c = heappop(heap)
+        if c not in row:  # cancelled, or pushed twice
+            continue
+        top = pivots[c]
+        for k in top:
+            if k in pivots and k not in row:
+                heappush(heap, k)
+        row, a = _eliminate(row, c, top)
+        scale *= a
+    return row, scale
 
 
 def nullspace(rows, ncols):
@@ -141,17 +137,20 @@ class SpanSolver:
     A vector is an integer row {coordinate: int} without zero entries,
     over a scale given to add(), 1 by default.  Each is taken, not copied,
     tagged with the entry scale in column ~i (negative, so never a pivot)
-    and inserted into one reduced echelon form; the tags of a row record
-    which combination of the vectors it is.  A vector that depends on
-    earlier ones reduces to its tags alone: a relation among it and earlier
-    independent vectors, kept in relations, and the vector is dropped, so
-    pivot rows' tags name independent vectors only.  Vectors are inserted
-    one at a time by add(), so a caller can stop early.  Each
-    express() query is a reduction against the pivot rows.
+    and inserted into one semi-echelon form, pivots {least column >= 0:
+    primitive row}; the tags of a row record which combination of the
+    vectors it is.  A vector that depends on earlier ones reduces to its
+    tags alone: a relation among it and earlier independent vectors, kept
+    in relations, and the vector is dropped, so pivot rows' tags name
+    independent vectors only.  Vectors are inserted one at a time by add(),
+    so a caller can stop early.  An express() query is the same reduction.
+    Relations and express() answers are unique, as combinations of
+    independent vectors, so no back-reduction of the pivot rows can change
+    them.
     """
 
     def __init__(self, vectors):
-        self.pivots, self._holders = {}, {}
+        self.pivots = {}
         # one {i: int} per dependent vector, in input order, with
         # sum(x_i * vectors[i]) == 0, primitive, first nonzero entry
         # positive: a basis of all relations among the vectors
@@ -165,39 +164,42 @@ class SpanSolver:
         them, else None."""
         i = len(self.pivots) + len(self.relations)  # each earlier vector made one
         row[~i] = scale
-        tags = _insert(self.pivots, self._holders, row)
-        if tags is None:
+        row = _primitive(_reduce(self.pivots, _primitive(row))[0])
+        lead = min((c for c in row if c >= 0), default=None)
+        if lead is not None:
+            self.pivots[lead] = row
             return None
-        sign = -1 if tags[max(tags)] < 0 else 1  # ~k is largest for the least k
-        relation = {~k: sign * x for k, x in sorted(tags.items(), reverse=True)}
+        sign = -1 if row[max(row)] < 0 else 1  # ~k is largest for the least k
+        relation = {~k: sign * x for k, x in sorted(row.items(), reverse=True)}
         self.relations.append(relation)
         return relation
 
     def express(self, v):
         """{i: c_i} with sum(c_i * vectors[i]) == v, an integer row, the zero
         c_i left out, or None."""
-        w, scale = v, 1
-        # invariant: scale * v == (columns >= 0 of w) - sum_i w[~i] * vectors[i]
-        for c in [c for c in w if c in self.pivots]:
-            w, a = _eliminate(w, c, self.pivots[c])
-            scale *= a
+        w, scale = _reduce(self.pivots, v)
+        # scale * v == (columns >= 0 of w) - sum_i w[~i] * vectors[i]
         if any(k >= 0 for k in w):
             return None
         return {~k: Fraction(-x, scale) for k, x in w.items()}
 
     def basis_from(self, start):
         """A basis of the vectors of the span that vanish in every column
-        before start: the reduced echelon rows whose pivot is at or after
-        start, tags dropped, each primitive with a positive pivot, by
-        descending pivot column."""
-        basis = []
+        before start: the pivot rows whose lead is at or after start, tags
+        dropped, back-reduced into the reduced echelon basis, each
+        primitive with a positive pivot, by descending pivot column."""
+        done = {}
         for pc in sorted((c for c in self.pivots if c >= start), reverse=True):
             row = {c: v for c, v in self.pivots[pc].items() if c >= 0}
+            # the rows in done have no pivot column but their own, so
+            # clearing one column brings in no other
+            for c in [c for c in row if c in done]:
+                row = _eliminate(row, c, done[c])[0]
             g = gcd(*row.values())
             if row[pc] < 0:
                 g = -g
-            basis.append({c: v // g for c, v in row.items()})
-        return basis
+            done[pc] = {c: v // g for c, v in row.items()}
+        return list(done.values())
 
     @property
     def rank(self):

@@ -169,6 +169,20 @@ def test_import_loads_no_cli_only_modules():
     assert added & {"dataclasses", "inspect", "argparse", "json", "string"} == set()
 
 
+@pytest.mark.parametrize("argv", [["examples", "--json"], ["check", "--example", "notlnd"]])
+def test_closed_pipe_keeps_the_report_exit_code(argv, capsys):
+    # a reader that stops early, as `| head` does: the reader's end is
+    # closed before the command writes, so every write meets a broken pipe
+    code = main(argv)
+    capsys.readouterr()
+    src = str(Path(plinth.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "plinth.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (code, b"")
+
+
 def test_degree_limit_is_an_input_error(tmp_path, capsys):
     # one step past the degree limit is malformed input, not a wrong answer
     path = tmp_path / "limit.txt"

@@ -5,7 +5,12 @@ import pytest
 
 from plinth.linalg import bareiss_echelon, nullspace
 
-from test_properties import FractionSpanSolver, nullspace_naive, random_block_matrix
+from test_properties import (
+    FractionSpanSolver,
+    _normalize_vector,
+    nullspace_naive,
+    random_block_matrix,
+)
 
 
 def test_bareiss_echelon_pivots():
@@ -142,3 +147,56 @@ def test_basis_from_spans_the_vanishing_part():
             assert row[min(row)] > 0
             assert FractionSpanSolver(expected).express(row) is not None
             assert all(c not in row for c in leads if c != min(row))  # reduced
+
+
+def _dense(row, width):
+    return [row.get(c, 0) for c in range(width)]
+
+
+def test_span_solver_matches_sympy_rref():
+    # basis_from(start) is the rref rows that pivot at or after start, each
+    # scaled to be primitive; relations and express against plain references
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(30):
+        size = rng.randint(1, 24)
+        rows = random_block_matrix(rng, size)
+        solver = FractionSpanSolver(rows)
+        rref, pivot_cols = sympy.Matrix(rows).rref()
+        for start in range(size + 1):
+            expected = [[Fraction(int(x.p), int(x.q)) for x in rref.row(k)]
+                        for k, pc in enumerate(pivot_cols) if pc >= start]
+            assert [_dense(row, size) for row in solver.basis_from(start)] \
+                == [_normalize_vector(v) for v in reversed(expected)]
+        columns = [[row[c] for row in rows] for c in range(size)]
+        assert solver.relations == [{c: int(x) for c, x in enumerate(v) if x}
+                                    for v in nullspace_naive(columns, len(rows))]
+        targets = [[sum(w * row[k] for w, row in zip(weights, rows)) for k in range(size)]
+                   for weights in ([rng.randint(-3, 3) for _ in rows] for _ in range(3))]
+        targets += [[Fraction(rng.randint(-2, 2)) for _ in range(size)] for _ in range(3)]
+        for target in targets:
+            coeffs = solver.express(target)
+            if coeffs is None:
+                assert FractionSpanSolver(rows + [target]).rank == solver.rank + 1
+            else:
+                assert [sum(c * rows[i][k] for i, c in coeffs.items()) for k in range(size)] \
+                    == target
+
+
+def test_add_never_rewrites_earlier_pivot_rows():
+    # semi-echelon: a row is reduced on insertion and then left as it is, so
+    # the first row below keeps its entry in the second row's pivot column
+    solver = FractionSpanSolver([[1, 1, 0], [0, 1, 1]])
+    assert solver.pivots[0] == {0: 1, 1: 1, ~0: 1}
+    assert 1 in solver.pivots
+    rng = random.Random(19)
+    for _ in range(20):
+        size = rng.randint(1, 24)
+        solver = FractionSpanSolver([])
+        for row in random_block_matrix(rng, size):
+            before = {c: (r, dict(r)) for c, r in solver.pivots.items()}
+            solver.add(row)
+            for c, (r, copy) in before.items():
+                assert solver.pivots[c] is r and r == copy
+            for c, r in solver.pivots.items():
+                assert min(k for k in r if k >= 0) == c
