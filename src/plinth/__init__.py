@@ -5,7 +5,6 @@ generator formula."""
 
 from .polyring import (
     ExactDivisionError,
-    IdealPresentation,
     MultiPoly,
     PlinthError,
     PolyParseError,
@@ -30,7 +29,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Derivation",
     "ExactDivisionError",
-    "IdealPresentation",
     "ImageIdealResult",
     "KernelPresentation",
     "MultiPoly",

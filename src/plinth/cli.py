@@ -242,7 +242,7 @@ FIXTURES = {
 
 class RunReport:
     def __init__(self, command, spec_echo, verdict, exit_code, generators=None,
-                 certificates=None, witnesses=None, lines=None):
+                 certificates=None, witnesses=None, lines=None, fixtures=None):
         self.command = command
         self.spec_echo = spec_echo
         self.verdict = verdict
@@ -251,9 +251,10 @@ class RunReport:
         self.certificates = [] if certificates is None else certificates
         self.witnesses = [] if witnesses is None else witnesses
         self.lines = [] if lines is None else lines  # human-readable body
+        self.fixtures = fixtures  # the fixture names, in the examples listing only
 
     def to_json(self):
-        return {
+        out = {
             "command": self.command,
             "spec-echo": self.spec_echo,
             "verdict": self.verdict,
@@ -261,6 +262,9 @@ class RunReport:
             "certificates": self.certificates,
             "witnesses": self.witnesses,
         }
+        if self.fixtures is not None:
+            out["fixtures"] = self.fixtures
+        return out
 
 
 def _run_check(spec):
@@ -420,13 +424,14 @@ def _run_verify(spec, n, bounds, cap):
 
 def _run_examples(name, bounds, cap):
     if name is None:
-        lines = ["available fixtures:"] + ["  %s" % k for k in sorted(FIXTURES)]
+        names = sorted(FIXTURES)
         return RunReport(
             command="examples",
             spec_echo="",
             verdict="PASS",
             exit_code=0,
-            lines=lines,
+            lines=["available fixtures:"] + ["  %s" % k for k in names],
+            fixtures=names,
         )
     if name not in FIXTURES:
         return RunReport(

@@ -73,12 +73,12 @@ class KernelPresentation:
 class TheoremCertificate:
     """Machine-checked hypothesis record attached to a formula result."""
 
-    def __init__(self, irreducible, fixed_point_free=None, top_degree=None,
+    def __init__(self, irreducible, fixed_point_free=None, top_degree_hypotheses=None,
                  top_degree_generators=None, primality=None, strictness=None,
                  heuristic=False, localized=None, notes=None):
         self.irreducible = irreducible
         self.fixed_point_free = fixed_point_free
-        self.top_degree = top_degree  # a TopDegreeCertificate
+        self.top_degree_hypotheses = top_degree_hypotheses  # what was checked, as text
         self.top_degree_generators = top_degree_generators
         self.primality = primality
         self.strictness = strictness
@@ -97,8 +97,8 @@ class TheoremCertificate:
         }
         if self.top_degree_generators is not None:
             out["top_degree_generators"] = [str(g) for g in self.top_degree_generators]
-        if self.top_degree is not None:
-            out["top_degree_hypotheses"] = self.top_degree.nonzerodivisor
+        if self.top_degree_hypotheses is not None:
+            out["top_degree_hypotheses"] = self.top_degree_hypotheses
         if self.localized is not None:
             out["localized"] = [
                 {"prime": str(p), "multiplicity": r, "fixed_point_free": ok}
@@ -319,45 +319,27 @@ def _fresh_names(bases, taken):
     return tuple(out)
 
 
-def _nice_top_degree_certificate(ring, f1, f2):
-    """Graded certificate for the nice branch: with fresh slice variables
-    S1, S2 and Z of weight 0, the ideal (S1-X1, S2-X2, Z-u) with
-    u = f2*X1 - f1*X2 has top-degree ideal (S1-X1, S2-X2, -u); its primality
-    is what the soundness of the generator count rests on."""
-    s1n, s2n, zn = _fresh_names(("S1", "S2", "Z"), ring.names)
-    ext = ring.extend((s1n, s2n, zn))
-    weights = {v: 1 for v in ring.vars}
-    weights.update({s1n: 1, s2n: 1, zn: 0})
-    wd = WeightedDegree(ext, weights)
-    x1, x2 = (ext.gen(v) for v in ring.vars)
-    ef1, ef2 = (p if p.ring == ext else embed(p, ext) for p in (f1, f2))
-    u = ef2 * x1 - ef1 * x2
-    gens = [ext.gen(s1n) - x1, ext.gen(s2n) - x2, ext.gen(zn) - u]
-    ideal, cert = top_degree_ideal(wd, gens)
-    prime = prime_after_elimination(list(ideal.generators))
-    return cert, tuple(ideal.generators), prime
-
-
-def _quasi_top_degree_certificate(ring, q):
-    """Graded certificate for the quasi branch: weights (1, d) on (X1, X2),
-    a fresh slice variable S of weight 1 and Z of weight 0; the top-degree
-    ideal of (S-X1, Z-(b*X2+f)) is computed literally and its primality
-    machine-checked (it can genuinely fail when f is not weight-homogeneous,
-    and the failure is recorded rather than suppressed)."""
-    sn, zn = _fresh_names(("S", "Z"), ring.names)
-    ext = ring.extend((sn, zn))
-    x1name = ring.vars[q.pivot]
-    x2name = ring.vars[q.other]
-    d = max(q.d, 1)
-    weights = {x1name: 1, x2name: d, sn: 1, zn: 0}
-    wd = WeightedDegree(ext, weights)
-    x1 = ext.gen(x1name)
-    x2 = ext.gen(x2name)
-    kern = embed(q.b, ext) * x2 + embed(q.f, ext)
-    gens = [ext.gen(sn) - x1, ext.gen(zn) - kern]
-    ideal, cert = top_degree_ideal(wd, gens)
-    prime = prime_after_elimination(list(ideal.generators))
-    return cert, tuple(ideal.generators), prime
+def _top_degree_certificate(ring, weights, slice_vars, k):
+    """Graded certificate of a 2-variable problem with kernel generator k
+    and weights on ring.vars: each X_i in slice_vars gets a fresh slice
+    variable S_i of its weight, and a fresh Z has weight 0.  The ideal
+    (S_i - X_i ..., Z - k) has top-degree ideal (S_i - X_i ..., tilde(Z - k));
+    its primality is what the generator formulas rest on.  The nice branches
+    slice both X_i at weight 1 with k = f2*X1 - f1*X2, the quasi branch only
+    X1 under weights (1, d) with k = b*X2 + f; there primality can genuinely
+    fail, when f is not weight-homogeneous, and the failure is recorded
+    rather than suppressed.  Returns (hypotheses, generators, primality)."""
+    if len(slice_vars) == 1:
+        bases = ("S",)
+    else:
+        bases = tuple("S%d" % i for i in range(1, len(slice_vars) + 1))
+    *snames, zn = _fresh_names(bases + ("Z",), ring.names)
+    ext = ring.extend((*snames, zn))
+    ext_weights = {**weights, **{s: weights[x] for x, s in zip(slice_vars, snames)}, zn: 0}
+    gens, residual = top_degree_ideal(WeightedDegree(ext, ext_weights),
+                                      list(zip(slice_vars, snames)), zn, embed(k, ext))
+    return ("verified by substitution (residual image %s != 0)" % residual, tuple(gens),
+            prime_after_elimination(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +659,15 @@ def _nice_branch(an, fpf, undetermined, theorem, images, preimages, graded_on, n
     """The tail of every nice branch: fixed point free gives a slice, not
     fixed point free gives I_j = (f1, f2)^j with preimages p1^i1 * p2^i2,
     and undetermined gives the oracle.  graded_on = (ring, f1, f2) is the
-    nice 2-variable problem the top-degree certificate is taken on."""
+    nice 2-variable problem the top-degree certificate is taken on, with
+    kernel generator f2*X1 - f1*X2."""
     if fpf is True:
         return _slice_branch(an, "fixed point free but no slice within bounds")
     if fpf is False:
-        graded = _nice_top_degree_certificate(*graded_on)
+        ring, f1, f2 = graded_on
+        x1, x2 = (ring.gen(v) for v in ring.vars)
+        graded = _top_degree_certificate(ring, dict.fromkeys(ring.vars, 1), ring.vars,
+                                         f2 * x1 - f1 * x2)
         return partial(_nice_power_result, an.D, images, preimages, theorem, graded, notes)
     return partial(_oracle_only, undetermined)
 
@@ -720,7 +706,9 @@ def _quasi_branch(an):
         primes = _validate_factored_b(q.b, an.factored_b)
         theorem = "2varquasi_PID"
     localized = [(p, r, localized_fpf(D, an.report, p)) for p, r, _ in primes]
-    graded = _quasi_top_degree_certificate(ring, q)
+    x1, x2 = ring.vars[q.pivot], ring.vars[q.other]
+    graded = _top_degree_certificate(ring, {x1: 1, x2: max(q.d, 1)}, (x1,),
+                                     q.b * ring.gen(x2) + q.f)
     return partial(_quasi_result, ring, q.d, theorem, localized, graded, dec.notes)
 
 
@@ -780,11 +768,11 @@ def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
         gens.append(gen)
         pres.append(pre)
         factors.append(factor)
-    td_cert, td_gens, prime = graded
+    hypotheses, td_gens, prime = graded
     cert = TheoremCertificate(
         irreducible=True,
         fixed_point_free=False,
-        top_degree=td_cert,
+        top_degree_hypotheses=hypotheses,
         top_degree_generators=td_gens,
         primality=prime,
         notes=list(notes),
@@ -811,7 +799,7 @@ def _quasi_result(ring, d, theorem, localized, graded, strictness_notes, j):
     notes = []
     if not bad:
         notes.append("every localized derivation is fixed point free; I_j = A")
-    td_cert, td_gens, prime = graded
+    hypotheses, td_gens, prime = graded
     if prime is False:
         notes.append(
             "the literal top-degree ideal is not prime (the top part of f is "
@@ -821,7 +809,7 @@ def _quasi_result(ring, d, theorem, localized, graded, strictness_notes, j):
     cert = TheoremCertificate(
         irreducible=True,
         fixed_point_free=not bad if all(ok is not None for _, _, ok in localized) else None,
-        top_degree=td_cert,
+        top_degree_hypotheses=hypotheses,
         top_degree_generators=td_gens,
         primality=prime,
         strictness="strictly-1-quasi",

@@ -373,25 +373,6 @@ class MultiPoly:
         return "<MultiPoly %s>" % poly_to_string(self)
 
 
-class IdealPresentation:
-    """Finite generator list of an ideal of the ring."""
-
-    __slots__ = ("ring", "generators")
-
-    def __init__(self, ring, generators):
-        gens = tuple(generators)
-        if any(g.is_zero() for g in gens):
-            raise PlinthError("ideal generators must be nonzero")
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generator ring mismatch")
-        self.ring = ring
-        self.generators = gens
-
-    def __repr__(self):
-        return "IdealPresentation(%s)" % ", ".join(str(g) for g in self.generators)
-
-
 # ---------------------------------------------------------------------------
 # spec'd operations
 

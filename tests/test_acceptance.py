@@ -174,14 +174,12 @@ def test_acceptance_8_top_degree_fixture():
         ext = PolyRing(("a", "b"), ("X", "Y", "S1", "S2", "Z"))
         wd = WeightedDegree(ext, {"X": 1, "Y": 1, "S1": 1, "S2": 1, "Z": 0})
         u = ext.poly("b*X - a*Y")
-        gens = [ext.poly("S1 - X"), ext.poly("S2 - Y"), ext.gen("Z") - u]
-        ideal, cert = top_degree_ideal(wd, gens)
-        out = list(ideal.generators)
-        assert out[:2] == gens[:2]
-        assert out[2] == u or out[2] == -u
-        assert cert.homogeneous_checked == [0, 1]
-        assert "verified" in cert.nonzerodivisor
-        assert prime_after_elimination(out) is True
+        gens, residual = top_degree_ideal(wd, [("X", "S1"), ("Y", "S2")], "Z", u)
+        assert gens == [ext.poly("S1 - X"), ext.poly("S2 - Y"), -u]
+        assert prime_after_elimination(residual) is True
         ring = PolyRing(("a", "b"), ("X", "Y"))
         D = Derivation(ring, [ring.poly("a"), ring.poly("b")])
-        assert image_ideal(D, 1).certificate.primality is True
+        cert = image_ideal(D, 1).certificate
+        assert cert.top_degree_generators == tuple(gens)
+        assert "verified" in cert.top_degree_hypotheses
+        assert cert.primality is True

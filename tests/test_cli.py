@@ -332,6 +332,15 @@ def test_examples_listing(capsys):
         assert name in out
 
 
+def test_examples_listing_json_names_the_fixtures(capsys):
+    assert main(["examples", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["fixtures"] == sorted(FIXTURES)
+    # the key belongs to the listing alone
+    assert main(["examples", "--name", "slice1", "--json"]) == 0
+    assert "fixtures" not in json.loads(capsys.readouterr().out)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

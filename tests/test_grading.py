@@ -1,15 +1,19 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from plinth.grading import (
-    HypothesisError,
     WeightedDegree,
     prime_after_elimination,
     top_degree_ideal,
     wdeg_and_tilde,
 )
-from plinth.polyring import MultiPoly, PlinthError, PolyRing
+from plinth.cli import parse_problem
+from plinth.polyring import CertificateError, MultiPoly, PlinthError, PolyRing
+
+from test_formula_oracle import BOUNDS, CAP, nice_problem, quasi_problem
 
 
 @pytest.fixture
@@ -50,76 +54,49 @@ def test_tilde_respects_weights():
     assert top == ring.poly("-t^2*X2 + 1/2*t*X1^2 + t*X2")
 
 
+SLICES = [("X", "S1"), ("Y", "S2")]
+
+
 def test_top_degree_ideal_nice_instance(ext):
     wd = std_weights(ext)
     u = ext.poly("b*X - a*Y")
-    gens = [
-        ext.poly("S1 - X"),
-        ext.poly("S2 - Y"),
-        ext.gen("Z") - u,
-    ]
-    ideal, cert = top_degree_ideal(wd, gens)
-    out = list(ideal.generators)
-    assert out[:2] == gens[:2]
-    assert out[2] == -u or out[2] == u
-    assert cert.homogeneous_checked == [0, 1]
-    assert "verified" in cert.nonzerodivisor
-
-
-def test_top_degree_ideal_hypothesis_failure(ext):
-    wd = std_weights(ext)
-    # first generator not weight-homogeneous
-    gens = [ext.poly("S1 - X + 1"), ext.poly("Z - X")]
-    with pytest.raises(HypothesisError):
-        top_degree_ideal(wd, gens)
+    gens, residual = top_degree_ideal(wd, SLICES, "Z", u)
+    assert gens == [ext.poly("S1 - X"), ext.poly("S2 - Y"), -u]
+    assert residual == ext.poly("a*S2 - b*S1")
 
 
 def test_top_degree_ideal_vanishing_tilde(ext):
     wd = std_weights(ext)
-    # tilde of the last generator dies under the substitution S1 -> X
-    gens = [ext.poly("S1 - X"), ext.poly("S1 - X + 1")]
-    with pytest.raises(HypothesisError):
-        top_degree_ideal(wd, gens)
-
-
-def test_top_degree_single_generator(ext):
-    wd = std_weights(ext)
-    ideal, cert = top_degree_ideal(wd, [ext.poly("Z - b*X + 1")])
-    assert list(ideal.generators) == [ext.poly("-b*X")]
-    assert "trivial" in cert.nonzerodivisor
+    # tilde(Z - k) = S1 - X dies under the substitution X -> S1
+    with pytest.raises(CertificateError):
+        top_degree_ideal(wd, SLICES, "Z", ext.poly("Z - S1 + X"))
 
 
 def test_prime_after_elimination_true(ext):
-    # residual generator is linear in Y with unit-coprime coefficient
-    gens = [ext.poly("S1 - X"), ext.poly("S2 - Y"), ext.poly("a*Y - b*X")]
-    assert prime_after_elimination(gens) is True
+    # residual linear in S2 with unit-coprime coefficient
+    assert prime_after_elimination(ext.poly("a*S2 - b*S1")) is True
 
 
 def test_prime_after_elimination_false_content():
     ring = PolyRing(("t",), ("X1", "X2", "S"))
-    # after eliminating S the generator has content t in X2
-    gens = [ring.poly("S - X1"), ring.poly("-t^2*X2 + t*X2 - 1/2*t*X1^2")]
-    assert prime_after_elimination(gens) is False
+    # the residual has content t in X2
+    assert prime_after_elimination(ring.poly("-t^2*X2 + t*X2 - 1/2*t*S^2")) is False
 
 
 def test_prime_after_elimination_unit_ideal(ext):
-    assert prime_after_elimination([ext.poly("S1 - X"), ext.poly("S1 - X + 1")]) is False
-
-
-def test_prime_after_elimination_zero_ideal(ext):
-    assert prime_after_elimination([ext.poly("S1 - X"), ext.poly("S2 - Y")]) is True
+    assert prime_after_elimination(ext.one()) is False
 
 
 def test_prime_after_elimination_square_factor(ext):
-    assert prime_after_elimination([ext.poly("X^2 + 2*X*Y + Y^2")]) is False
+    assert prime_after_elimination(ext.poly("X^2 + 2*X*Y + Y^2")) is False
 
 
 def test_prime_after_elimination_rejects_non_unit_linear_coefficient(ext):
     # c*V with c not a unit is reducible; the linear criterion alone would
     # see r = 0 and must still ask for a constant c
-    assert prime_after_elimination([ext.poly("a*X")]) is False
-    assert prime_after_elimination([ext.poly("S1 - X"), ext.poly("a*S1 + b*S1")]) is False
-    assert prime_after_elimination([ext.poly("2*X")]) is True
+    assert prime_after_elimination(ext.poly("a*X")) is False
+    assert prime_after_elimination(ext.poly("a*S1 + b*S1")) is False
+    assert prime_after_elimination(ext.poly("2*X")) is True
 
 
 def _random_coefficient(rng, ring, skip):
@@ -134,14 +111,29 @@ def _random_coefficient(rng, ring, skip):
     return MultiPoly(ring, terms)
 
 
-def test_prime_after_elimination_against_sympy(rng):
-    """Whenever a generator linear in one variable is accepted, sympy finds
-    it irreducible: a single non-constant factor of multiplicity 1.  The
-    sample mixes coprime c, r with shared factors and r = 0."""
+def _residuals(seed, count):
+    """The residuals image_ideal certifies at j = 1 for count seeded nice
+    problems over Q[a, b] and count quasi problems over Q[t], each with the
+    primality verdict it recorded."""
+    for family in (nice_problem, quasi_problem):
+        rng = random.Random("%s:%d" % (family.__name__, seed))
+        for _ in range(count):
+            cert = parse_problem(family(rng)[0]).analysis.image_ideal(1, BOUNDS, CAP).certificate
+            ext = cert.top_degree_generators[0].ring
+            text = re.fullmatch(r"verified by substitution \(residual image (.*) != 0\)",
+                                cert.top_degree_hypotheses).group(1)
+            yield ext.poly(text), cert.primality
+
+
+def test_prime_after_elimination_against_sympy(rng, seed):
+    """True means sympy finds h irreducible: a single non-constant factor of
+    multiplicity 1.  False means h is constant or sympy finds a proper or
+    repeated factor.  The sample mixes generators linear in one variable
+    (coprime c, r, shared factors and r = 0) with the residuals of seeded
+    formula problems."""
     sympy = pytest.importorskip("sympy")
     ring = PolyRing(("a", "b"), ("X", "Y", "Z"))
-    gens = sympy.symbols(ring.names)
-    seen = set()
+    sample = []
     for _ in range(60):
         v = rng.randrange(ring.arity)
         c, r = _random_coefficient(rng, ring, v), _random_coefficient(rng, ring, v)
@@ -154,12 +146,20 @@ def test_prime_after_elimination_against_sympy(rng):
         if rng.random() < 0.2:
             r = ring.zero()
         h = c * ring.gen(ring.names[v]) + r
-        verdict = prime_after_elimination([h])
+        sample.append((h, prime_after_elimination(h)))
+    for h, recorded in _residuals(seed, 8):
+        assert prime_after_elimination(h) is recorded, h
+        sample.append((h, recorded))
+    seen = set()
+    for h, verdict in sample:
         seen.add(verdict)
-        if verdict is True:
-            expr = sum(sympy.Rational(q.numerator, q.denominator)
-                       * sympy.prod(g ** k for g, k in zip(gens, e))
-                       for e, q in h.terms.items())
-            _, factors = sympy.factor_list(expr, *gens)
-            assert len(factors) == 1 and factors[0][1] == 1, h
+        if verdict is None:
+            continue
+        gens = sympy.symbols(h.ring.names)
+        expr = sum(sympy.Rational(q.numerator, q.denominator)
+                   * sympy.prod(g ** k for g, k in zip(gens, e))
+                   for e, q in h.terms.items())
+        _, factors = sympy.factor_list(expr, *gens)
+        irreducible = len(factors) == 1 and factors[0][1] == 1
+        assert irreducible is verdict, h
     assert True in seen and False in seen
