@@ -19,7 +19,6 @@ from .imageideals import (
     kernel_generator,
     min_exponent,
     nice3var_reduce,
-    slice_construct,
     strictness_decompose,
 )
 from .oracle import verify_image_ideal
@@ -42,7 +41,6 @@ __all__ = [
     "kernel_generator",
     "min_exponent",
     "nice3var_reduce",
-    "slice_construct",
     "strictness_decompose",
     "verify_image_ideal",
 ]

@@ -12,6 +12,7 @@ from .polyring import (
     PlinthError,
     RingMismatchError,
     divides,
+    extended_euclid,
     irreducible_smalldeg,
     multivariate_gcd,
     reduce_mod_prime,
@@ -157,7 +158,7 @@ class QuasiData:
 
 class StructureReport:
     def __init__(self, lnd, degrees, irreducible, nice_set, classification, quasi=None,
-                 nice_pair=None, strict_candidate=False, notes=None):
+                 nice_pair=None, notes=None):
         self.lnd = lnd
         self.degrees = degrees
         self.irreducible = irreducible
@@ -165,7 +166,6 @@ class StructureReport:
         self.classification = classification
         self.quasi = quasi
         self.nice_pair = nice_pair  # (b, a) with D = b d/dX - a d/dY
-        self.strict_candidate = strict_candidate
         self.notes = [] if notes is None else notes
 
 
@@ -195,7 +195,6 @@ def classify(D):
     classification = "other"
     quasi = None
     nice_pair = None
-    strict_candidate = False
     if lnd is True:
         if len(nice_set) == ring.nvars:
             classification = "nice"
@@ -205,7 +204,6 @@ def classify(D):
             quasi = _extract_quasi(D, nice_set)
             if quasi is not None:
                 classification = "quasi-nice"
-                strict_candidate = quasi.d >= 2
     return StructureReport(
         lnd=lnd,
         degrees=tuple(degrees),
@@ -214,7 +212,6 @@ def classify(D):
         classification=classification,
         quasi=quasi,
         nice_pair=nice_pair,
-        strict_candidate=strict_candidate,
         notes=notes,
     )
 
@@ -301,46 +298,57 @@ def _bounded_bezout(images):
     m * images_i come image by image, each by ascending degree of m, and the
     search stops at the first column that brings 1 into their span
     (oracle._Combinations.solve_first).  Interleaving the images by degree
-    stops sooner but makes the pass without a certificate slower.  The
-    cofactors are re-checked by polynomial arithmetic.  Returns True on
-    success, None on failure."""
+    stops sooner but makes the pass without a certificate slower.  Returns
+    the cofactors, or None on failure."""
     from .oracle import _Combinations, slice_basis  # oracle imports this module
 
     ring = images[0].ring
     monos = slice_basis(ring, DEFAULT_BEZOUT_BOUND, 0).monomials  # ascending degree
     unknowns = [(i, m) for i in range(len(images)) for m in monos]
     system = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
-    alphas = system.solve_first(ring.one())
-    if alphas is None:
-        return None
-    if sum((a * f for a, f in zip(alphas, images)), ring.zero()) != ring.one():
-        raise CertificateError("Bezout cofactors of %s fail their re-check"
-                               % ", ".join(map(str, images)))
-    return True
+    return system.solve_first(ring.one())
 
 
 def nice_fixed_point_free(images):
-    """(DB)B = B for a nice derivation whose images, not all zero, lie in R:
-    the images must generate the unit ideal of R.  Over Q or Q[t], a PID, a
-    unit gcd is enough (Bezout).  Over more parameters a common zero at the
-    origin, tested first as the cheaper, or a non-unit gcd is a sound no, a
-    bounded Bezout certificate a sound yes, and otherwise the answer is
-    None."""
-    nonzero = [i for i in images if not i.is_zero()]
-    if nonzero[0].ring.nparams <= 1:
-        return multivariate_gcd(nonzero).is_constant()
-    if (all(p.constant_term() == 0 for p in nonzero)
-            or not multivariate_gcd(nonzero).is_constant()):
-        return False
-    return _bounded_bezout(nonzero)
+    """(DB)B = B for a nice derivation whose images f_1, f_2, not both zero,
+    lie in R: the images must generate the unit ideal of R.  Returns the
+    cofactors (alpha_1, alpha_2) with alpha_1*f_1 + alpha_2*f_2 = 1, re-checked
+    by polynomial arithmetic, when they do; then alpha_1*X_1 + alpha_2*X_2 is
+    a slice.  Returns False when they provably do not, None when undecided.
+    Over Q the images are rationals and one nonzero image is inverted; over
+    Q[t], a PID, the extended Euclidean algorithm decides.  Over more
+    parameters a common zero at the origin, tested first as the cheaper, or
+    a non-unit gcd is a sound no, a bounded Bezout certificate a sound yes."""
+    f1, f2 = images
+    ring = f1.ring
+    if ring.nparams == 0:
+        alphas = ((ring.zero(), ring.const(1 / f2.as_constant())) if f2.nums
+                  else (ring.const(1 / f1.as_constant()), ring.zero()))
+    elif ring.nparams == 1:
+        g, *alphas = extended_euclid(f1, f2)  # a unit gcd is normalized to 1
+        if not g.is_constant():
+            return False
+    else:
+        nonzero = [f for f in images if f.nums]
+        if (all(f.constant_term() == 0 for f in nonzero)
+                or not multivariate_gcd(nonzero).is_constant()):
+            return False
+        alphas = _bounded_bezout(images)
+        if alphas is None:
+            return None
+    if alphas[0] * f1 + alphas[1] * f2 != ring.one():
+        raise CertificateError("Bezout cofactors of %s fail their re-check"
+                               % ", ".join(map(str, images)))
+    return tuple(alphas)
 
 
 def is_fixed_point_free(D, rep, factored_b=None):
     """(DB)B = B test for the structured 2-variable cases; True/False/None.
     rep is classify(D)."""
     ring = D.ring
-    if rep.classification == "nice" and rep.nice_pair is not None:
-        return nice_fixed_point_free(D.images)
+    if rep.nice_pair is not None:
+        alphas = nice_fixed_point_free(D.images)
+        return alphas if alphas is None else alphas is not False
     if rep.quasi is not None:
         q = rep.quasi
         if ring.nparams == 0:

@@ -2,18 +2,24 @@
 nilpotent derivations.
 
 Covers: the 2-variable kernel generator, the j-th image ideal of a nice
-2-variable derivation ((f1,f2)^j with explicit preimages), the quasi-nice
-minimum exponent law and its localized single-parameter refinement, slice
-construction, strictness detection, and the 3-variable nice reduction to a
-2-variable problem over an enlarged coefficient ring.  Every returned
-formula carries machine-checked certificates; whenever a hypothesis cannot
-be confirmed the result is downgraded to an oracle-only approximation.
+2-variable derivation ((f1,f2)^j with explicit preimages, or I_j = A when
+f1, f2 generate the unit ideal), the quasi-nice minimum exponent law and
+its localized single-parameter refinement, strictness detection, and the
+3-variable nice reduction to a 2-variable problem over an enlarged
+coefficient ring.  Every returned formula carries machine-checked
+certificates; whenever a hypothesis cannot be confirmed the result is
+downgraded to an oracle-only approximation.
+
+A slice is read off what decided its branch.  A Bezout identity
+alpha_1*f_1 + alpha_2*f_2 = 1 that shows a nice derivation fixed point free
+gives the slice alpha_1*p_1 + alpha_2*p_2 over the preimages p_i of the f_i;
+a unit image DX gives X/DX.
 
 What the formulas rest on does not depend on j, so it is worked out once
-per problem in an Analysis (structure report, fixed-point-freeness,
-strictness, localized checks, slice, 3-variable reduction, top-degree
-certificate) and shared by every command and every j; the per-j step
-only builds generators and preimages and re-checks them.
+per problem in an Analysis (structure report, fixed-point-freeness and its
+Bezout cofactors, strictness, localized checks, 3-variable reduction,
+top-degree certificate) and shared by every command and every j; the per-j
+step only builds generators and preimages and re-checks them.
 """
 
 from fractions import Fraction
@@ -59,7 +65,6 @@ from .polyring import (
     substitute,
 )
 
-DEFAULT_SLICE_BOUND = 4
 DEFAULT_SYZYGY_BOUND = 6
 
 
@@ -265,42 +270,6 @@ def strictness_decompose(D, rep):
     return StrictnessResult(
         verdict="strictly-1-quasi", u=u, v=v, heuristic=heuristic, notes=notes
     )
-
-
-# ---------------------------------------------------------------------------
-# slices
-
-
-def slice_construct(D, rep):
-    """An s with Ds = 1, or None if none is found within the degree bound;
-    rep is classify(D)."""
-    ring = D.ring
-    if (
-        rep.nice_pair is not None
-        and ring.nparams == 1
-        and not any(img.is_zero() for img in D.images)
-    ):
-        g, alpha, beta = extended_euclid(D.images[0], D.images[1])
-        if g.is_constant():
-            c = g.as_constant()
-            s = (alpha * ring.gen(ring.vars[0]) + beta * ring.gen(ring.vars[1])) * (
-                1 / c
-            )
-            if apply(D, s) != ring.one():
-                raise CertificateError("Bezout slice %s fails its re-check" % s)
-            return s
-        return None
-    one = ring.one()
-    for bound in range(1, DEFAULT_SLICE_BOUND + 1):
-        monos = slice_basis(ring, bound, bound).monomials
-        answer = _Combinations.of_polynomials([(0, m) for m in monos],
-                                              [apply(D, m) for m in monos]).solve(one)
-        if answer is not None:
-            s, = answer
-            if apply(D, s) != one:
-                raise CertificateError("bounded slice %s fails its re-check" % s)
-            return s
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +520,13 @@ def nice3var_reduce(D, rep):
 def image_ideal(D, j, factored_b=None, bounds=(3, 3), entry_cap=DEFAULT_ENTRY_CAP):
     """Generators of I_j with theorem tag and machine-checked certificates.
 
-    Dispatch: a slice (or confirmed fixed-point-freeness) gives I_j = A;
-    nice 2-variable not fixed point free gives the j+1 products
-    f1^i1 * f2^i2 with explicit preimages; strictly 1-quasi-nice over Q[t]
-    gives the principal ideal (prod of non-free primes)^m with
-    m = min_exponent(j, d); nice 3-variable over Q[t] reduces and reuses the
-    nice branch.  Anything with an unconfirmed hypothesis returns the
+    Dispatch: a slice gives I_j = A (X/DX for one variable, X_1/DX_1 for a
+    unit DX_1, alpha_1*X_1 + alpha_2*X_2 from the Bezout cofactors of a fixed
+    point free nice pair); nice 2-variable not fixed point free gives the
+    j+1 products f1^i1 * f2^i2 with explicit preimages; strictly
+    1-quasi-nice over Q[t] gives the principal ideal (prod of non-free
+    primes)^m with m = min_exponent(j, d); nice 3-variable over Q[t] reduces
+    and reuses the nice branch.  Anything with an unconfirmed hypothesis returns the
     bounded oracle approximation (slice bounds, entry cap) tagged
     oracle-only.  To answer several j for one D, keep one Analysis instead.
     """
@@ -566,7 +536,10 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3), entry_cap=DEFAULT_ENTRY_CA
 class Analysis:
     """The j-independent facts about D and a declared factorization of DX_1,
     each worked out on first use and kept (one that raises, raises again on
-    the next use).  branch is the per-j step: j >= 1 -> a fresh result."""
+    the next use).  branch is the per-j step: j >= 1 -> a fresh result.
+    For a nice D with images in R, cofactors is nice_fixed_point_free of the
+    images, found once: fixed_point_free, which check prints, is read off
+    it, and so is the slice of the image-ideal branch."""
 
     def __init__(self, D, factored_b):
         self.D = D
@@ -577,8 +550,14 @@ class Analysis:
         return classify(self.D)
 
     @cached_property
+    def cofactors(self):
+        return nice_fixed_point_free(self.D.images)
+
+    @cached_property
     def fixed_point_free(self):
-        return is_fixed_point_free(self.D, self.report, factored_b=self.factored_b)
+        if self.report.nice_pair is None:
+            return is_fixed_point_free(self.D, self.report, factored_b=self.factored_b)
+        return self.cofactors if self.cofactors is None else self.cofactors is not False
 
     @cached_property
     def reduction(self):
@@ -629,12 +608,12 @@ def _branch(an):
 
     if ring.nvars == 1:
         # irreducible single-variable case: DX is a rational unit
-        return _slice_branch(an, "no slice found within bounds")
+        return _slice_step(D, ring.gen(ring.vars[0]) * (1 / D.images[0].as_constant()))
 
     if ring.nvars == 2:
         if rep.classification == "nice" and rep.nice_pair is not None:
             return _nice_branch(
-                an, an.fixed_point_free, "fixed-point-freeness undetermined within bounds",
+                an, an.cofactors, "fixed-point-freeness undetermined within bounds",
                 "inice", D.images, tuple(ring.gen(v) for v in ring.vars), (ring,) + D.images, ())
         if rep.quasi is not None:
             return _quasi_branch(an)
@@ -647,23 +626,25 @@ def _branch(an):
                    % (ring.nvars, ring.nparams))
 
 
-def _slice_branch(an, reason):
-    """I_j = A from a slice, or the oracle for reason when none is found."""
-    s = slice_construct(an.D, an.report)
-    if s is None:
-        return partial(_oracle_only, reason)
-    return partial(_slice_result, an.D, s)
+def _slice_step(D, s):
+    """The per-j step of I_j = A, once Ds = 1 is re-checked.  Each slice
+    comes from a Bezout identity of images, a unit DX alone for X/DX."""
+    if apply(D, s) != D.ring.one():
+        raise CertificateError("Bezout slice %s fails its re-check" % s)
+    return partial(_slice_result, D, s)
 
 
-def _nice_branch(an, fpf, undetermined, theorem, images, preimages, graded_on, notes):
-    """The tail of every nice branch: fixed point free gives a slice, not
-    fixed point free gives I_j = (f1, f2)^j with preimages p1^i1 * p2^i2,
-    and undetermined gives the oracle.  graded_on = (ring, f1, f2) is the
-    nice 2-variable problem the top-degree certificate is taken on, with
+def _nice_branch(an, cofactors, undetermined, theorem, images, preimages, graded_on, notes):
+    """The tail of every nice branch, on nice_fixed_point_free of the images
+    f1, f2 with D p1 = f1, D p2 = f2: cofactors alpha1, alpha2 give the slice
+    alpha1*p1 + alpha2*p2, False gives I_j = (f1, f2)^j with preimages
+    p1^i1 * p2^i2, and None gives the oracle.  graded_on = (ring, f1, f2) is
+    the nice 2-variable problem the top-degree certificate is taken on, with
     kernel generator f2*X1 - f1*X2."""
-    if fpf is True:
-        return _slice_branch(an, "fixed point free but no slice within bounds")
-    if fpf is False:
+    if cofactors:
+        (a1, a2), (p1, p2) = cofactors, preimages
+        return _slice_step(an.D, a1 * p1 + a2 * p2)
+    if cofactors is False:
         ring, f1, f2 = graded_on
         x1, x2 = (ring.gen(v) for v in ring.vars)
         graded = _top_degree_certificate(ring, dict.fromkeys(ring.vars, 1), ring.vars,
@@ -677,7 +658,7 @@ def _quasi_branch(an):
     ring = D.ring
     dec = strictness_decompose(D, an.report)
     if dec.verdict == "slice":
-        return _slice_branch(an, "unit DX_1 but no slice within bounds")
+        return _slice_step(D, ring.gen(ring.vars[q.pivot]) * (1 / q.b.as_constant()))
     if dec.verdict == "nice-able":
         # in the coordinates (X_1, X_2 + v) the derivation is nice
         newc = dec.new_coordinate
@@ -721,9 +702,12 @@ def _pid3var_branch(an):
         return partial(_oracle_only, "3-variable reduction failed: %s" % err)
     f, g = red.reduced.images
     U, V, W = red.coords
+    cofactors = nice_fixed_point_free((f, g))
+    if cofactors:  # over R[U], so mapped back
+        cofactors = tuple(map(red.to_original, cofactors))
     # the graded certificate lives on the reduced 2-variable problem
     return _nice_branch(
-        an, nice_fixed_point_free((f, g)),
+        an, cofactors,
         "fixed-point-freeness of the reduction undetermined", "pid-3var",
         (red.to_original(f), red.to_original(g)), (V, W), (red.new_ring, f, g),
         ["coordinates U=%s, V=%s, W=%s; A = R[U, %s]" % (U, V, W, red.kernel.generators[1])])
@@ -808,7 +792,7 @@ def _quasi_result(ring, d, theorem, localized, graded, strictness_notes, j):
         )
     cert = TheoremCertificate(
         irreducible=True,
-        fixed_point_free=not bad if all(ok is not None for _, _, ok in localized) else None,
+        fixed_point_free=not bad,
         top_degree_hypotheses=hypotheses,
         top_degree_generators=td_gens,
         primality=prime,

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -134,6 +136,17 @@ def test_failed_recheck_is_an_internal_error(tmp_path, capsys, monkeypatch):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("internal error: ") and "kernel" in err
+    # and the slice read off the Bezout cofactors, over Q[t] and over Q[a,b]
+    monkeypatch.setattr(oracle._Combinations, "solve_first", solve_first)
+    for name, text, slice_ in (("egcd", "param t\nvar X\nvar Y\nD X = t^2 + 1\nD Y = t\n",
+                                "-t*Y + X"),
+                               ("bezout", "param a\nparam b\nvar X\nvar Y\nD X = 1 + a\n"
+                                "D Y = a\n", "X - Y")):
+        path = tmp_path / (name + ".txt")
+        path.write_text(text)
+        assert main(["image-ideal", "--n", "1", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "internal error: Bezout slice %s fails its re-check\n" % slice_)
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
@@ -532,6 +545,31 @@ def test_one_classify_per_derivation(name, calls, monkeypatch):
                    ("image-ideal", 2), ("image-ideal", 3)):
         run(cmd, spec, n=n)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("search, text, slice_", [
+    ("extended_euclid", "param t\nvar X\nvar Y\nD X = t^2 + 1\nD Y = t\n", "-t*Y + X"),
+    ("_bounded_bezout", "param a\nparam b\nvar X\nvar Y\nD X = 1 + a\nD Y = a\n", "X - Y"),
+])
+def test_one_bezout_search_per_derivation(search, text, slice_, monkeypatch):
+    # check decides fixed-point-freeness by the cofactors, and image-ideal
+    # reads its slice off the same cofactors, at every n
+    original = getattr(derivation, search)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(derivation, search, counted)
+    spec = parse_problem(text)
+    assert "fixed point free: True" in run("check", spec).lines
+    for n in (1, 2, 3):
+        report = run("image-ideal", spec, n=n)
+        assert report.certificates[0]["theorem"] == "slice"
+        assert report.certificates[0]["preimages"] == [
+            str(spec.ring.poly(slice_) ** n * Fraction(1, factorial(n)))]
+    assert len(seen) == 1
 
 
 def test_readme_library_tour(capsys):

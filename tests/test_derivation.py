@@ -15,6 +15,7 @@ from plinth.derivation import (
     is_fixed_point_free,
     iterate,
     localized_fpf,
+    nice_fixed_point_free,
 )
 from plinth.oracle import _Combinations, slice_basis
 from plinth.polyring import MultiPoly, PolyRing
@@ -87,7 +88,6 @@ def test_classify_quasi(rt):
     assert q.b == rt.poly("-t^2 + t")
     assert q.f == rt.poly("1/2*t*X1^2 + t*X1 - X1")
     assert q.d == 2
-    assert rep.strict_candidate is True
 
 
 def test_classify_reducible(rt):
@@ -117,6 +117,24 @@ def test_fpf_nice_two_parameters(rab):
     assert is_fixed_point_free(D, classify(D)) is False
     D = Derivation(rab, [rab.poly("a"), rab.poly("1 - a")])
     assert is_fixed_point_free(D, classify(D)) is True
+
+
+def test_nice_fixed_point_free_returns_the_cofactors(rt, rab):
+    # the cofactors, as extended_euclid gives them over Q and Q[t]: the last
+    # nonzero image inverted when both are units
+    rq = PolyRing((), ("X", "Y"))
+    for ring, pair, cofactors in [
+        (rq, ("2", "-3"), ("0", "-1/3")),
+        (rq, ("2", "0"), ("1/2", "0")),
+        (rt, ("0", "2"), ("0", "1/2")),
+        (rt, ("t^2 + 1", "t"), ("1", "-t")),
+        (rab, ("1 + a", "a"), ("1", "-1")),
+    ]:
+        images = tuple(map(ring.poly, pair))
+        assert nice_fixed_point_free(images) == tuple(map(ring.poly, cofactors))
+    assert nice_fixed_point_free((rt.poly("t"), rt.poly("t - t^2"))) is False
+    assert nice_fixed_point_free((rab.poly("a"), rab.poly("b"))) is False
+    assert nice_fixed_point_free((rab.poly("a"), rab.poly("1 + b"))) is None
 
 
 def test_fpf_quasi_requires_factorization(rt):
@@ -180,7 +198,11 @@ def test_bounded_bezout_agrees_with_the_full_solve(rng, rab):
         unknowns = [(i, m) for i in range(len(images)) for m in monos]
         full = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
         assert (None if full.solve(rab.one()) is None else True) == expected
-        assert _bounded_bezout(images) == expected, images
+        alphas = _bounded_bezout(images)
+        if expected is None:
+            assert alphas is None, images
+        else:
+            assert alphas[0] * images[0] + alphas[1] * images[1] == rab.one(), images
 
 
 def test_bezout_search_inserts_each_column_once(rng, rab, monkeypatch):
@@ -210,6 +232,7 @@ def test_bezout_search_inserts_each_column_once(rng, rab, monkeypatch):
     for images in certified:
         built.clear()
         added.clear()
-        assert _bounded_bezout(images) is True
+        alphas = _bounded_bezout(images)
+        assert alphas[0] * images[0] + alphas[1] * images[1] == rab.one()
         assert len(built) == 1
         assert len(added) < 1 + columns

@@ -106,12 +106,20 @@ NEAR_MISSES = [
     ("fpf-nice-Qt-zero-image", "param t\nvar X\nvar Y\nD X = 0\nD Y = 2\n", "slice"),
     # over Q[a,b]: (1 + a) - a = 1 certifies fixed-point-freeness
     ("bezout-Qab", "param a\nparam b\nvar X\nvar Y\nD X = 1 + a\nD Y = a\n", "slice"),
+    # (1 + a*b^5) - b^5*a = 1: the cofactors give the slice Y - b^5*X of
+    # degree 6
+    ("bezout-Qab-degree-6", "param a\nparam b\nvar X\nvar Y\nD X = a\nD Y = 1 + a*b^5\n",
+     "slice"),
     # coprime, but both vanish at a = 0, b = -1: no Bezout certificate exists
     ("zero-off-origin-Qab", "param a\nparam b\nvar X\nvar Y\nD X = a\nD Y = 1 + b\n",
      "oracle-only"),
     # quasi-nice, not strict: X2 -> X2 + X1^2 makes it nice with images in R
     ("nice-able-Qt", "param t\nvar X1\nvar X2\nD X1 = t^2 + 1\n"
      "D X2 = -2*(t^2 + 1)*X1 - t\n", "slice"),
+    # nice after X2 -> X2 + 1/6*X1^6 with images t and -1: the slice
+    # -X2 - 1/6*X1^6 of degree 6
+    ("nice-able-Qt-degree-6", "param t\nvar X1\nvar X2\nD X1 = t\nD X2 = -1 - t*X1^5\n",
+     "slice"),
     ("nice-able-Qab", "param a\nparam b\nvar X1\nvar X2\nD X1 = a\nD X2 = -2*a*X1 - b\n",
      "inice"),
     ("pid-3var", "param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = t^2\nD Z = X + t\n",

@@ -11,7 +11,6 @@ from plinth.imageideals import (
     kernel_generator,
     min_exponent,
     nice3var_reduce,
-    slice_construct,
     strictness_decompose,
 )
 from plinth.polyring import (
@@ -141,27 +140,33 @@ def test_strictness_unsupported(rab):
 
 def test_slice_from_bezout(rt):
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t + 1")])
-    s = slice_construct(D, classify(D))
-    assert s == rt.poly("X1 + X2")
-    assert apply(D, s) == rt.one()
+    res = image_ideal(D, 1)
+    assert res.theorem == "slice"
+    assert res.preimages == [rt.poly("X1 + X2")]
+    assert apply(D, res.preimages[0]) == rt.one()
 
 
 def test_slice_trivial():
     ring = PolyRing((), ("X",))
     D = Derivation(ring, [ring.one()])
-    assert slice_construct(D, classify(D)) == ring.gen("X")
+    res = image_ideal(D, 1)
+    assert res.theorem == "slice"
+    assert res.preimages == [ring.gen("X")]
 
 
-def test_slice_quasi_bounded(rt):
+def test_slice_quasi_nice_able(rt):
+    # nice after X2 -> X2 + 1/2*X1^2, with images t and -1: the cofactors
+    # (0, -1) give the slice -(X2 + 1/2*X1^2)
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t*X1 - 1")])
-    s = slice_construct(D, classify(D))
-    assert s is not None
-    assert apply(D, s) == rt.one()
+    res = image_ideal(D, 1)
+    assert res.theorem == "slice"
+    assert res.preimages == [rt.poly("-1/2*X1^2 - X2")]
+    assert apply(D, res.preimages[0]) == rt.one()
 
 
 def test_slice_absent(rab):
     D = nice_ab(rab)
-    assert slice_construct(D, classify(D)) is None
+    assert image_ideal(D, 1).theorem == "inice"
 
 
 # -- the 3-variable reduction ---------------------------------------------------
