@@ -16,7 +16,6 @@ from .imageideals import (
     ImageIdealResult,
     KernelPresentation,
     image_ideal,
-    kernel_generator,
     min_exponent,
     nice3var_reduce,
     strictness_decompose,
@@ -38,7 +37,6 @@ __all__ = [
     "StructureReport",
     "UnsupportedStructureError",
     "image_ideal",
-    "kernel_generator",
     "min_exponent",
     "nice3var_reduce",
     "strictness_decompose",

@@ -7,7 +7,7 @@ import sys
 from functools import cached_property
 
 from .derivation import Derivation, UnsupportedStructureError
-from .imageideals import Analysis, KernelPresentation, kernel_generator
+from .imageideals import Analysis
 from .oracle import DEFAULT_ENTRY_CAP, OracleCapError, verify_image_ideal
 from .polyring import CertificateError, PlinthError, PolyRing, poly_to_string
 
@@ -268,21 +268,23 @@ class RunReport:
 
 
 def _run_check(spec):
-    rep = spec.analysis.report
+    an = spec.analysis
+    rep = an.report
     lines = [
         "lnd: %s" % rep.lnd,
         "degrees: %s" % (rep.degrees,),
         "irreducible: %s" % rep.irreducible,
         "classification: %s" % rep.classification,
     ]
-    fpf = None
+    # the answer the image-ideal branch decided, or why there is none
     try:
-        fpf = spec.analysis.fixed_point_free
-        lines.append("fixed point free: %s" % fpf)
-    except (UnsupportedStructureError, PlinthError) as err:
+        fpf = an.fixed_point_free
+        shown = "undetermined (%s)" % an.branch[1] if fpf is None else fpf
+    except PlinthError as err:
         if isinstance(err, CertificateError):  # a failed re-check is no answer
             raise
-        lines.append("fixed point free: undetermined (%s)" % err)
+        fpf, shown = None, "undetermined (%s)" % err
+    lines.append("fixed point free: %s" % shown)
     lines.extend(rep.notes)
     if rep.lnd is True:
         verdict, code = "PASS", 0
@@ -305,20 +307,9 @@ def _run_check(spec):
 
 
 def _run_kernel(spec):
-    an = spec.analysis
     try:
-        if spec.ring.nvars == 3:
-            pres = an.reduction.kernel
-        elif spec.ring.nvars == 1:
-            # DX lies in R for any locally nilpotent D, so Ker(D) = R
-            if an.report.lnd is not True or an.D.images[0].var_degree() > 0:
-                raise UnsupportedStructureError(
-                    "single-variable derivation is not locally nilpotent"
-                )
-            pres = KernelPresentation(generators=[], certified=True)
-        else:
-            pres = kernel_generator(an.D, an.report)
-    except (UnsupportedStructureError, PlinthError) as err:
+        pres = spec.analysis.kernel
+    except PlinthError as err:
         if isinstance(err, CertificateError):
             raise
         return RunReport(
@@ -514,11 +505,12 @@ def _build_parser():
             default=None,
             help="oracle slice bounds as p,v",
         )
-        p.add_argument(
-            "--assert-irreducible",
-            action="store_true",
-            help="accept all declared prime factors without a certificate",
-        )
+        if needs_problem:
+            p.add_argument(
+                "--assert-irreducible",
+                action="store_true",
+                help="accept all declared prime factors without a certificate",
+            )
 
     add_common(sub.add_parser("check", help="structural classification"))
     add_common(sub.add_parser("kernel", help="kernel generators"))
@@ -544,20 +536,20 @@ def _parse_bounds(text):
 
 
 def _load_spec(args):
-    if getattr(args, "example", None):
+    if args.example:
         if args.example not in FIXTURES:
             raise PlinthError(
                 "unknown fixture %r; try: %s"
                 % (args.example, ", ".join(sorted(FIXTURES)))
             )
         text = FIXTURES[args.example]
-    elif getattr(args, "problem", None):
+    elif args.problem:
         with open(args.problem, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         raise PlinthError("give a problem file or --example <name>")
     spec = parse_problem(text)
-    if getattr(args, "assert_irreducible", False) and spec.factored_b:
+    if args.assert_irreducible and spec.factored_b:
         spec.factored_b = [(p, m, True) for p, m, _ in spec.factored_b]
     return spec
 

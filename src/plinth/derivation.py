@@ -1,6 +1,8 @@
 """R-derivations on Q[params][vars] given by their images on the main
 variables, with local-nilpotence / irreducibility checks and structural
-classification (nice / quasi-nice) plus fixed-point-freeness tests."""
+classification (nice / quasi-nice) plus the fixed-point-freeness tests the
+image-ideal branches run: the unit ideal of a nice pair, and the localized
+check at a prime factor of DX_1 of a quasi-nice derivation."""
 
 from functools import lru_cache
 from math import lcm
@@ -340,27 +342,3 @@ def nice_fixed_point_free(images):
         raise CertificateError("Bezout cofactors of %s fail their re-check"
                                % ", ".join(map(str, images)))
     return tuple(alphas)
-
-
-def is_fixed_point_free(D, rep, factored_b=None):
-    """(DB)B = B test for the structured 2-variable cases; True/False/None.
-    rep is classify(D)."""
-    ring = D.ring
-    if rep.nice_pair is not None:
-        alphas = nice_fixed_point_free(D.images)
-        return alphas if alphas is None else alphas is not False
-    if rep.quasi is not None:
-        q = rep.quasi
-        if ring.nparams == 0:
-            return not q.b.is_zero()
-        if q.b.is_constant():
-            return True
-        if ring.nparams != 1:
-            raise UnsupportedStructureError(
-                "quasi-nice fixed-point-freeness needs a single-parameter ring"
-            )
-        primes = _validate_factored_b(q.b, factored_b)
-        return all(localized_fpf(D, rep, p) for p, _, _ in primes)
-    raise UnsupportedStructureError(
-        "fixed-point-freeness is decided only for structured 2-variable derivations"
-    )

@@ -1,14 +1,14 @@
 """Generator formulas for kernels and image ideals of structured locally
 nilpotent derivations.
 
-Covers: the 2-variable kernel generator, the j-th image ideal of a nice
-2-variable derivation ((f1,f2)^j with explicit preimages, or I_j = A when
-f1, f2 generate the unit ideal), the quasi-nice minimum exponent law and
-its localized single-parameter refinement, strictness detection, and the
-3-variable nice reduction to a 2-variable problem over an enlarged
-coefficient ring.  Every returned formula carries machine-checked
-certificates; whenever a hypothesis cannot be confirmed the result is
-downgraded to an oracle-only approximation.
+Covers: the kernels of the structured 1-, 2- and 3-variable cases, the j-th
+image ideal of a nice 2-variable derivation ((f1,f2)^j with explicit
+preimages, or I_j = A when f1, f2 generate the unit ideal), the quasi-nice
+minimum exponent law and its localized single-parameter refinement,
+strictness detection, and the 3-variable nice reduction to a 2-variable
+problem over an enlarged coefficient ring.  Every returned formula carries
+machine-checked certificates; whenever a hypothesis cannot be confirmed the
+result is downgraded to an oracle-only approximation.
 
 A slice is read off what decided its branch.  A Bezout identity
 alpha_1*f_1 + alpha_2*f_2 = 1 that shows a nice derivation fixed point free
@@ -16,14 +16,16 @@ gives the slice alpha_1*p_1 + alpha_2*p_2 over the preimages p_i of the f_i;
 a unit image DX gives X/DX.
 
 What the formulas rest on does not depend on j, so it is worked out once
-per problem in an Analysis (structure report, fixed-point-freeness and its
-Bezout cofactors, strictness, localized checks, 3-variable reduction,
-top-degree certificate) and shared by every command and every j; the per-j
-step only builds generators and preimages and re-checks them.
+per problem in an Analysis (structure report, the branch and the
+fixed-point-freeness it decides, strictness, localized checks, 3-variable
+reduction, top-degree certificate, kernel) and shared by every command and
+every j; the per-j step only builds generators and preimages and re-checks
+them.  The Analysis is the one place the structure of D is decided: check,
+kernel and image-ideal print what it holds.
 """
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import factorial
 
 from .derivation import (
@@ -33,7 +35,6 @@ from .derivation import (
     _validate_factored_b,
     apply,
     classify,
-    is_fixed_point_free,
     iterate,
     localized_fpf,
     nice_fixed_point_free,
@@ -139,36 +140,6 @@ class ImageIdealResult:
             "m": self.m,
             "notes": list(self.notes),
         }
-
-
-# ---------------------------------------------------------------------------
-# kernel generators
-
-
-def kernel_generator(D, rep):
-    """A = R[g] for the structured 2-variable cases; rep is classify(D).
-
-    Nice with images in R: g = (DX_2)X_1 - (DX_1)X_2.  Quasi-nice:
-    g = b*X_2 + f(X_1) with b = DX_1 and f the primitive of -DX_2.
-    """
-    ring = D.ring
-    if ring.nvars != 2:
-        raise UnsupportedStructureError(
-            "kernel_generator handles 2-variable derivations only"
-        )
-    x1, x2 = (ring.gen(v) for v in ring.vars)
-    if rep.classification == "nice" and rep.nice_pair is not None:
-        g = D.images[1] * x1 - D.images[0] * x2
-    elif rep.quasi is not None:
-        q = rep.quasi
-        g = q.b * ring.gen(ring.vars[q.other]) + q.f
-    else:
-        raise UnsupportedStructureError(
-            "kernel_generator needs a nice or quasi-nice 2-variable derivation"
-        )
-    if not apply(D, g).is_zero():
-        raise CertificateError("kernel candidate %s is not killed by D" % g)
-    return KernelPresentation(generators=[g], certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +507,15 @@ def image_ideal(D, j, factored_b=None, bounds=(3, 3), entry_cap=DEFAULT_ENTRY_CA
 class Analysis:
     """The j-independent facts about D and a declared factorization of DX_1,
     each worked out on first use and kept (one that raises, raises again on
-    the next use).  branch is the per-j step: j >= 1 -> a fresh result.
-    For a nice D with images in R, cofactors is nice_fixed_point_free of the
-    images, found once: fixed_point_free, which check prints, is read off
-    it, and so is the slice of the image-ideal branch."""
+    the next use).  It is the one place the structure of D is decided: check
+    prints fixed_point_free, kernel prints kernel, and image_ideal runs the
+    branch.
+
+    branch is (fixed_point_free, step), decided once: True with the slice
+    step, False with the step of a nice power (inice, pid-3var), for a
+    strictly quasi-nice D whether every localized check holds, with its
+    step; step is j >= 1 -> a fresh result.  Where no formula applies it is
+    (None, the reason), and the oracle answers instead."""
 
     def __init__(self, D, factored_b):
         self.D = D
@@ -549,36 +525,73 @@ class Analysis:
     def report(self):
         return classify(self.D)
 
-    @cached_property
-    def cofactors(self):
-        return nice_fixed_point_free(self.D.images)
+    def _require_formula_input(self):
+        """The formulas need D irreducible and not known to be non-nilpotent."""
+        rep = self.report
+        if rep.lnd is False:
+            raise PlinthError("D is not locally nilpotent")
+        if not rep.irreducible:
+            raise PlinthError(
+                "D is not irreducible: the images share the non-unit factor %s"
+                % multivariate_gcd([i for i in self.D.images if not i.is_zero()])
+            )
 
     @cached_property
+    def branch(self):
+        self._require_formula_input()
+        return _branch(self)
+
+    @property
     def fixed_point_free(self):
-        if self.report.nice_pair is None:
-            return is_fixed_point_free(self.D, self.report, factored_b=self.factored_b)
-        return self.cofactors if self.cofactors is None else self.cofactors is not False
+        """(DB)B = B: True, False, or None when undecided (branch[1] says
+        why).  A reducible D is not: its images share a non-unit c, so DB
+        lies in cB."""
+        return self.report.irreducible and self.branch[0]
 
     @cached_property
     def reduction(self):
         return nice3var_reduce(self.D, self.report)
 
     @cached_property
-    def branch(self):
-        return _branch(self)
+    def kernel(self):
+        """Ker(D) as a KernelPresentation: R for one variable; R[g] for two,
+        g = (DX_2)X_1 - (DX_1)X_2 for a nice D with images in R and
+        g = b*X_2 + f(X_1) for a quasi-nice one, b = DX_1 and f the primitive
+        of -DX_2; R[U, g*V - f*W] from the 3-variable reduction."""
+        D, rep = self.D, self.report
+        ring = D.ring
+        if ring.nvars == 1:
+            # DX lies in R for any locally nilpotent D, so Ker(D) = R
+            if rep.lnd is not True or D.images[0].var_degree() > 0:
+                raise UnsupportedStructureError(
+                    "single-variable derivation is not locally nilpotent"
+                )
+            return KernelPresentation(generators=[], certified=True)
+        if ring.nvars == 3:
+            return self.reduction.kernel
+        if ring.nvars != 2:
+            raise UnsupportedStructureError(
+                "kernel generators are known for 1 to 3 variables only")
+        x1, x2 = (ring.gen(v) for v in ring.vars)
+        if rep.nice_pair is not None:
+            g = D.images[1] * x1 - D.images[0] * x2
+        elif rep.quasi is not None:
+            q = rep.quasi
+            g = q.b * ring.gen(ring.vars[q.other]) + q.f
+        else:
+            raise UnsupportedStructureError(
+                "the kernel needs a nice or quasi-nice 2-variable derivation"
+            )
+        if not apply(D, g).is_zero():
+            raise CertificateError("kernel candidate %s is not killed by D" % g)
+        return KernelPresentation(generators=[g], certified=True)
 
     def image_ideal(self, j, bounds, entry_cap):
         """image_ideal(D, j, factored_b, bounds, entry_cap) from this analysis."""
         if not isinstance(j, int) or j < 0:
             raise PlinthError("image_ideal needs a natural n")
-        D, rep = self.D, self.report
-        if rep.lnd is False:
-            raise PlinthError("D is not locally nilpotent")
-        if not rep.irreducible:
-            raise PlinthError(
-                "D is not irreducible: the images share the non-unit factor %s"
-                % multivariate_gcd([i for i in D.images if not i.is_zero()])
-            )
+        self._require_formula_input()
+        D = self.D
         if j == 0:
             return ImageIdealResult(
                 n=0,
@@ -589,49 +602,59 @@ class Analysis:
                 preimage_factors=[Fraction(1)],
                 notes=["I_0 = A by definition"],
             )
-        res = self.branch(j)
-        if res.theorem == "oracle-only":
-            try:
-                slc = slice_basis(D.ring, bounds[0], bounds[1])
-                res.generators = kernel_and_image_basis(D, j, slc, entry_cap)
-            except OracleCapError as err:
-                res.notes.append("oracle run hit the entry cap: %s" % err)
+        fpf, step = self.branch
+        if fpf is not None:
+            return step(j)
+        # no formula applies: step is the reason, and the oracle answers
+        res = ImageIdealResult(
+            n=j,
+            generators=[],
+            theorem="oracle-only",
+            certificate=TheoremCertificate(irreducible=True, notes=[step]),
+            notes=[step, "bounded lower approximation of I_j; not a certified basis"],
+        )
+        try:
+            slc = slice_basis(D.ring, bounds[0], bounds[1])
+            res.generators = kernel_and_image_basis(D, j, slc, entry_cap)
+        except OracleCapError as err:
+            res.notes.append("oracle run hit the entry cap: %s" % err)
         return res
 
 
 def _branch(an):
-    """The per-j step for an irreducible D not known to be non-nilpotent."""
+    """Analysis.branch of an irreducible D not known to be non-nilpotent."""
     D, rep = an.D, an.report
     ring = D.ring
     if rep.lnd is None:
-        return partial(_oracle_only, "local nilpotence unconfirmed (cap)")
+        return None, "local nilpotence unconfirmed (cap)"
 
     if ring.nvars == 1:
         # irreducible single-variable case: DX is a rational unit
         return _slice_step(D, ring.gen(ring.vars[0]) * (1 / D.images[0].as_constant()))
 
     if ring.nvars == 2:
-        if rep.classification == "nice" and rep.nice_pair is not None:
+        if rep.nice_pair is not None:
             return _nice_branch(
-                an, an.cofactors, "fixed-point-freeness undetermined within bounds",
+                an, nice_fixed_point_free(D.images),
+                "fixed-point-freeness undetermined within bounds",
                 "inice", D.images, tuple(ring.gen(v) for v in ring.vars), (ring,) + D.images, ())
         if rep.quasi is not None:
             return _quasi_branch(an)
-        return partial(_oracle_only, "unstructured 2-variable derivation")
+        return None, "unstructured 2-variable derivation"
 
     if ring.nvars == 3 and ring.nparams <= 1 and len(rep.nice_set) == 3:
         return _pid3var_branch(an)
 
-    return partial(_oracle_only, "no formula branch for %d variables over %d parameters"
-                   % (ring.nvars, ring.nparams))
+    return None, "no formula branch for %d variables over %d parameters" % (
+        ring.nvars, ring.nparams)
 
 
 def _slice_step(D, s):
-    """The per-j step of I_j = A, once Ds = 1 is re-checked.  Each slice
+    """The slice branch, once Ds = 1 is re-checked: I_j = A.  Each slice
     comes from a Bezout identity of images, a unit DX alone for X/DX."""
     if apply(D, s) != D.ring.one():
         raise CertificateError("Bezout slice %s fails its re-check" % s)
-    return partial(_slice_result, D, s)
+    return True, partial(_slice_result, D, s)
 
 
 def _nice_branch(an, cofactors, undetermined, theorem, images, preimages, graded_on, notes):
@@ -640,17 +663,19 @@ def _nice_branch(an, cofactors, undetermined, theorem, images, preimages, graded
     alpha1*p1 + alpha2*p2, False gives I_j = (f1, f2)^j with preimages
     p1^i1 * p2^i2, and None gives the oracle.  graded_on = (ring, f1, f2) is
     the nice 2-variable problem the top-degree certificate is taken on, with
-    kernel generator f2*X1 - f1*X2."""
+    kernel generator f2*X1 - f1*X2; like the quasi branch's, it is built on
+    the step's first call, as check prints no certificate."""
     if cofactors:
         (a1, a2), (p1, p2) = cofactors, preimages
         return _slice_step(an.D, a1 * p1 + a2 * p2)
     if cofactors is False:
         ring, f1, f2 = graded_on
         x1, x2 = (ring.gen(v) for v in ring.vars)
-        graded = _top_degree_certificate(ring, dict.fromkeys(ring.vars, 1), ring.vars,
-                                         f2 * x1 - f1 * x2)
-        return partial(_nice_power_result, an.D, images, preimages, theorem, graded, notes)
-    return partial(_oracle_only, undetermined)
+        graded = cache(partial(_top_degree_certificate, ring, dict.fromkeys(ring.vars, 1),
+                               ring.vars, f2 * x1 - f1 * x2))
+        return False, partial(_nice_power_result, an.D, images, preimages, theorem, graded,
+                              notes)
+    return None, undetermined
 
 
 def _quasi_branch(an):
@@ -669,10 +694,9 @@ def _quasi_branch(an):
             (q.b, f2), (ring.gen(ring.vars[q.pivot]), newc), (ring, q.b, f2),
             ["after the coordinate change %s -> %s" % (ring.vars[q.other], newc)])
     if dec.verdict != "strictly-1-quasi" or dec.heuristic:
-        return partial(_oracle_only, "strictness undetermined: "
-                       + "; ".join(dec.notes or ["no verdict"]))
+        return None, "strictness undetermined: " + "; ".join(dec.notes or ["no verdict"])
     if ring.nparams != 1:
-        return partial(_oracle_only, "quasi-nice formulas need the coefficient ring Q[t]")
+        return None, "quasi-nice formulas need the coefficient ring Q[t]"
     # localized fixed-point-freeness per prime factor of b
     if an.factored_b is None:
         if irreducible_smalldeg(q.b) is True:
@@ -688,9 +712,10 @@ def _quasi_branch(an):
         theorem = "2varquasi_PID"
     localized = [(p, r, localized_fpf(D, an.report, p)) for p, r, _ in primes]
     x1, x2 = ring.vars[q.pivot], ring.vars[q.other]
-    graded = _top_degree_certificate(ring, {x1: 1, x2: max(q.d, 1)}, (x1,),
-                                     q.b * ring.gen(x2) + q.f)
-    return partial(_quasi_result, ring, q.d, theorem, localized, graded, dec.notes)
+    graded = cache(partial(_top_degree_certificate, ring, {x1: 1, x2: max(q.d, 1)}, (x1,),
+                           q.b * ring.gen(x2) + q.f))
+    return (all(ok for _, _, ok in localized),
+            partial(_quasi_result, ring, q.d, theorem, localized, graded, dec.notes))
 
 
 def _pid3var_branch(an):
@@ -699,7 +724,7 @@ def _pid3var_branch(an):
     except PlinthError as err:
         if isinstance(err, CertificateError):
             raise
-        return partial(_oracle_only, "3-variable reduction failed: %s" % err)
+        return None, "3-variable reduction failed: %s" % err
     f, g = red.reduced.images
     U, V, W = red.coords
     cofactors = nice_fixed_point_free((f, g))
@@ -752,7 +777,7 @@ def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
         gens.append(gen)
         pres.append(pre)
         factors.append(factor)
-    hypotheses, td_gens, prime = graded
+    hypotheses, td_gens, prime = graded()
     cert = TheoremCertificate(
         irreducible=True,
         fixed_point_free=False,
@@ -783,7 +808,7 @@ def _quasi_result(ring, d, theorem, localized, graded, strictness_notes, j):
     notes = []
     if not bad:
         notes.append("every localized derivation is fixed point free; I_j = A")
-    hypotheses, td_gens, prime = graded
+    hypotheses, td_gens, prime = graded()
     if prime is False:
         notes.append(
             "the literal top-degree ideal is not prime (the top part of f is "
@@ -807,15 +832,4 @@ def _quasi_result(ring, d, theorem, localized, graded, strictness_notes, j):
         certificate=cert,
         m=m,
         notes=notes,
-    )
-
-
-def _oracle_only(reason, j):
-    """The oracle-only result, before image_ideal fills in its generators."""
-    return ImageIdealResult(
-        n=j,
-        generators=[],
-        theorem="oracle-only",
-        certificate=TheoremCertificate(irreducible=True, notes=[reason]),
-        notes=[reason, "bounded lower approximation of I_j; not a certified basis"],
     )

@@ -223,8 +223,7 @@ class _Combinations:
             get = acc.get
             for e, v in p.nums.items():
                 acc[e] = get(e, 0) + k * v
-        ring = self.unknowns[0][1].ring
-        return [MultiPoly._of(ring, t, den * scale) for t in nums]
+        return [MultiPoly._of(self.unknowns[0][1].ring, t, den * scale) for t in nums]
 
     def relations(self):
         """A basis of the relations, one per column that depends on earlier
@@ -239,10 +238,11 @@ class _Combinations:
         """(coords, scale): scale * target, one polynomial per block, in the
         coordinates of the columns (which are over den), scale the common
         denominator of its blocks; None if a monomial of target is in no
-        column."""
+        column.  A block past the numbering (a system without columns
+        numbers one) has no monomial."""
         scale = lcm(*(p.den for p in target))
         coords = {}
-        for number, p in zip(self.numbering, target):
+        for number, p in zip(self.numbering + [{}] * len(target), target):
             k = self.den * (scale // p.den)
             for e, c in p.nums.items():
                 if e not in number:

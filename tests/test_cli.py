@@ -254,6 +254,8 @@ def test_usage_errors_are_input_errors(capsys):
     for argv in (["verify", "--example", "inice", "--bounds", "-1,2"],
                  ["verify", "--example", "inice", "--n", "x"],
                  ["check", "--example", "inice", "--frobnicate"],
+                 # only the problem commands read factor lines to relax
+                 ["examples", "--name", "tparam", "--assert-irreducible"],
                  ["frobnicate"], []):
         assert main(argv) == 3, argv
         out = capsys.readouterr()
@@ -409,6 +411,20 @@ def test_cap_golden(capsys):
     for name in sorted(FIXTURES):
         out = _commands_output(name, capsys, CAP_COMMANDS, output=())
         assert out == (GOLDEN / ("%s.caps.txt" % name)).read_text(), name
+
+
+def test_check_reports_the_image_ideal_branch(capsys):
+    # check prints the fixed-point-freeness the image-ideal branch decided
+    compared = []
+    for name in sorted(FIXTURES):
+        main(["examples", "--name", name, "--json"])
+        check, *rest = json.loads(capsys.readouterr().out)["certificates"]
+        for cert in rest:
+            fpf = cert.get("certificate", {}).get("fixed_point_free")
+            if "theorem" in cert and fpf is not None:
+                assert check["fixed_point_free"] is fpf, name
+                compared.append(name)
+    assert compared == ["inice", "pid3", "qnice", "slice1", "slice2", "tparam"]
 
 
 def test_image_ideal_without_factorization(tmp_path, capsys):

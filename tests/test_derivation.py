@@ -8,15 +8,14 @@ from plinth.derivation import (
     OVERFLOW,
     Derivation,
     PlinthError,
-    UnsupportedStructureError,
     _bounded_bezout,
     apply,
     classify,
-    is_fixed_point_free,
     iterate,
     localized_fpf,
     nice_fixed_point_free,
 )
+from plinth.imageideals import Analysis
 from plinth.oracle import _Combinations, slice_basis
 from plinth.polyring import MultiPoly, PolyRing
 from test_properties import deg_d
@@ -106,17 +105,17 @@ def test_verify_kernel_element(rt):
 def test_fpf_nice_single_parameter(rt):
     # Bezout t + (1 - t) = 1
     D = Derivation(rt, [rt.poly("t"), rt.poly("-t + 1")])
-    assert is_fixed_point_free(D, classify(D)) is True
+    assert Analysis(D, None).fixed_point_free is True
     D2 = Derivation(rt, [rt.poly("t"), rt.poly("t - t^2")])
-    assert is_fixed_point_free(D2, classify(D2)) is False
+    assert Analysis(D2, None).fixed_point_free is False
 
 
 def test_fpf_nice_two_parameters(rab):
     # common zero at the origin of the parameter space
     D = nice_ab(rab)
-    assert is_fixed_point_free(D, classify(D)) is False
+    assert Analysis(D, None).fixed_point_free is False
     D = Derivation(rab, [rab.poly("a"), rab.poly("1 - a")])
-    assert is_fixed_point_free(D, classify(D)) is True
+    assert Analysis(D, None).fixed_point_free is True
 
 
 def test_nice_fixed_point_free_returns_the_cofactors(rt, rab):
@@ -140,17 +139,17 @@ def test_nice_fixed_point_free_returns_the_cofactors(rt, rab):
 def test_fpf_quasi_requires_factorization(rt):
     D = tparam(rt)
     with pytest.raises(PlinthError):
-        is_fixed_point_free(D, classify(D))
+        Analysis(D, None).fixed_point_free
     factored = [(rt.poly("t"), 1), (rt.poly("-t + 1"), 1)]
-    assert is_fixed_point_free(D, classify(D), factored_b=factored) is False
+    assert Analysis(D, factored).fixed_point_free is False
 
 
 def test_fpf_quasi_rejects_bad_factorization(rt):
     D = tparam(rt)
     with pytest.raises(PlinthError):
-        is_fixed_point_free(D, classify(D), factored_b=[(rt.poly("t"), 2)])
+        Analysis(D, [(rt.poly("t"), 2)]).fixed_point_free
     with pytest.raises(PlinthError):
-        is_fixed_point_free(D, classify(D), factored_b=[(rt.poly("t^2 - 1"), 1)])
+        Analysis(D, [(rt.poly("t^2 - 1"), 1)]).fixed_point_free
 
 
 def test_localized_fpf(rt):
@@ -162,10 +161,12 @@ def test_localized_fpf(rt):
 
 
 def test_fpf_unsupported(rab):
+    # no formula branch, so undetermined, with the branch's reason
     ring = PolyRing(("a", "b"), ("X", "Y", "Z"))
     D = Derivation(ring, [ring.poly("a"), ring.poly("b"), ring.poly("b*X - a*Y")])
-    with pytest.raises(UnsupportedStructureError):
-        is_fixed_point_free(D, classify(D))
+    an = Analysis(D, None)
+    assert an.fixed_point_free is None
+    assert an.branch[1] == "no formula branch for 3 variables over 2 parameters"
 
 
 def _random_ab(rng, ring, degree):

@@ -30,7 +30,8 @@ import random
 
 import pytest
 
-from plinth.cli import main, parse_problem
+from plinth.cli import main, parse_problem, run
+from plinth.derivation import localized_fpf
 from plinth.oracle import verify_image_ideal
 
 BOUNDS = (2, 2)
@@ -80,6 +81,47 @@ def quasi_problem(rng):
     lines = ["param t", "var X1", "var X2", "D X1 = %s" % b, "D X2 = %s" % _poly(dx2)]
     lines += ["factor %s : %d" % f for f in factors]
     return "\n".join(lines) + "\n", "2varquasi_PID"
+
+
+def niceable_problem(rng):
+    """Quasi-nice over Q[t], nice after X2 -> X2 + v(X1): D X1 = b(t) with
+    its factor lines, D X2 = -h(t) - b*v'(X1).  Irreducible exactly when b
+    and h are coprime, and then fixed point free."""
+    roots = rng.sample((-2, -1, 0, 1, 2), rng.choice((1, 2)))
+    factors = [("t - (%d)" % x, rng.choice((1, 2))) for x in roots]
+    b = "(%d)*%s" % (rng.choice((-2, 1, 3)), "*".join("(%s)^%d" % f for f in factors))
+    h = rng.choice(("1", "t", "t + 1", "2*t - 3", "t^2 - 1"))
+    dv = rng.choice(("4*X1", "1 - 2*t*X1", "3*X1^2"))
+    lines = ["param t", "var X1", "var X2", "D X1 = %s" % b,
+             "D X2 = -(%s) - (%s)*(%s)" % (h, b, dv)]
+    lines += ["factor %s : %d" % f for f in factors]
+    return "\n".join(lines) + "\n", None
+
+
+@pytest.mark.parametrize("family", [quasi_problem, niceable_problem], ids=["quasi", "nice-able"])
+def test_check_fixed_point_free_is_localized(family, seed):
+    # check's answer is the branch's; on a quasi-nice D over Q[t] it must be
+    # whether D stays fixed point free at every declared prime of D X1
+    rng = random.Random("fpf:%s:%d" % (family.__name__, seed))
+    for _ in range(8):
+        text = family(rng)[0]
+        spec = parse_problem(text)
+        D, rep = spec.derivation(), spec.analysis.report
+        expected = all(localized_fpf(D, rep, p) for p, _, _ in spec.factored_b)
+        assert run("check", spec).certificates[0]["fixed_point_free"] is expected, text
+
+
+@pytest.mark.parametrize("text", [
+    "param a\nparam b\nvar X\nvar Y\nD X = a^2 + a\nD Y = a*b + b\n",
+    "param t\nvar X1\nvar X2\nD X1 = t\nD X2 = t*X1\n",
+    "param t\nvar X1\nvar X2\nD X1 = (t + 2)*(t^2 + 1)\nD X2 = -(t + 2)*(1 + 4*X1)\n",
+    "param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = t*(X + 1)\nD Z = X*(X + 1)\n",
+    "var X\nD X = X\n",
+])
+def test_check_reducible_is_not_fixed_point_free(text):
+    # the images share a non-unit c, so DB lies in cB
+    cert = run("check", parse_problem(text)).certificates[0]
+    assert (cert["irreducible"], cert["fixed_point_free"]) == (False, False), text
 
 
 @pytest.mark.parametrize("family, forward", [(nice_problem, {"PASS"}),

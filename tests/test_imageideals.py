@@ -7,8 +7,8 @@ import pytest
 
 from plinth.derivation import Derivation, UnsupportedStructureError, apply, classify, iterate
 from plinth.imageideals import (
+    Analysis,
     image_ideal,
-    kernel_generator,
     min_exponent,
     nice3var_reduce,
     strictness_decompose,
@@ -55,14 +55,14 @@ def tparam_factors(rt):
 
 def test_kernel_generator_nice(rab):
     D = nice_ab(rab)
-    pres = kernel_generator(D, classify(D))
+    pres = Analysis(D, None).kernel
     assert pres.certified
     assert pres.generators == [rab.poly("b*X - a*Y")]
 
 
 def test_kernel_generator_quasi(rt):
     D = tparam(rt)
-    pres = kernel_generator(D, classify(D))
+    pres = Analysis(D, None).kernel
     expected = rt.poly("-t^2*X2 + 1/2*t*X1^2 + t*X1 + t*X2 - X1")
     assert pres.generators == [expected]
 
@@ -70,14 +70,18 @@ def test_kernel_generator_quasi(rt):
 def test_kernel_generator_degenerate():
     ring = PolyRing((), ("X", "Y"))
     D = Derivation(ring, [ring.one(), ring.zero()])
-    pres = kernel_generator(D, classify(D))
+    pres = Analysis(D, None).kernel
     assert pres.generators == [-ring.gen("Y")]
 
 
 def test_kernel_generator_unsupported(r3):
+    # three variables go through the reduction, four have no kernel formula
     D = Derivation(r3, [r3.zero(), r3.poly("t"), r3.poly("X")])
+    assert Analysis(D, None).kernel.generators == [r3.gen("X"), r3.poly("-t*Z + X*Y")]
+    r4 = PolyRing(("t",), ("X", "Y", "Z", "W"))
+    D = Derivation(r4, [r4.zero(), r4.poly("t"), r4.poly("X"), r4.poly("Y")])
     with pytest.raises(UnsupportedStructureError):
-        kernel_generator(D, classify(D))
+        Analysis(D, None).kernel
 
 
 # -- the exponent law ---------------------------------------------------------

@@ -167,6 +167,17 @@ def test_huge_power_empty_image(rab):
     assert inter == []
 
 
+def test_solve_without_columns(rt):
+    # D^3 kills the whole slice 1,1 of tparam, so the chain has no columns;
+    # a nonzero target in any block is out of reach, the zero one is not
+    D = Derivation(rt, [rt.poly("-t^2 + t"), rt.poly("-t*X1 - t + 1")])
+    chain = matrix_of_power(D, 3, slice_basis(rt, 1, 1)).chain
+    assert chain.columns == []
+    assert chain.solve(rt.zero(), rt.poly("1 - t")) is None
+    assert chain.solve(rt.poly("t"), rt.zero()) is None
+    assert chain.solve(rt.zero(), rt.zero()) == []
+
+
 def ideal_membership_bounded(gens, h, cofactor_bound, entry_cap=oracle.DEFAULT_ENTRY_CAP):
     """('yes', cofactors) / ('no', remainder) / ('unknown', None).
 
