@@ -14,7 +14,6 @@ from .polyring import (
 from .derivation import Derivation, StructureReport, UnsupportedStructureError
 from .imageideals import (
     ImageIdealResult,
-    KernelPresentation,
     image_ideal,
     min_exponent,
     nice3var_reduce,
@@ -28,7 +27,6 @@ __all__ = [
     "Derivation",
     "ExactDivisionError",
     "ImageIdealResult",
-    "KernelPresentation",
     "MultiPoly",
     "PlinthError",
     "PolyParseError",

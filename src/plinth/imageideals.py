@@ -69,26 +69,18 @@ from .polyring import (
 DEFAULT_SYZYGY_BOUND = 6
 
 
-class KernelPresentation:
-    """Generators of Ker(D) over R, each re-checked to be killed by D."""
-
-    def __init__(self, generators, certified):
-        self.generators, self.certified = generators, certified
-
-
 class TheoremCertificate:
     """Machine-checked hypothesis record attached to a formula result."""
 
     def __init__(self, irreducible, fixed_point_free=None, top_degree_hypotheses=None,
                  top_degree_generators=None, primality=None, strictness=None,
-                 heuristic=False, localized=None, notes=None):
+                 localized=None, notes=None):
         self.irreducible = irreducible
         self.fixed_point_free = fixed_point_free
         self.top_degree_hypotheses = top_degree_hypotheses  # what was checked, as text
         self.top_degree_generators = top_degree_generators
         self.primality = primality
         self.strictness = strictness
-        self.heuristic = heuristic
         self.localized = localized  # (prime, multiplicity, stays fpf)
         self.notes = [] if notes is None else notes
 
@@ -98,7 +90,7 @@ class TheoremCertificate:
             "fixed_point_free": self.fixed_point_free,
             "primality": self.primality,
             "strictness": self.strictness,
-            "heuristic": self.heuristic,
+            "heuristic": False,  # a heuristic strictness split ends oracle-only
             "notes": list(self.notes),
         }
         if self.top_degree_generators is not None:
@@ -116,15 +108,14 @@ class TheoremCertificate:
 class ImageIdealResult:
     """Generators of I_n = Ker(D) intersected with D^n B, as elements of B."""
 
-    def __init__(self, n, generators, theorem, certificate, preimages=None,
-                 preimage_factors=None, m=None, notes=None):
+    def __init__(self, n, generators, theorem, certificate, preimages=None, m=None,
+                 notes=None):
         self.n = n
         self.generators = generators
         # trivial / slice / inice / 2varquasi / 2varquasi_PID / pid-3var / oracle-only
         self.theorem = theorem
         self.certificate = certificate  # a TheoremCertificate
         self.preimages = preimages
-        self.preimage_factors = preimage_factors
         self.m = m
         self.notes = [] if notes is None else notes
 
@@ -287,36 +278,29 @@ def _top_degree_certificate(ring, weights, slice_vars, k):
 
 
 class ThreeVarReduction:
-    def __init__(self, matrix, new_ring, reduced, kernel, coords):
+    """nice3var_reduce sets kernel = (U, g*V - f*W), in the original
+    coordinates, once both are re-checked to be killed by D."""
+
+    def __init__(self, matrix, new_ring, ext_ring, reduced, coords):
         self.matrix = matrix  # 3x3 change of coordinates over R, determinant 1
         self.new_ring = new_ring  # R[U] as coefficient ring, main variables V, W
+        self.ext_ring = ext_ring  # the original ring with U, V, W appended
         self.reduced = reduced  # D expressed on the new ring
-        self.kernel = kernel  # [U, g*V - f*W] in the original coordinates
         self.coords = coords  # (U, V, W) as polynomials of the original ring
 
     def to_original(self, p):
-        """Map a polynomial of the reduced ring back to the original ring."""
-        ring = self.coords[0].ring
-        k = ring.nparams
-        out = ring.zero()
-        for exps, coeff in p.terms.items():
-            term = ring.const(coeff)
-            for i in range(k):  # original parameters keep their positions
-                if exps[i]:
-                    term = term * ring.gen(ring.params[i]) ** exps[i]
-            term = term * self.coords[0] ** exps[k]  # U
-            term = term * self.coords[1] ** exps[k + 1]  # V
-            term = term * self.coords[2] ** exps[k + 2]  # W
-            out = out + term
-        return out
+        """Map a polynomial of the reduced ring back to the original ring:
+        U, V and W become the coordinates they name."""
+        q = embed(p, self.ext_ring)
+        for name, coord in zip(self.ext_ring.vars[-3:], self.coords):
+            q = substitute(q, name, embed(coord, self.ext_ring))
+        return restrict(q, self.coords[0].ring)
 
 
 def _egcd_R(a, b):
-    """(g, alpha, beta) with alpha*a + beta*b = g over R (Q or Q[t]),
-    tolerating zero and constant arguments."""
+    """(g, alpha, beta) with alpha*a + beta*b = g over R (Q or Q[t]), for
+    a and b not both zero, either of them possibly constant."""
     ring = a.ring
-    if a.is_zero() and b.is_zero():
-        return ring.zero(), ring.zero(), ring.zero()
     if a.is_zero():
         return b, ring.zero(), ring.one()
     if b.is_zero():
@@ -326,14 +310,6 @@ def _egcd_R(a, b):
     if b.is_constant():
         return ring.one(), ring.zero(), ring.const(1 / b.as_constant())
     return extended_euclid(a, b)
-
-
-def _det3(M):
-    return (
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-    )
 
 
 def _adjugate3(M):
@@ -386,7 +362,7 @@ def nice3var_reduce(D, rep):
     Finds a syzygy a*DX + b*DY + c*DZ = 0, completes (a,b,c) to a
     determinant-1 matrix over R via Bezout identities, and rewrites D in the
     coordinates (U,V,W) = M(X,Y,Z).  Returns the reduction together with the
-    kernel presentation [U, g*V - f*W].
+    kernel generators (U, g*V - f*W).
     """
     ring = D.ring
     if ring.nvars != 3:
@@ -425,17 +401,15 @@ def nice3var_reduce(D, rep):
             [-beta, alpha, zero],
             [-delta * aprime, -delta * bprime, gamma],
         ]
-    if _det3(M) != one:
+    inv = _adjugate3(M)  # M * inv = det(M) * I
+    if sum((M[0][j] * inv[j][0] for j in range(3)), zero) != one:
         raise PlinthError("syzygy completion failed: determinant is not 1")
-    inv = _adjugate3(M)
 
     xs = [ring.gen(v) for v in ring.vars]
     coords = tuple(
         sum((M[i][j] * xs[j] for j in range(3)), zero) for i in range(3)
     )
     U, V, W = coords
-    if not apply(D, U).is_zero():
-        raise CertificateError("U is not a kernel element")
 
     un, vn, wn = _fresh_names(("U", "V", "W"), ring.names)
     big = ring.extend((un, vn, wn))
@@ -454,10 +428,8 @@ def nice3var_reduce(D, rep):
     new_ring = PolyRing(ring.params + (un,), (vn, wn))
     images = []
     for coord in (V, W):
-        img = rewrite(apply(D, coord))
-        if any(img.involves(n) for n in (vn, wn)) or any(
-            img.involves(v) for v in ring.vars
-        ):
+        img = rewrite(apply(D, coord))  # every X_i is substituted away
+        if img.involves(vn) or img.involves(wn):
             raise UnsupportedStructureError(
                 "reduced image %s does not lie in R[%s]" % (img, un)
             )
@@ -469,18 +441,12 @@ def nice3var_reduce(D, rep):
         )
     reduced = Derivation(new_ring, images)
 
-    red = ThreeVarReduction(
-        matrix=M,
-        new_ring=new_ring,
-        reduced=reduced,
-        kernel=KernelPresentation(generators=[], certified=False),
-        coords=coords,
-    )
+    red = ThreeVarReduction(M, new_ring, big, reduced, coords)
     kern2 = red.to_original(g) * V - red.to_original(f) * W
     for cand in (U, kern2):
         if not apply(D, cand).is_zero():
             raise CertificateError("%s is not a kernel element" % cand)
-    red.kernel = KernelPresentation(generators=[U, kern2], certified=True)
+    red.kernel = (U, kern2)
     return red
 
 
@@ -554,10 +520,12 @@ class Analysis:
 
     @cached_property
     def kernel(self):
-        """Ker(D) as a KernelPresentation: R for one variable; R[g] for two,
-        g = (DX_2)X_1 - (DX_1)X_2 for a nice D with images in R and
-        g = b*X_2 + f(X_1) for a quasi-nice one, b = DX_1 and f the primitive
-        of -DX_2; R[U, g*V - f*W] from the 3-variable reduction."""
+        """The generators of Ker(D) over R as a tuple, each re-checked to be
+        killed by D: () for one variable; (g,) for two, g = (DX_2)X_1 -
+        (DX_1)X_2 for a nice D with images in R and g = b*X_2 + f(X_1) for a
+        quasi-nice one, b = DX_1 and f the primitive of -DX_2, divided by the
+        content c of the images when D = c*D0 is reducible; (U, g*V - f*W)
+        from the 3-variable reduction."""
         D, rep = self.D, self.report
         ring = D.ring
         if ring.nvars == 1:
@@ -566,7 +534,7 @@ class Analysis:
                 raise UnsupportedStructureError(
                     "single-variable derivation is not locally nilpotent"
                 )
-            return KernelPresentation(generators=[], certified=True)
+            return ()
         if ring.nvars == 3:
             return self.reduction.kernel
         if ring.nvars != 2:
@@ -582,9 +550,11 @@ class Analysis:
             raise UnsupportedStructureError(
                 "the kernel needs a nice or quasi-nice 2-variable derivation"
             )
+        if not rep.irreducible:  # D = c*D0 and Ker(D) = Ker(D0): g/c generates it
+            g = divide_exact(g, multivariate_gcd([i for i in D.images if not i.is_zero()]))
         if not apply(D, g).is_zero():
             raise CertificateError("kernel candidate %s is not killed by D" % g)
-        return KernelPresentation(generators=[g], certified=True)
+        return (g,)
 
     def image_ideal(self, j, bounds, entry_cap):
         """image_ideal(D, j, factored_b, bounds, entry_cap) from this analysis."""
@@ -599,7 +569,6 @@ class Analysis:
                 theorem="trivial",
                 certificate=TheoremCertificate(irreducible=True),
                 preimages=[D.ring.one()],
-                preimage_factors=[Fraction(1)],
                 notes=["I_0 = A by definition"],
             )
         fpf, step = self.branch
@@ -705,7 +674,7 @@ def _quasi_branch(an):
         else:
             raise PlinthError(
                 "a factorization of DX_1 = %s into irreducibles is required "
-                "(pass factored_b)" % q.b
+                "(give it as factor lines, or pass factored_b)" % q.b
             )
     else:
         primes = _validate_factored_b(q.b, an.factored_b)
@@ -735,7 +704,7 @@ def _pid3var_branch(an):
         an, cofactors,
         "fixed-point-freeness of the reduction undetermined", "pid-3var",
         (red.to_original(f), red.to_original(g)), (V, W), (red.new_ring, f, g),
-        ["coordinates U=%s, V=%s, W=%s; A = R[U, %s]" % (U, V, W, red.kernel.generators[1])])
+        ["coordinates U=%s, V=%s, W=%s; A = R[U, %s]" % (U, V, W, red.kernel[1])])
 
 
 def _slice_result(D, s, j):
@@ -754,7 +723,6 @@ def _slice_result(D, s, j):
         theorem="slice",
         certificate=cert,
         preimages=[pre],
-        preimage_factors=[Fraction(1)],
     )
 
 
@@ -764,19 +732,17 @@ def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
     i1 + i2 = j (every surviving term of the product rule differentiates
     each factor exactly once)."""
     (f1, f2), (p1, p2) = images, preimages
-    gens, pres, factors = [], [], []
+    gens, pres = [], []
     for i2 in range(j + 1):
         i1 = j - i2
         gen = f1**i1 * f2**i2
         pre = p1**i1 * p2**i2
-        factor = Fraction(factorial(j))
-        if iterate(D, pre, j) != factor * gen:
+        if iterate(D, pre, j) != factorial(j) * gen:
             raise CertificateError("preimage identity failed for %s" % gen)
         if not apply(D, gen).is_zero():
             raise CertificateError("generator %s is not in Ker(D)" % gen)
         gens.append(gen)
         pres.append(pre)
-        factors.append(factor)
     hypotheses, td_gens, prime = graded()
     cert = TheoremCertificate(
         irreducible=True,
@@ -792,7 +758,6 @@ def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
         theorem=theorem,
         certificate=cert,
         preimages=pres,
-        preimage_factors=factors,
     )
 
 

@@ -444,6 +444,36 @@ def test_image_ideal_without_factorization(tmp_path, capsys):
     assert run("image-ideal", spec, n=0).certificates[0]["theorem"] == "trivial"
 
 
+def test_unfactored_b_names_the_factor_lines(tmp_path, capsys):
+    # on the command line the remedy is a factor line, not a library keyword
+    path = tmp_path / "problem.txt"
+    path.write_text("param t\nvar X1\nvar X2\nD X1 = t^2 - 1\nD X2 = -2*X1\n")
+    remedy = "give it as factor lines, or pass factored_b"
+    assert main(["image-ideal", str(path)]) == 3
+    assert remedy in capsys.readouterr().err
+    assert main(["check", str(path)]) == 0
+    fpf, = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("fixed point free:")]
+    assert remedy in fpf
+
+
+@pytest.mark.parametrize("text, kernel", [
+    # (a + 1)*(b*X - a*Y) is in Ker(D) too, but generates a proper subring
+    ("param a\nparam b\nvar X\nvar Y\nD X = a^2 + a\nD Y = a*b + b\n", "-a*Y + b*X"),
+    ("param t\nvar X1\nvar X2\nD X1 = t\nD X2 = t*X1\n", "-1/2*X1^2 + X2"),
+], ids=["nice-Qab", "quasi-Qt"])
+def test_kernel_of_a_reducible_derivation(text, kernel, tmp_path, capsys):
+    # D = c*D0 with c the gcd of the images: Ker(D) = Ker(D0)
+    path = tmp_path / "problem.txt"
+    path.write_text(text)
+    assert main(["kernel", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Ker(D) = R[%s]" % kernel
+    # the image ideals still refuse a reducible D as input
+    for command in ("image-ideal", "verify"):
+        assert main([command, str(path)]) == 3
+        assert "D is not irreducible" in capsys.readouterr().err
+
+
 def test_examples_under_optimize(capsys):
     # certificate re-checks are explicit, so python -O must not change output
     src = str(Path(plinth.__file__).resolve().parent.parent)

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from plinth.cli import parse_problem
 from plinth.derivation import Derivation, UnsupportedStructureError, apply, classify, iterate
 from plinth.imageideals import (
     Analysis,
@@ -21,6 +22,8 @@ from plinth.polyring import (
     multivariate_gcd,
     normalize_unit,
 )
+
+from test_formula_oracle import pid3_problem
 
 
 @pytest.fixture
@@ -55,29 +58,25 @@ def tparam_factors(rt):
 
 def test_kernel_generator_nice(rab):
     D = nice_ab(rab)
-    pres = Analysis(D, None).kernel
-    assert pres.certified
-    assert pres.generators == [rab.poly("b*X - a*Y")]
+    assert Analysis(D, None).kernel == (rab.poly("b*X - a*Y"),)
 
 
 def test_kernel_generator_quasi(rt):
     D = tparam(rt)
-    pres = Analysis(D, None).kernel
     expected = rt.poly("-t^2*X2 + 1/2*t*X1^2 + t*X1 + t*X2 - X1")
-    assert pres.generators == [expected]
+    assert Analysis(D, None).kernel == (expected,)
 
 
 def test_kernel_generator_degenerate():
     ring = PolyRing((), ("X", "Y"))
     D = Derivation(ring, [ring.one(), ring.zero()])
-    pres = Analysis(D, None).kernel
-    assert pres.generators == [-ring.gen("Y")]
+    assert Analysis(D, None).kernel == (-ring.gen("Y"),)
 
 
 def test_kernel_generator_unsupported(r3):
     # three variables go through the reduction, four have no kernel formula
     D = Derivation(r3, [r3.zero(), r3.poly("t"), r3.poly("X")])
-    assert Analysis(D, None).kernel.generators == [r3.gen("X"), r3.poly("-t*Z + X*Y")]
+    assert Analysis(D, None).kernel == (r3.gen("X"), r3.poly("-t*Z + X*Y"))
     r4 = PolyRing(("t",), ("X", "Y", "Z", "W"))
     D = Derivation(r4, [r4.zero(), r4.poly("t"), r4.poly("X"), r4.poly("Y")])
     with pytest.raises(UnsupportedStructureError):
@@ -182,9 +181,9 @@ def test_nice3var_reduce_pid3(r3):
     U = red.coords[0]
     assert U == r3.gen("X")
     assert apply(D, U).is_zero()
-    for g in red.kernel.generators:
+    for g in red.kernel:
         assert apply(D, g).is_zero()
-    assert normalize_unit(red.kernel.generators[1]) == normalize_unit(
+    assert normalize_unit(red.kernel[1]) == normalize_unit(
         r3.poly("-t*Z + X*Y")
     )
     # unit determinant
@@ -205,8 +204,44 @@ def test_nice3var_reduce_linear_syzygy(r3):
     red = nice3var_reduce(D, classify(D))
     assert normalize_unit(red.coords[0]) == r3.poly("X + Y")
     assert apply(D, red.coords[0]).is_zero()
-    for g in red.kernel.generators:
+    for g in red.kernel:
         assert apply(D, g).is_zero()
+
+
+def to_original_by_terms(red, p):
+    """Reference for ThreeVarReduction.to_original: rebuild p term by term,
+    each power of U, V, W replaced by the power of its coordinate."""
+    ring = red.coords[0].ring
+    k = ring.nparams
+    out = ring.zero()
+    for exps, coeff in p.terms.items():
+        term = ring.const(coeff)
+        for i in range(k):  # original parameters keep their positions
+            term = term * ring.gen(ring.params[i]) ** exps[i]
+        for coord, e in zip(red.coords, exps[k:]):
+            term = term * coord**e
+        out = out + term
+    return out
+
+
+def test_to_original_maps_the_reduced_images_back(r3, seed):
+    # D V = f(U) and D W = g(U) in the new coordinates: mapped back, the
+    # reduced images are the images of the coordinates V and W
+    rng = random.Random("to_original:%d" % seed)
+    specs = [parse_problem(pid3_problem(rng)[0]) for _ in range(6)]
+    cases = [Derivation(r3, [r3.zero(), r3.poly("t"), r3.poly("X")])]
+    for D in cases + [spec.derivation() for spec in specs]:
+        red = nice3var_reduce(D, classify(D))
+        (f, g), (_, V, W) = red.reduced.images, red.coords
+        assert red.to_original(f) == apply(D, V)
+        assert red.to_original(g) == apply(D, W)
+        ring = red.new_ring
+        for _ in range(5):
+            terms = {tuple(rng.randrange(3) for _ in range(ring.arity)):
+                     Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+                     for _ in range(6)}
+            p = MultiPoly(ring, terms)
+            assert red.to_original(p) == to_original_by_terms(red, p), p
 
 
 def test_nice3var_reduce_rejects_non_nice(r3):
@@ -234,10 +269,8 @@ def test_image_ideal_nice_powers(rab):
         ]
         assert res.generators == expected
         assert len(res.generators) == j + 1
-        for gen, pre, factor in zip(
-            res.generators, res.preimages, res.preimage_factors
-        ):
-            assert iterate(D, pre, j) == factor * gen
+        for gen, pre in zip(res.generators, res.preimages):
+            assert iterate(D, pre, j) == factorial(j) * gen
         assert res.certificate.primality is True
         assert res.certificate.fixed_point_free is False
 
