@@ -499,8 +499,13 @@ class Analysis:
         if not rep.irreducible:
             raise PlinthError(
                 "D is not irreducible: the images share the non-unit factor %s"
-                % multivariate_gcd([i for i in self.D.images if not i.is_zero()])
+                % self.content
             )
+
+    @cached_property
+    def content(self):
+        """The gcd c of the images, so D = c*D0; a unit when D is irreducible."""
+        return multivariate_gcd([i for i in self.D.images if not i.is_zero()])
 
     @cached_property
     def branch(self):
@@ -523,11 +528,18 @@ class Analysis:
         """The generators of Ker(D) over R as a tuple, each re-checked to be
         killed by D: () for one variable; (g,) for two, g = (DX_2)X_1 -
         (DX_1)X_2 for a nice D with images in R and g = b*X_2 + f(X_1) for a
-        quasi-nice one, b = DX_1 and f the primitive of -DX_2, divided by the
-        content c of the images when D = c*D0 is reducible; (U, g*V - f*W)
-        from the 3-variable reduction."""
+        quasi-nice one, b = DX_1 and f the primitive of -DX_2; (U, g*V - f*W)
+        from the 3-variable reduction.  A locally nilpotent D = c*D0, c the
+        content, has Ker(D) = Ker(D0), so a reducible one gets D0's kernel."""
         D, rep = self.D, self.report
         ring = D.ring
+        if rep.lnd is True and not rep.irreducible:
+            D0 = Derivation(ring, [divide_exact(i, self.content) for i in D.images])
+            gens = Analysis(D0, None).kernel
+            for g in gens:
+                if not apply(D, g).is_zero():
+                    raise CertificateError("kernel generator %s is not killed by D" % g)
+            return gens
         if ring.nvars == 1:
             # DX lies in R for any locally nilpotent D, so Ker(D) = R
             if rep.lnd is not True or D.images[0].var_degree() > 0:
@@ -550,8 +562,6 @@ class Analysis:
             raise UnsupportedStructureError(
                 "the kernel needs a nice or quasi-nice 2-variable derivation"
             )
-        if not rep.irreducible:  # D = c*D0 and Ker(D) = Ker(D0): g/c generates it
-            g = divide_exact(g, multivariate_gcd([i for i in D.images if not i.is_zero()]))
         if not apply(D, g).is_zero():
             raise CertificateError("kernel candidate %s is not killed by D" % g)
         return (g,)
@@ -633,7 +643,8 @@ def _nice_branch(an, cofactors, undetermined, theorem, images, preimages, graded
     p1^i1 * p2^i2, and None gives the oracle.  graded_on = (ring, f1, f2) is
     the nice 2-variable problem the top-degree certificate is taken on, with
     kernel generator f2*X1 - f1*X2; like the quasi branch's, it is built on
-    the step's first call, as check prints no certificate."""
+    the step's first call, as check prints no certificate.  The step reads
+    the powers of f1, f2, p1 and p2 from tables it shares across every j."""
     if cofactors:
         (a1, a2), (p1, p2) = cofactors, preimages
         return _slice_step(an.D, a1 * p1 + a2 * p2)
@@ -642,9 +653,23 @@ def _nice_branch(an, cofactors, undetermined, theorem, images, preimages, graded
         x1, x2 = (ring.gen(v) for v in ring.vars)
         graded = cache(partial(_top_degree_certificate, ring, dict.fromkeys(ring.vars, 1),
                                ring.vars, f2 * x1 - f1 * x2))
-        return False, partial(_nice_power_result, an.D, images, preimages, theorem, graded,
-                              notes)
+        powers = tuple(_Powers(p) for p in images + preimages)
+        return False, partial(_nice_power_result, an.D, powers, theorem, graded, notes)
     return None, undetermined
+
+
+class _Powers:
+    """p**0, p**1, ... of one polynomial p, each built once, by one
+    multiplication from the one before."""
+
+    def __init__(self, p):
+        self.p = p
+        self.table = [p.ring.one()]
+
+    def __getitem__(self, i):
+        while len(self.table) <= i:
+            self.table.append(self.table[-1] * self.p)
+        return self.table[i]
 
 
 def _quasi_branch(an):
@@ -726,17 +751,17 @@ def _slice_result(D, s, j):
     )
 
 
-def _nice_power_result(D, images, preimages, theorem, graded, notes, j):
+def _nice_power_result(D, powers, theorem, graded, notes, j):
     """I_j = (f1, f2)^j with preimages p1^i1 * p2^i2; D p1 = f1, D p2 = f2,
     both f's kernel elements, so D^j(p1^i1 p2^i2) = j! f1^i1 f2^i2 when
     i1 + i2 = j (every surviving term of the product rule differentiates
-    each factor exactly once)."""
-    (f1, f2), (p1, p2) = images, preimages
+    each factor exactly once).  powers are the _Powers of f1, f2, p1, p2."""
+    f1, f2, p1, p2 = powers
     gens, pres = [], []
     for i2 in range(j + 1):
         i1 = j - i2
-        gen = f1**i1 * f2**i2
-        pre = p1**i1 * p2**i2
+        gen = f1[i1] * f2[i2]
+        pre = p1[i1] * p2[i2]
         if iterate(D, pre, j) != factorial(j) * gen:
             raise CertificateError("preimage identity failed for %s" % gen)
         if not apply(D, gen).is_zero():

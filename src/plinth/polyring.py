@@ -69,11 +69,12 @@ class PolyRing:
     shared polynomial each.  The ring is the codec of its keys: _shifts[i]
     is the offset of name i's field, _top the degree field's, _units[i] the
     key of name i, _cap the least key of degree DEGREE_LIMIT and _guards
-    the guard bits of the name fields.
+    the guard bits of the name fields.  _monomials holds the text of each
+    monomial key printed so far, as poly_to_string writes it.
     """
 
     __slots__ = ("params", "vars", "names", "_index", "_shifts", "_top", "_units", "_cap",
-                 "_guards", "_zero", "_one", "_gens", "__weakref__")
+                 "_guards", "_zero", "_one", "_gens", "_monomials", "__weakref__")
     _in_use = weakref.WeakValueDictionary()
 
     def __new__(cls, params, vars):
@@ -101,6 +102,7 @@ class PolyRing:
         ring._zero = MultiPoly._of(ring, {})
         ring._one = MultiPoly._of(ring, {0: 1})
         ring._gens = tuple(MultiPoly._of(ring, {unit: 1}) for unit in ring._units)
+        ring._monomials = {}
         cls._in_use[key] = ring
         return ring
 
@@ -817,18 +819,22 @@ def poly_to_string(f):
     if f.is_zero():
         return "0"
     parts = []
-    nums, den, fields = f.nums, f.den, list(zip(f.ring.names, f.ring._shifts))
+    nums, den, ring = f.nums, f.den, f.ring
+    monomials = ring._monomials
     for key in sorted(nums, reverse=True):
         num = nums[key]
-        g = _igcd(num, den)  # each coefficient is printed in lowest terms
+        g = _igcd(num, den) if den != 1 else 1  # each coefficient in lowest terms
         mag = str(abs(num) // g) if g == den else "%d/%d" % (abs(num) // g, den // g)
-        factors = [name if e == 1 else "%s^%d" % (name, e)
-                   for name, s in fields if (e := key >> s & FIELD_MASK)]
+        mono = monomials.get(key)
+        if mono is None:
+            mono = monomials[key] = "*".join(
+                name if e == 1 else "%s^%d" % (name, e)
+                for name, s in zip(ring.names, ring._shifts) if (e := key >> s & FIELD_MASK))
         if parts:
             parts.append(" + " if num > 0 else " - ")
         elif num < 0:
             parts.append("-")
-        parts.append("*".join(factors if factors and mag == "1" else [mag] + factors))
+        parts.append(mag if not mono else mono if mag == "1" else mag + "*" + mono)
     return "".join(parts)
 
 

@@ -461,7 +461,13 @@ def test_unfactored_b_names_the_factor_lines(tmp_path, capsys):
     # (a + 1)*(b*X - a*Y) is in Ker(D) too, but generates a proper subring
     ("param a\nparam b\nvar X\nvar Y\nD X = a^2 + a\nD Y = a*b + b\n", "-a*Y + b*X"),
     ("param t\nvar X1\nvar X2\nD X1 = t\nD X2 = t*X1\n", "-1/2*X1^2 + X2"),
-], ids=["nice-Qab", "quasi-Qt"])
+    # c = b*X - a*Y lies in Ker(D0): D is nice, but its images are not in R
+    ("param a\nparam b\nvar X\nvar Y\nD X = a*(b*X - a*Y)\nD Y = b*(b*X - a*Y)\n",
+     "a*Y - b*X"),
+    # (X + 1) times the pid3 fixture
+    ("param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = t*(X + 1)\nD Z = X*(X + 1)\n",
+     "X, -t*Z + X*Y"),
+], ids=["nice-Qab", "quasi-Qt", "nice-Qab-content-in-X", "nice-3var-Qt"])
 def test_kernel_of_a_reducible_derivation(text, kernel, tmp_path, capsys):
     # D = c*D0 with c the gcd of the images: Ker(D) = Ker(D0)
     path = tmp_path / "problem.txt"

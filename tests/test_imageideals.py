@@ -23,7 +23,7 @@ from plinth.polyring import (
     normalize_unit,
 )
 
-from test_formula_oracle import pid3_problem
+from test_formula_oracle import NEAR_MISSES, nice_problem, pid3_problem
 
 
 @pytest.fixture
@@ -273,6 +273,27 @@ def test_image_ideal_nice_powers(rab):
             assert iterate(D, pre, j) == factorial(j) * gen
         assert res.certificate.primality is True
         assert res.certificate.fixed_point_free is False
+
+
+@pytest.mark.parametrize("problem", [
+    lambda rng: nice_problem(rng)[0],
+    lambda rng: pid3_problem(rng)[0],
+    # quasi-nice, nice after X2 -> X2 + X1^2, and not fixed point free
+    lambda rng: next(text for name, text, _ in NEAR_MISSES if name == "nice-able-Qab"),
+], ids=["nice", "pid3", "nice-able"])
+def test_nice_powers_do_not_depend_on_call_order(problem, seed):
+    # one Analysis keeps the powers of f1, f2, p1, p2 across every j it is
+    # asked; each answer must be what a fresh Analysis gives for that j alone
+    spec = parse_problem(problem(random.Random("powers:%d" % seed)))
+    D = spec.derivation()
+    shared = Analysis(D, spec.factored_b)
+    for j in (3, 1, 4, 2):
+        got = shared.image_ideal(j, (2, 2), 1000)
+        want = Analysis(D, spec.factored_b).image_ideal(j, (2, 2), 1000)
+        assert got.theorem == want.theorem in ("inice", "pid-3var")
+        assert got.generators == want.generators
+        assert got.preimages == want.preimages
+        assert got.certificate.to_dict() == want.certificate.to_dict()
 
 
 def test_image_ideal_slice(rt):

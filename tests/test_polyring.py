@@ -276,6 +276,59 @@ def test_parse_print_round_trip(rab, rt):
         assert ring.poly(poly_to_string(p)) == p
 
 
+def poly_to_string_reference(f):
+    """The printer with nothing kept between calls: every monomial key is
+    formatted anew and every coefficient goes through a gcd."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    nums, den, fields = f.nums, f.den, list(zip(f.ring.names, f.ring._shifts))
+    for key in sorted(nums, reverse=True):
+        num = nums[key]
+        g = gcd(num, den)
+        mag = str(abs(num) // g) if g == den else "%d/%d" % (abs(num) // g, den // g)
+        factors = [name if e == 1 else "%s^%d" % (name, e)
+                   for name, s in fields if (e := key >> s & polyring.FIELD_MASK)]
+        if parts:
+            parts.append(" + " if num > 0 else " - ")
+        elif num < 0:
+            parts.append("-")
+        parts.append("*".join(factors if factors and mag == "1" else [mag] + factors))
+    return "".join(parts)
+
+
+def _printer_poly(rng, ring, names):
+    """A random polynomial of ring in names only, with Fraction coefficients
+    of either sign, exponents up to 12 and at times a constant term."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = [0] * ring.arity
+        for name in names:
+            if rng.random() < 0.6:
+                e[ring.index(name)] = rng.choice((1, 2, 3, 10, 12))
+        terms[tuple(e)] = Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3, 6)))
+    return MultiPoly(ring, terms)
+
+
+def test_printer_matches_the_reference(rng):
+    # three rings of one arity, so they share packed keys: each must print a
+    # key with its own names, in whatever order the rings print
+    rings = [PolyRing((), ("X", "Y", "Z")), PolyRing(("a", "b"), ("U",)),
+             PolyRing(("p",), ("V", "W"))]
+    polys = []
+    for ring in rings:
+        polys += [ring.zero(), ring.one(), ring.const(Fraction(-5, 3)), -ring.gen(ring.vars[0])]
+        for names in (ring.names, ring.params, ring.vars):
+            polys += [_printer_poly(rng, ring, names) for _ in range(40) if names]
+    rng.shuffle(polys)
+    printed = [poly_to_string(f) for f in polys + polys]
+    assert printed == [poly_to_string_reference(f) for f in polys + polys]
+    # the sample covers what the printer distinguishes
+    assert {"0", "1", "-5/3"} <= set(printed)
+    assert any(s.startswith("-") and "/" in s for s in printed)
+    assert any("^1" in s for s in printed) and any(" - " in s for s in printed)
+
+
 def test_parse_errors(rt):
     for bad in ("t **", "t + * X1", "unknown_var", "t^(2)", "(t"):
         with pytest.raises(PolyParseError):
