@@ -159,11 +159,12 @@ class QuasiData:
 
 
 class StructureReport:
-    def __init__(self, lnd, degrees, irreducible, nice_set, classification, quasi=None,
+    def __init__(self, lnd, degrees, content, nice_set, classification, quasi=None,
                  nice_pair=None, notes=None):
         self.lnd = lnd
         self.degrees = degrees
-        self.irreducible = irreducible
+        self.content = content  # the gcd of the nonzero images
+        self.irreducible = content.is_constant()
         self.nice_set = nice_set
         self.classification = classification
         self.quasi = quasi
@@ -176,7 +177,7 @@ def classify(D):
     degrees = []
     lnd = True
     notes = []
-    for var, img in zip(ring.vars, D.images):
+    for var in ring.vars:
         value, status = _deg_with_status(D, ring.gen(var))
         if status == "finite":
             degrees.append(value)
@@ -189,10 +190,8 @@ def classify(D):
             if lnd is True:
                 lnd = None
                 notes.append("iteration cap %d reached on %s" % (DEFAULT_CAP, var))
-    irreducible = multivariate_gcd([i for i in D.images if not i.is_zero()]).is_constant()
-    nice_set = frozenset(
-        i for i, img in enumerate(D.images) if apply(D, img).is_zero()
-    )
+    # D(DX_i) == 0 exactly when deg_D(X_i) <= 1
+    nice_set = frozenset(i for i, d in enumerate(degrees) if d is not OVERFLOW and d <= 1)
 
     classification = "other"
     quasi = None
@@ -209,7 +208,7 @@ def classify(D):
     return StructureReport(
         lnd=lnd,
         degrees=tuple(degrees),
-        irreducible=irreducible,
+        content=multivariate_gcd([i for i in D.images if not i.is_zero()]),
         nice_set=nice_set,
         classification=classification,
         quasi=quasi,

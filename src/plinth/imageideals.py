@@ -153,7 +153,7 @@ def min_exponent(j, d):
 class StrictnessResult:
     def __init__(self, verdict, u, v, new_coordinate=None, new_image=None,
                  heuristic=False, notes=None):
-        self.verdict = verdict  # nice-able / strictly-1-quasi / slice / undetermined
+        self.verdict = verdict  # nice-able / strictly-1-quasi / slice
         self.u, self.v = u, v
         self.new_coordinate = new_coordinate
         self.new_image = new_image
@@ -499,13 +499,8 @@ class Analysis:
         if not rep.irreducible:
             raise PlinthError(
                 "D is not irreducible: the images share the non-unit factor %s"
-                % self.content
+                % rep.content
             )
-
-    @cached_property
-    def content(self):
-        """The gcd c of the images, so D = c*D0; a unit when D is irreducible."""
-        return multivariate_gcd([i for i in self.D.images if not i.is_zero()])
 
     @cached_property
     def branch(self):
@@ -534,7 +529,7 @@ class Analysis:
         D, rep = self.D, self.report
         ring = D.ring
         if rep.lnd is True and not rep.irreducible:
-            D0 = Derivation(ring, [divide_exact(i, self.content) for i in D.images])
+            D0 = Derivation(ring, [divide_exact(i, rep.content) for i in D.images])
             gens = Analysis(D0, None).kernel
             for g in gens:
                 if not apply(D, g).is_zero():
@@ -687,10 +682,8 @@ def _quasi_branch(an):
             "fixed-point-freeness undetermined within bounds", "inice",
             (q.b, f2), (ring.gen(ring.vars[q.pivot]), newc), (ring, q.b, f2),
             ["after the coordinate change %s -> %s" % (ring.vars[q.other], newc)])
-    if dec.verdict != "strictly-1-quasi" or dec.heuristic:
-        return None, "strictness undetermined: " + "; ".join(dec.notes or ["no verdict"])
-    if ring.nparams != 1:
-        return None, "quasi-nice formulas need the coefficient ring Q[t]"
+    if dec.heuristic:
+        return None, "strictness undetermined: " + "; ".join(dec.notes)
     # localized fixed-point-freeness per prime factor of b
     if an.factored_b is None:
         if irreducible_smalldeg(q.b) is True:

@@ -111,29 +111,21 @@ class _Images:
         self.deltas = list(deltas.items())
         self.memo = {}
 
-    def _terms(self, e):
-        for d, parts in self.deltas:
-            v = 0
-            for shift, c in parts:
-                k = e >> shift & FIELD_MASK
-                if k:
-                    v += k * c
-            if v:
-                yield e + d, v
-
     def __call__(self, e):
         col = self.memo.get(e)
         if col is None:
-            col = self.memo[e] = dict(self._terms(e))
+            col = self.memo[e] = {}
+            for d, parts in self.deltas:
+                v = 0
+                for shift, c in parts:
+                    k = e >> shift & FIELD_MASK
+                    if k:
+                        v += k * c
+                if v:
+                    col[e + d] = v
             if col:
                 self.check_degree(max(col))
         return col
-
-    def support(self, basis):
-        """The monomials of the D(X^e), e in basis: from the memo where
-        D(X^e) is known, else from exponents alone."""
-        memo = self.memo
-        return {f for e in basis for f in memo.get(e) or dict(self._terms(e))}
 
     def apply(self, col):
         """D of an integer column, over one more factor iden."""
@@ -281,18 +273,15 @@ class _Combinations:
                                     scale * relation[0])
         return None
 
-    def tail_basis(self, entry_cap=None):
+    def tail_basis(self):
         """The last-block parts of the vectors of the column span whose other
         blocks vanish, in one canonical form: the reduced echelon basis,
         monomials in descending grlex order, each element integer-primitive
         with a positive leading coefficient, sorted by ascending leading
         monomial, so it depends only on that subspace.  It comes from the
-        elimination solve() uses.  Those vectors are the relations among
-        the earlier blocks of independent columns, so the cap counts the
-        earlier coordinates x the rank, once the rank is known."""
+        elimination solve() uses."""
         monos = list(self.numbering[-1])
         start = self.width - len(monos)
-        _check_cap(start, self._solver.rank, entry_cap)
         return [MultiPoly._of(self.unknowns[0][1].ring,
                               {monos[k - start]: v for k, v in row.items()})
                 for row in self._solver.basis_from(start)]
@@ -335,28 +324,32 @@ class LinearMapMatrix:
                    for rel in system._solver.relations])
 
 
-def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, images=None):
+def _grown(D, source, n):
+    """The slice that holds D^n of the source slice."""
+    pg, vg = growth_per_application(D)
+    return slice_basis(source.ring, source.param_bound + n * pg, source.var_bound + n * vg)
+
+
+def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     """Exact matrix of D^n from the source slice into an auto-enlarged
-    target; images, if given, is the caller's _Images(D)."""
+    target."""
     if n < 0:
         raise PlinthError("power must be a natural")
-    pg, vg = growth_per_application(D)
-    target = slice_basis(
-        source.ring, source.param_bound + n * pg, source.var_bound + n * vg
-    )
+    target = _grown(D, source, n)
     _check_cap(target.dim, source.dim, entry_cap)
-    if images is None:
-        images = _Images(D)
+    images = _Images(D)
     columns = [images.power(e, n) for e in source.basis]
     if any(t not in target for col in columns for t in col):
         raise PlinthError("degree growth bound violated (internal)")
     return LinearMapMatrix(source, target, n, columns, images)
 
 
-def _refuse_kernel(images, slc, entry_cap):
-    """The cap check of the system of Ker(D) within slc, from exponents
-    alone, before D is applied or a monomial is built."""
-    _check_cap(len(images.support(slc.basis)), slc.dim, entry_cap)
+def _refuse_kernel(D, slc, entry_cap):
+    """The cap check of the system of Ker(D) within slc, whose rows lie in
+    slc grown once by D.  For a power n >= 1 that slice is within the
+    target of D^n, so this refuses only what the D^n matrix refused first;
+    at n = 0 it is the one check of that system."""
+    _check_cap(_grown(D, slc, 1).dim, slc.dim, entry_cap)
 
 
 def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=None):
@@ -366,12 +359,9 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=Non
     matrix_of_power(D, n, source), already built by the caller.
     """
     if matrix is None:
-        # a refusal names the kernel system of the slice first, though the
-        # kernel is not needed here, so the cap messages stay as they were
-        images = _Images(D)
-        _refuse_kernel(images, source, entry_cap)
-        matrix = matrix_of_power(D, n, source, entry_cap, images)
-    return matrix.chain.tail_basis(entry_cap)
+        matrix = matrix_of_power(D, n, source, entry_cap)
+        _refuse_kernel(D, source, entry_cap)
+    return matrix.chain.tail_basis()
 
 
 class DirectionItem:
@@ -482,7 +472,7 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                 )
     elif predicted:
         # each cofactor c_i is a combination of the bounded kernel basis
-        _refuse_kernel(mat.images, source, entry_cap)
+        _refuse_kernel(D, source, entry_cap)
         kernel = [MultiPoly._of(ring, kappa) for kappa in mat.kernel()]
         unknowns = [(i, kappa) for i in range(len(predicted)) for kappa in kernel]
         cofactors = _Combinations.of_polynomials(

@@ -457,17 +457,22 @@ def test_unfactored_b_names_the_factor_lines(tmp_path, capsys):
     assert remedy in fpf
 
 
-@pytest.mark.parametrize("text, kernel", [
+REDUCIBLE_KERNELS = [
     # (a + 1)*(b*X - a*Y) is in Ker(D) too, but generates a proper subring
-    ("param a\nparam b\nvar X\nvar Y\nD X = a^2 + a\nD Y = a*b + b\n", "-a*Y + b*X"),
-    ("param t\nvar X1\nvar X2\nD X1 = t\nD X2 = t*X1\n", "-1/2*X1^2 + X2"),
+    pytest.param("param a\nparam b\nvar X\nvar Y\nD X = a^2 + a\nD Y = a*b + b\n",
+                 "-a*Y + b*X", id="nice-Qab"),
+    pytest.param("param t\nvar X1\nvar X2\nD X1 = t\nD X2 = t*X1\n", "-1/2*X1^2 + X2",
+                 id="quasi-Qt"),
     # c = b*X - a*Y lies in Ker(D0): D is nice, but its images are not in R
-    ("param a\nparam b\nvar X\nvar Y\nD X = a*(b*X - a*Y)\nD Y = b*(b*X - a*Y)\n",
-     "a*Y - b*X"),
+    pytest.param("param a\nparam b\nvar X\nvar Y\nD X = a*(b*X - a*Y)\nD Y = b*(b*X - a*Y)\n",
+                 "a*Y - b*X", id="nice-Qab-content-in-X"),
     # (X + 1) times the pid3 fixture
-    ("param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = t*(X + 1)\nD Z = X*(X + 1)\n",
-     "X, -t*Z + X*Y"),
-], ids=["nice-Qab", "quasi-Qt", "nice-Qab-content-in-X", "nice-3var-Qt"])
+    pytest.param("param t\nvar X\nvar Y\nvar Z\nD X = 0\nD Y = t*(X + 1)\nD Z = X*(X + 1)\n",
+                 "X, -t*Z + X*Y", id="nice-3var-Qt"),
+]
+
+
+@pytest.mark.parametrize("text, kernel", REDUCIBLE_KERNELS)
 def test_kernel_of_a_reducible_derivation(text, kernel, tmp_path, capsys):
     # D = c*D0 with c the gcd of the images: Ker(D) = Ker(D0)
     path = tmp_path / "problem.txt"
@@ -533,19 +538,26 @@ def test_oracle_only_image_ideal_builds_images_once(monkeypatch):
 
 
 def test_kernel_refusal_applies_no_derivation(capsys, monkeypatch):
-    # wink1's kernel system at 12,12 is refused from exponents alone: D is
-    # applied to none of the 41405 monomials of the slice
+    # wink1's D^1 matrix is refused from the slice dimensions alone: no
+    # slice basis is enumerated and D is applied to no monomial
     def applied(*args):
         raise AssertionError("D applied before the cap check")
 
+    def enumerated(*args):
+        raise AssertionError("slice basis enumerated before the cap check")
+
     monkeypatch.setattr(oracle._Images, "__call__", applied)
     monkeypatch.setattr(oracle, "apply", applied)
-    start = time.monotonic()
-    code = main(["image-ideal", "--example", "wink1", "--bounds", "12,12"])
-    assert time.monotonic() - start < 2.0
-    assert code == 2
-    assert ("oracle run hit the entry cap: solve needs 46904 x 41405 = 1942060120 entries, "
-            "cap is 20000") in capsys.readouterr().out
+    monkeypatch.setattr(oracle, "_bounded_tuples", enumerated)
+    for bounds, seconds, needs in [
+            ("12,12", 2.0, "47775 x 41405 = 1978123875"),
+            ("80,80", 1.0, "312671043 x 305136801 = 95407441826353443")]:
+        start = time.monotonic()
+        code = main(["image-ideal", "--example", "wink1", "--bounds", bounds])
+        assert time.monotonic() - start < seconds, bounds
+        assert code == 2, bounds
+        assert ("oracle run hit the entry cap: solve needs %s entries, cap is 20000" % needs
+                in capsys.readouterr().out), bounds
 
 
 def test_image_ideal_honours_cap():

@@ -19,6 +19,10 @@ not failing is not enough.  The forward side must PASS too, except for the
 quasi-nice family: the preimages of (prod of primes)^m often need a larger
 parameter bound than 2.
 
+Kernel answers are checked one way: every element of a basis of Ker(D)
+within the slice must be a combination of products of the predicted
+generators with coefficients in R (kernel_missing).
+
 Near-miss inputs each break one hypothesis of a formula.  On the command
 line each must end as oracle-only, with exit 2 or 3, or with a formula tag
 whose backward check PASSes at bounds 2,2 and whose forward check does not
@@ -30,9 +34,12 @@ import random
 
 import pytest
 
-from plinth.cli import main, parse_problem, run
+from plinth.cli import FIXTURES, main, parse_problem, run
 from plinth.derivation import localized_fpf
-from plinth.oracle import verify_image_ideal
+from plinth.oracle import _Combinations, matrix_of_power, slice_basis, verify_image_ideal
+
+from test_cli import REDUCIBLE_KERNELS
+from test_properties import as_poly
 
 BOUNDS = (2, 2)
 CAP = 200_000
@@ -140,6 +147,72 @@ def test_formula_answers_pass_the_oracle(family, forward, seed):
             report = verify_image_ideal(D, j, answer.generators, *BOUNDS, CAP)
             assert report.forward in forward, (text, j, report.to_dict())
             assert report.backward == "PASS", (text, j, report.to_dict())
+
+
+def kernel_missing(D, gens, bounds):
+    """The elements of a basis of Ker(D) within the slice at bounds that are
+    no sum of r_e * g1^e1 * ... * gk^ek over the gens g_i, each r_e of
+    parameter degree <= the parameter bound and each product of variable
+    degree <= the variable bound.  One system over the products m * g^e, m
+    a parameter monomial, answers all of them; every combination it finds
+    is re-checked by polynomial arithmetic."""
+    ring = D.ring
+    p, v = bounds
+    slc = slice_basis(ring, p, v)
+    basis = [as_poly(ring, k, 1) for k in matrix_of_power(D, 1, slc, None).kernel()]
+    powers = [(ring.one(), 0)]  # (g^e, its variable degree)
+    for g in gens:
+        d = int(g.var_degree())
+        assert d >= 1, g
+        powers = [(q * g ** k, dq + k * d) for q, dq in powers for k in range((v - dq) // d + 1)]
+    params = slice_basis(ring, p, 0).monomials
+    unknowns = [(slot, m) for slot in range(len(powers)) for m in params]
+    system = _Combinations.of_polynomials(
+        unknowns, [m * powers[slot][0] for slot, m in unknowns])
+    missing = []
+    for w in basis:
+        rs = system.solve(w)
+        if rs is None:
+            missing.append(w)
+        else:
+            assert sum((r * q for r, (q, _) in zip(rs, powers)), ring.zero()) == w, w
+    return missing
+
+
+@pytest.mark.parametrize("name", ["inice", "pid3", "qnice", "slice1", "slice2", "tparam"])
+def test_fixture_kernels_pass_the_oracle(name):
+    spec = parse_problem(FIXTURES[name])
+    assert kernel_missing(spec.derivation(), spec.analysis.kernel, BOUNDS) == []
+
+
+@pytest.mark.parametrize("family", [nice_problem, pid3_problem, quasi_problem, niceable_problem],
+                         ids=["nice", "pid3", "quasi", "nice-able"])
+def test_formula_kernels_pass_the_oracle(family, seed):
+    rng = random.Random("kernel:%s:%d" % (family.__name__, seed))
+    for _ in range(3):
+        spec = parse_problem(family(rng)[0])
+        assert kernel_missing(spec.derivation(), spec.analysis.kernel, BOUNDS) == [], spec
+
+
+@pytest.mark.parametrize("text, kernel", REDUCIBLE_KERNELS)
+def test_reducible_kernels_pass_the_oracle(text, kernel):
+    spec = parse_problem(text)
+    assert [str(g) for g in spec.analysis.kernel] == kernel.split(", ")
+    assert kernel_missing(spec.derivation(), spec.analysis.kernel, BOUNDS) == []
+
+
+@pytest.mark.parametrize("text, wrong, bounds", [
+    # the kernels of D rather than of D0 = D/c: each generates a proper
+    # subring of Ker(D), which misses b*X - a*Y and -1/2*X1^2 + X2
+    (REDUCIBLE_KERNELS[0].values[0], "(a + 1)*(b*X - a*Y)", (1, 1)),
+    (REDUCIBLE_KERNELS[1].values[0], "t*(-1/2*X1^2 + X2)", (1, 2)),
+], ids=["nice-Qab", "quasi-Qt"])
+def test_kernel_check_misses_a_proper_subring(text, wrong, bounds):
+    spec = parse_problem(text)
+    D = spec.derivation()
+    missing = kernel_missing(D, [D.ring.poly(wrong)], bounds)
+    assert len(missing) == 1
+    assert kernel_missing(D, spec.analysis.kernel, bounds) == []
 
 
 NEAR_MISSES = [
