@@ -296,18 +296,18 @@ def localized_fpf(D, rep, p):
 def _bounded_bezout(images):
     """Search cofactors alpha_i in R (total degree <= DEFAULT_BEZOUT_BOUND) with
     sum alpha_i * images_i = 1.  One elimination, one pass: the columns
-    m * images_i come image by image, each by ascending degree of m, and the
-    search stops at the first column that brings 1 into their span
-    (oracle._Combinations.solve_first).  Interleaving the images by degree
-    stops sooner but makes the pass without a certificate slower.  Returns
-    the cofactors, or None on failure."""
+    m * images_i come image by image, each by ascending degree of m and built
+    when the elimination reaches it, and the search stops at the first
+    column that brings 1 into their span (oracle._Combinations.solve_first).
+    Interleaving the images by degree stops sooner but makes the pass
+    without a certificate slower.  Returns the cofactors, or None on failure."""
     from .oracle import _Combinations, slice_basis  # oracle imports this module
 
     ring = images[0].ring
     monos = slice_basis(ring, DEFAULT_BEZOUT_BOUND, 0).monomials  # ascending degree
     unknowns = [(i, m) for i in range(len(images)) for m in monos]
-    system = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
-    return system.solve_first(ring.one())
+    system = _Combinations(unknowns, den=lcm(*(f.den for f in images)))
+    return system.solve_first(ring.one(), (m * images[i] for i, m in unknowns))
 
 
 def nice_fixed_point_free(images):

@@ -21,7 +21,8 @@ fixed-point-freeness it decides, strictness, localized checks, 3-variable
 reduction, top-degree certificate, kernel) and shared by every command and
 every j; the per-j step only builds generators and preimages and re-checks
 them.  The Analysis is the one place the structure of D is decided: check,
-kernel and image-ideal print what it holds.
+kernel and image-ideal print what it holds.  The top-degree certificate is
+a closed form of those facts (_top_degree_certificate).
 """
 
 from fractions import Fraction
@@ -39,11 +40,6 @@ from .derivation import (
     localized_fpf,
     nice_fixed_point_free,
 )
-from .grading import (
-    WeightedDegree,
-    prime_after_elimination,
-    top_degree_ideal,
-)
 from .oracle import (
     DEFAULT_ENTRY_CAP,
     OracleCapError,
@@ -55,6 +51,7 @@ from .polyring import (
     CertificateError,
     PlinthError,
     PolyRing,
+    _rename,
     divide_exact,
     divides,
     embed,
@@ -250,27 +247,32 @@ def _fresh_names(bases, taken):
     return tuple(out)
 
 
-def _top_degree_certificate(ring, weights, slice_vars, k):
-    """Graded certificate of a 2-variable problem with kernel generator k
-    and weights on ring.vars: each X_i in slice_vars gets a fresh slice
-    variable S_i of its weight, and a fresh Z has weight 0.  The ideal
-    (S_i - X_i ..., Z - k) has top-degree ideal (S_i - X_i ..., tilde(Z - k));
-    its primality is what the generator formulas rest on.  The nice branches
-    slice both X_i at weight 1 with k = f2*X1 - f1*X2, the quasi branch only
-    X1 under weights (1, d) with k = b*X2 + f; there primality can genuinely
-    fail, when f is not weight-homogeneous, and the failure is recorded
-    rather than suppressed.  Returns (hypotheses, generators, primality)."""
-    if len(slice_vars) == 1:
-        bases = ("S",)
-    else:
-        bases = tuple("S%d" % i for i in range(1, len(slice_vars) + 1))
+def _top_degree_certificate(ring, slice_vars, top, prime):
+    """Graded certificate of a 2-variable problem with kernel generator k:
+    each X_i in slice_vars gets a fresh slice variable S_i of its weight and
+    a fresh Z has weight 0; (S_i - X_i ..., Z - k) has top-degree ideal
+    (S_i - X_i ..., tilde(Z - k)), whose primality the formulas rest on.
+    The caller gives top = tilde(Z - k) in ring and its primality in closed
+    form.  Nice (weights 1, k = f2*X1 - f1*X2, f_i in R): top is
+    f1*X2 - f2*X1, and the residual f1*S2 - f2*S1 is linear with coprime
+    coefficients, as D, or pid-3var's reduced images, were checked
+    irreducible: prime.  Quasi (weights (1, d), X1 alone sliced,
+    k = b*X2 + f): top is -(b*X2 + c_d*X1^d), c_d the X1^d coefficient of f,
+    and the residual is linear in X2 with coefficient b and rest c_d*S^d:
+    prime exactly when gcd(b, c_d) is a unit, which can fail.  The residual,
+    top with X_i -> S_i, is checked nonzero; the tests hold this to
+    grading.  Returns (hypotheses, generators, primality)."""
+    bases = ("S",) if len(slice_vars) == 1 else tuple(
+        "S%d" % i for i in range(1, len(slice_vars) + 1))
     *snames, zn = _fresh_names(bases + ("Z",), ring.names)
     ext = ring.extend((*snames, zn))
-    ext_weights = {**weights, **{s: weights[x] for x, s in zip(slice_vars, snames)}, zn: 0}
-    gens, residual = top_degree_ideal(WeightedDegree(ext, ext_weights),
-                                      list(zip(slice_vars, snames)), zn, embed(k, ext))
-    return ("verified by substitution (residual image %s != 0)" % residual, tuple(gens),
-            prime_after_elimination(residual))
+    renamed = dict(zip(slice_vars, snames))
+    residual = _rename(top, ext, [(i, ext.index(renamed.get(name, name)))
+                                  for i, name in enumerate(ring.names)])
+    if residual.is_zero():
+        raise CertificateError("the top part %s vanishes modulo the slice generators" % top)
+    gens = [ext.gen(s) - ext.gen(x) for x, s in renamed.items()] + [embed(top, ext)]
+    return ("verified by substitution (residual image %s != 0)" % residual, tuple(gens), prime)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +280,8 @@ def _top_degree_certificate(ring, weights, slice_vars, k):
 
 
 class ThreeVarReduction:
-    """nice3var_reduce sets kernel = (U, g*V - f*W), in the original
-    coordinates, once both are re-checked to be killed by D."""
+    """nice3var_reduce sets images = (f, g) and kernel = (U, g*V - f*W) in the
+    original coordinates, the kernel once re-checked to be killed by D."""
 
     def __init__(self, matrix, new_ring, ext_ring, reduced, coords):
         self.matrix = matrix  # 3x3 change of coordinates over R, determinant 1
@@ -287,13 +289,15 @@ class ThreeVarReduction:
         self.ext_ring = ext_ring  # the original ring with U, V, W appended
         self.reduced = reduced  # D expressed on the new ring
         self.coords = coords  # (U, V, W) as polynomials of the original ring
+        self._replacements = [(name, embed(coord, ext_ring))
+                              for name, coord in zip(ext_ring.vars[-3:], coords)]
 
     def to_original(self, p):
         """Map a polynomial of the reduced ring back to the original ring:
         U, V and W become the coordinates they name."""
         q = embed(p, self.ext_ring)
-        for name, coord in zip(self.ext_ring.vars[-3:], self.coords):
-            q = substitute(q, name, embed(coord, self.ext_ring))
+        for name, coord in self._replacements:
+            q = substitute(q, name, coord)
         return restrict(q, self.coords[0].ring)
 
 
@@ -415,13 +419,14 @@ def nice3var_reduce(D, rep):
     big = ring.extend((un, vn, wn))
     new_coords = [big.gen(n) for n in (un, vn, wn)]
 
+    # X_j = sum_i inv[j][i] * (U, V, W)_i
+    replacements = [(var, sum((embed(inv[j][i], big) * new_coords[i] for i in range(3)),
+                              big.zero()))
+                    for j, var in enumerate(ring.vars)]
+
     def rewrite(p):
         q = embed(p, big)
-        for j, var in enumerate(ring.vars):
-            repl = sum(
-                (embed(inv[j][i], big) * new_coords[i] for i in range(3)),
-                big.zero(),
-            )
+        for var, repl in replacements:
             q = substitute(q, var, repl)
         return q
 
@@ -442,7 +447,8 @@ def nice3var_reduce(D, rep):
     reduced = Derivation(new_ring, images)
 
     red = ThreeVarReduction(M, new_ring, big, reduced, coords)
-    kern2 = red.to_original(g) * V - red.to_original(f) * W
+    red.images = (red.to_original(f), red.to_original(g))
+    kern2 = red.images[1] * V - red.images[0] * W
     for cand in (U, kern2):
         if not apply(D, cand).is_zero():
             raise CertificateError("%s is not a kernel element" % cand)
@@ -481,7 +487,8 @@ class Analysis:
     step, False with the step of a nice power (inice, pid-3var), for a
     strictly quasi-nice D whether every localized check holds, with its
     step; step is j >= 1 -> a fresh result.  Where no formula applies it is
-    (None, the reason), and the oracle answers instead."""
+    (None, the reason), and the oracle answers instead.  A step's top-degree
+    certificate is a closed form of the facts that decided its branch."""
 
     def __init__(self, D, factored_b):
         self.D = D
@@ -637,17 +644,17 @@ def _nice_branch(an, cofactors, undetermined, theorem, images, preimages, graded
     alpha1*p1 + alpha2*p2, False gives I_j = (f1, f2)^j with preimages
     p1^i1 * p2^i2, and None gives the oracle.  graded_on = (ring, f1, f2) is
     the nice 2-variable problem the top-degree certificate is taken on, with
-    kernel generator f2*X1 - f1*X2; like the quasi branch's, it is built on
-    the step's first call, as check prints no certificate.  The step reads
-    the powers of f1, f2, p1 and p2 from tables it shares across every j."""
+    kernel generator f2*X1 - f1*X2: its top part is f1*X2 - f2*X1, prime as
+    f1 and f2 are coprime.  Like the quasi branch's, it is built on the
+    step's first call, as check prints no certificate.  The step reads the
+    powers of f1, f2, p1 and p2 from tables it shares across every j."""
     if cofactors:
         (a1, a2), (p1, p2) = cofactors, preimages
         return _slice_step(an.D, a1 * p1 + a2 * p2)
     if cofactors is False:
         ring, f1, f2 = graded_on
         x1, x2 = (ring.gen(v) for v in ring.vars)
-        graded = cache(partial(_top_degree_certificate, ring, dict.fromkeys(ring.vars, 1),
-                               ring.vars, f2 * x1 - f1 * x2))
+        graded = cache(partial(_top_degree_certificate, ring, ring.vars, f1 * x2 - f2 * x1, True))
         powers = tuple(_Powers(p) for p in images + preimages)
         return False, partial(_nice_power_result, an.D, powers, theorem, graded, notes)
     return None, undetermined
@@ -698,11 +705,17 @@ def _quasi_branch(an):
         primes = _validate_factored_b(q.b, an.factored_b)
         theorem = "2varquasi_PID"
     localized = [(p, r, localized_fpf(D, an.report, p)) for p, r, _ in primes]
-    x1, x2 = ring.vars[q.pivot], ring.vars[q.other]
-    graded = cache(partial(_top_degree_certificate, ring, {x1: 1, x2: max(q.d, 1)}, (x1,),
-                           q.b * ring.gen(x2) + q.f))
+    graded = cache(partial(_quasi_top_degree_certificate, ring, q))
     return (all(ok for _, _, ok in localized),
             partial(_quasi_result, ring, q.d, theorem, localized, graded, dec.notes))
+
+
+def _quasi_top_degree_certificate(ring, q):
+    """_top_degree_certificate of the quasi branch."""
+    x1, x2 = ring.vars[q.pivot], ring.vars[q.other]
+    c_d = q.f.coefficient_of(x1, q.d)
+    return _top_degree_certificate(ring, (x1,), -(q.b * ring.gen(x2) + c_d * ring.gen(x1) ** q.d),
+                                   multivariate_gcd([q.b, c_d]).is_constant())
 
 
 def _pid3var_branch(an):
@@ -721,7 +734,7 @@ def _pid3var_branch(an):
     return _nice_branch(
         an, cofactors,
         "fixed-point-freeness of the reduction undetermined", "pid-3var",
-        (red.to_original(f), red.to_original(g)), (V, W), (red.new_ring, f, g),
+        red.images, (V, W), (red.new_ring, f, g),
         ["coordinates U=%s, V=%s, W=%s; A = R[U, %s]" % (U, V, W, red.kernel[1])])
 
 

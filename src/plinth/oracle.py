@@ -168,7 +168,7 @@ class _Combinations:
     one denominator den.  relations() gives the x with
     sum(x_i * columns[i]) == 0 and solve(*target) an x with
     sum(x_i * columns[i]) == target, each as one polynomial per slot
-    (solve_first(*target) one that uses the fewest leading columns);
+    (solve_first(target, columns) one from the fewest leading columns given);
     tail_basis() spans the vectors of the column span whose blocks before
     the last vanish.  Coordinates number the monomials of each block in
     descending grlex order, block after block.  The cap counts coordinates x
@@ -176,7 +176,7 @@ class _Combinations:
     given up front only widen that count, and solve() takes any target.
     """
 
-    def __init__(self, unknowns, columns, den=1, targets=(), entry_cap=None):
+    def __init__(self, unknowns, columns=(), den=1, targets=(), entry_cap=None):
         self.unknowns = unknowns
         self.nslots = 1 + max((slot for slot, _ in unknowns), default=-1)
         self.columns = columns
@@ -253,24 +253,27 @@ class _Combinations:
         x = self._solver.express(coords)
         return None if x is None else self._answer(x, scale)
 
-    def solve_first(self, *target):
-        """solve(*target), a nonzero target, from the fewest leading columns
-        that reach it: one elimination inserts target, then the columns in
-        order, and stops at the first relation that involves target, so the
-        columns after it are never eliminated.  None if all of them fall
-        short."""
-        found = self._coordinates(target)
-        if found is None:
-            return None
-        coords, scale = found
-        solver = linalg.SpanSolver([coords])
-        for col in self.columns:
-            relation = solver.add(self._vector(col))
+    def solve_first(self, target, columns):
+        """solve(target), a nonzero polynomial, from the fewest leading
+        columns that reach it: columns yields one polynomial per unknown,
+        over a divisor of den, and is drawn only until one elimination of
+        target and the columns drawn, coordinates numbered on first sight,
+        meets a relation that involves target.  That relation is unique
+        (linalg.SpanSolver), so no numbering changes it.  None if all of
+        them fall short."""
+        number = {}
+
+        def vector(p, k):
+            return {number.setdefault(e, len(number)): c * k for e, c in p.nums.items()}
+
+        solver = linalg.SpanSolver([vector(target, self.den)])
+        for col in columns:
+            relation = solver.add(vector(col, self.den // col.den))
             if relation and 0 in relation:
                 # relation[0] * target + sum relation[i] * columns[i - 1] == 0,
                 # relation[0] > 0 as the first entry
                 return self._answer({i - 1: -x for i, x in relation.items() if i},
-                                    scale * relation[0])
+                                    target.den * relation[0])
         return None
 
     def tail_basis(self):

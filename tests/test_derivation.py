@@ -191,15 +191,32 @@ def bezout_pairs(rng, ring, count=4):
     return certified, common_zero
 
 
+def solve_first_in_grlex(system, target):
+    """Reference for _Combinations.solve_first: the same search with every
+    column built up front and coordinates numbered by the system, in
+    descending grlex order, instead of on first sight."""
+    coords, scale = system._coordinates((target,))
+    solver = linalg.SpanSolver([coords])
+    for col in system.columns:
+        relation = solver.add(system._vector(col))
+        if relation and 0 in relation:
+            return system._answer({i - 1: -x for i, x in relation.items() if i},
+                                  scale * relation[0])
+    return None
+
+
 def test_bounded_bezout_agrees_with_the_full_solve(rng, rab):
-    # the one-pass search answers as one solve of the whole degree-6 system
+    # the one-pass search answers as one solve of the whole degree-6 system,
+    # and with the cofactors a search numbering coordinates in grlex finds
     monos = slice_basis(rab, DEFAULT_BEZOUT_BOUND, 0).monomials
     certified, common_zero = bezout_pairs(rng, rab)
     for images, expected in [(p, True) for p in certified] + [(p, None) for p in common_zero]:
         unknowns = [(i, m) for i in range(len(images)) for m in monos]
-        full = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns])
+        full = _Combinations.of_polynomials(unknowns, [m * images[i] for i, m in unknowns],
+                                            targets=[rab.one()])
         assert (None if full.solve(rab.one()) is None else True) == expected
         alphas = _bounded_bezout(images)
+        assert alphas == solve_first_in_grlex(full, rab.one()), images
         if expected is None:
             assert alphas is None, images
         else:
@@ -208,9 +225,11 @@ def test_bounded_bezout_agrees_with_the_full_solve(rng, rab):
 
 def test_bezout_search_inserts_each_column_once(rng, rab, monkeypatch):
     # without a certificate: one solver, the target and then every column
-    # m * f_i once; with one, the search stops before the last column
-    built, added = [], []
+    # m * f_i once; with one, the search stops before the last column, and
+    # it builds only the columns it inserts: one product m * f_i each
+    built, added, products = [], [], []
     real_init, real_add = linalg.SpanSolver.__init__, linalg.SpanSolver.add
+    real_mul = MultiPoly.__mul__
 
     def counting_init(self, vectors):
         built.append(self)
@@ -220,20 +239,26 @@ def test_bezout_search_inserts_each_column_once(rng, rab, monkeypatch):
         added.append(frozenset(v.items()))
         return real_add(self, v)
 
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
     monkeypatch.setattr(linalg.SpanSolver, "__init__", counting_init)
     monkeypatch.setattr(linalg.SpanSolver, "add", counting_add)
     columns = 2 * len(slice_basis(rab, DEFAULT_BEZOUT_BOUND, 0).basis)
     certified, common_zero = bezout_pairs(rng, rab, count=2)
-    for images in common_zero:
+    for images, certify in [(p, False) for p in common_zero] + [(p, True) for p in certified]:
         built.clear()
         added.clear()
-        assert _bounded_bezout(images) is None
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPoly, "__mul__", counting_mul)
+            alphas = _bounded_bezout(images)
         assert len(built) == 1
-        assert len(added) == len(set(added)) == 1 + columns
-    for images in certified:
-        built.clear()
-        added.clear()
-        alphas = _bounded_bezout(images)
-        assert alphas[0] * images[0] + alphas[1] * images[1] == rab.one()
-        assert len(built) == 1
-        assert len(added) < 1 + columns
+        assert len(products) == len(added) - 1
+        if certify:
+            assert alphas[0] * images[0] + alphas[1] * images[1] == rab.one()
+            assert len(added) < 1 + columns
+        else:
+            assert alphas is None
+            assert len(added) == len(set(added)) == 1 + columns

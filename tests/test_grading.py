@@ -1,3 +1,7 @@
+"""Weighted degrees, the top-degree ideal and the primality test of
+plinth.grading, which is also the reference the closed-form top-degree
+certificates of imageideals are held to."""
+
 import random
 import re
 from fractions import Fraction
@@ -10,10 +14,18 @@ from plinth.grading import (
     top_degree_ideal,
     wdeg_and_tilde,
 )
-from plinth.cli import parse_problem
-from plinth.polyring import CertificateError, MultiPoly, PlinthError, PolyRing
+from plinth.cli import FIXTURES, parse_problem
+from plinth.imageideals import _fresh_names, strictness_decompose
+from plinth.polyring import CertificateError, MultiPoly, PlinthError, PolyRing, embed
 
-from test_formula_oracle import BOUNDS, CAP, nice_problem, quasi_problem
+from test_formula_oracle import (
+    BOUNDS,
+    CAP,
+    COEFFS,
+    nice_problem,
+    pid3_problem,
+    quasi_problem,
+)
 
 
 @pytest.fixture
@@ -163,3 +175,127 @@ def test_prime_after_elimination_against_sympy(rng, seed):
         irreducible = len(factors) == 1 and factors[0][1] == 1
         assert irreducible is verdict, h
     assert True in seen and False in seen
+
+
+# ---------------------------------------------------------------------------
+# the closed-form top-degree certificates against the definitions
+
+
+def graded_problem(an):
+    """(ring, weights, slice variables, kernel generator k) of the 2-variable
+    problem whose top-degree certificate the formula branch of the Analysis
+    an records: the nice pair (f1, f2) of inice, of a nice-able D after its
+    coordinate change, or of the pid-3var reduction, sliced at weight 1 with
+    k = f2*X1 - f1*X2; a strictly quasi-nice D sliced at X1 under weights
+    (1, max(d, 1)) with k = b*X2 + f."""
+    D, rep = an.D, an.report
+    ring = D.ring
+    if ring.nvars == 3:
+        ring, (f1, f2) = an.reduction.new_ring, an.reduction.reduced.images
+    elif rep.nice_pair is not None:
+        f1, f2 = D.images
+    else:
+        q = rep.quasi
+        dec = strictness_decompose(D, rep)
+        x1, x2 = ring.vars[q.pivot], ring.vars[q.other]
+        if dec.verdict == "strictly-1-quasi":
+            return ring, {x1: 1, x2: max(q.d, 1)}, (x1,), q.b * ring.gen(x2) + q.f
+        f1, f2 = q.b, dec.new_image
+    x1, x2 = (ring.gen(v) for v in ring.vars)
+    return ring, dict.fromkeys(ring.vars, 1), ring.vars, f2 * x1 - f1 * x2
+
+
+def reference_certificate(ring, weights, slice_vars, k):
+    """(hypotheses, generators, primality) from the definitions: a fresh
+    S_i of X_i's weight per sliced X_i and a fresh Z of weight 0, the
+    top-degree ideal of (S_i - X_i ..., Z - k) by top_degree_ideal, and
+    prime_after_elimination of its residual."""
+    if len(slice_vars) == 1:
+        bases = ("S",)
+    else:
+        bases = tuple("S%d" % i for i in range(1, len(slice_vars) + 1))
+    *snames, zn = _fresh_names(bases + ("Z",), ring.names)
+    ext = ring.extend((*snames, zn))
+    ext_weights = {**weights, **{s: weights[x] for x, s in zip(slice_vars, snames)}, zn: 0}
+    gens, residual = top_degree_ideal(WeightedDegree(ext, ext_weights),
+                                      list(zip(slice_vars, snames)), zn, embed(k, ext))
+    return ("verified by substitution (residual image %s != 0)" % residual, tuple(gens),
+            prime_after_elimination(residual))
+
+
+def closed_form_primality(text):
+    """The primality image_ideal records at j = 1 for the problem text, after
+    asserting that its certificate equals the reference's at every j <= 2;
+    None for an answer without a top-degree certificate."""
+    an = parse_problem(text).analysis
+    certs = [an.image_ideal(j, BOUNDS, CAP).certificate for j in (1, 2)]
+    if certs[0].top_degree_generators is None:
+        return None
+    expected = reference_certificate(*graded_problem(an))
+    for cert in certs:
+        assert (cert.top_degree_hypotheses, cert.top_degree_generators,
+                cert.primality) == expected, text
+    return certs[0].primality
+
+
+def niceable_ab_problem(rng):
+    """Quasi-nice over Q[a, b], nice after X2 -> X2 + v(X1): D X1 = f1,
+    D X2 = -f2 - f1*v'(X1) for the coprime pair f1, f2 of nice_problem.
+    They share the zero at the origin, so D is not fixed point free and
+    answers inice with a top-degree certificate."""
+    f1, f2 = re.findall(r"D [XY] = (.*)", nice_problem(rng)[0])
+    dv = rng.choice(("4*X1", "1 - 2*a*X1", "3*X1^2"))
+    return ("param a\nparam b\nvar X1\nvar X2\nD X1 = %s\nD X2 = -(%s) - (%s)*(%s)\n"
+            % (f1, f2, f1, dv))
+
+
+def shared_quasi_problem(rng):
+    """Strictly 1-quasi-nice over Q[t] whose f has the top coefficient
+    c*(t - x), x a root of b = DX_1: gcd(b, c_d) is not a unit, so the top
+    part is not prime."""
+    x = rng.choice((-2, -1, 0, 1, 2))
+    square = rng.choice((1, 2, 3))
+    d, c = rng.choice((2, 3)), rng.choice(COEFFS)
+    # f = c1*X1 + c*(t - x)*X1^d, and D X2 = -f'
+    lines = ["param t", "var X1", "var X2",
+             "D X1 = (%d)*(t - (%d))*(t^2 + %d)" % (rng.choice((-2, 1, 3)), x, square),
+             "D X2 = (%d) + (%d)*(t - (%d))*X1^%d" % (rng.choice(COEFFS), -d * c, x, d - 1),
+             "factor t - (%d) : 1" % x, "factor t^2 + %d : 1" % square]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family, primality", [
+    (lambda rng: nice_problem(rng)[0], {True}),
+    (lambda rng: pid3_problem(rng)[0], {True}),
+    (niceable_ab_problem, {True}),
+    (lambda rng: quasi_problem(rng)[0], {True, False}),
+    (shared_quasi_problem, {False}),
+], ids=["nice", "pid3", "nice-able", "quasi", "quasi-shared"])
+def test_closed_form_top_degree_matches_the_reference(family, primality, seed):
+    rng = random.Random("closed-form:%d" % seed)
+    seen = {closed_form_primality(family(rng)) for _ in range(8)}
+    assert seen <= primality and None not in seen
+
+
+def test_closed_form_top_degree_matches_the_reference_on_fixtures():
+    recorded = {}
+    for name, text in FIXTURES.items():
+        try:
+            if parse_problem(text).analysis.branch[0] is None:
+                continue  # oracle-only
+        except PlinthError:
+            continue  # notlnd
+        recorded[name] = closed_form_primality(text)
+    assert recorded == {"inice": True, "tparam": False, "pid3": True,
+                        "slice1": None, "slice2": None, "qnice": None}
+
+
+def test_niceable_ab_problems_take_the_niceable_branch(seed):
+    # niceable_problem over Q[t] is fixed point free whenever irreducible,
+    # so the nice-able top-degree certificate is reached over Q[a, b] only
+    rng = random.Random("closed-form:%d" % seed)
+    for _ in range(4):
+        text = niceable_ab_problem(rng)
+        answer = parse_problem(text).analysis.image_ideal(1, BOUNDS, CAP)
+        assert answer.theorem == "inice", text
+        assert answer.certificate.notes[0].startswith("after the coordinate change"), text

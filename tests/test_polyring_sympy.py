@@ -196,3 +196,32 @@ def test_irreducible_smalldeg_matches_sympy(rng):
         if p.degree_in("t") < 2:
             continue
         assert irreducible_smalldeg(p) == _univariate(p, t).is_irreducible
+
+
+def test_irreducible_smalldeg_near_critical_points(rng):
+    """Quadratics and cubics built from rational linear factors p*t - q,
+    where roots crowd each other and the critical points: three real
+    rational roots, a double root (a critical point of the cubic), a
+    rational root at the inflection point between two irrational ones, three
+    real irrational roots from a perturbed product, one real root beside an
+    irreducible quadratic, and an integer root r of a monic cubic with an
+    irrational root about 1/u away and a critical point between the two."""
+    ring = PolyRing(("t",), ("X",))
+    t = sympy.Symbol("t")
+
+    def linear(p=None):
+        return (p or rng.randint(1, 4)) * ring.gen("t") - rng.randint(-9, 9)
+
+    seen = set()
+    for _ in range(CASES):
+        a, b, c, m = linear(), linear(), linear(), linear(1)
+        k = rng.choice((2, 3, 5, 7))
+        e = rng.choice((-2, -1, 1, 2))
+        u, w = rng.choice((-1, 1)) * rng.randint(3, 6), rng.choice((-1, 1))
+        for p in (a * b, a * a, a * a - k, a * b + e,
+                  a * b * c, a * a * b, a * (a * a - k), a * b * c + e, a * (b * b + k),
+                  m * (m * m + u * m + w), ring.gen("t") ** 3):
+            verdict = irreducible_smalldeg(p)
+            assert verdict == _univariate(p, t).is_irreducible, p
+            seen.add((p.degree_in("t"), verdict))
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
