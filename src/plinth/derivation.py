@@ -67,15 +67,20 @@ class Derivation:
 
 
 def apply(D, f):
-    """Df = sum_i (DX_i) * df/dX_i; kills all coefficient parameters.
-
-    One pass over integer numerators, all over one common denominator: the
-    term c*X^e of f contributes e_i * c * (DX_i) * X^(e - unit_i) for each
-    main variable X_i in it, at the key of e plus a delta of _columns.
-    """
+    """Df = sum_i (DX_i) * df/dX_i; kills all coefficient parameters."""
     if f.ring is not D.ring and f.ring != D.ring:
         raise RingMismatchError("apply: polynomial ring mismatch")
-    terms = f.nums.items()
+    nums, iden = _apply_nums(D, f.nums)
+    return MultiPoly._of(D.ring, nums, f.den * iden)
+
+
+def _apply_nums(D, nums):
+    """(D(nums), iden), the one kernel of D on integer numerators {key: int}
+    (apply and the oracle's columns): the term c*X^e contributes
+    e_i * c * (DX_i) * X^(e - unit_i) for each main variable X_i in it, at
+    the key of e plus a delta of _columns, over their denominator iden.
+    Terms that cancel are left as zero entries."""
+    terms = nums.items()
     iden, columns = _columns(D)
     acc = {}
     get = acc.get
@@ -89,16 +94,16 @@ def apply(D, f):
                     acc[e] = get(e, 0) + c1 * c2
     if acc:
         D.ring.check_degree(max(acc))
-    return MultiPoly._of(D.ring, acc, f.den * iden)
+    return acc, iden
 
 
 @lru_cache(maxsize=1)
 def _columns(D):
-    """(iden, [(shift, terms)]) for apply and for the oracle's D on
-    monomials: per main variable with a nonzero image, the offset of its
-    field in a key and the terms of its image as integers over the common
-    denominator iden, each key minus the variable's key.  Only the last
-    derivation's columns are kept, so a Derivation carries nothing extra."""
+    """(iden, [(shift, terms)]) for _apply_nums: per main variable with a
+    nonzero image, the offset of its field in a key and the terms of its
+    image as integers over the common denominator iden, each key minus the
+    variable's key.  Only the last derivation's columns are kept, so a
+    Derivation carries nothing extra."""
     iden = lcm(*[img.den for img in D.images])
     ring = D.ring
     return iden, [(ring._shifts[pos], [(k - ring._units[pos], c * (iden // img.den))

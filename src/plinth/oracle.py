@@ -2,26 +2,26 @@
 
 A DegreeSlice is the finite-dimensional window of B spanned by all
 monomials within a parameter-degree and a variable-degree bound.  Powers
-of a derivation map slices to slices.  In one oracle call D acts on
-monomials as integer columns over one denominator, each D(X^e) computed
-once, and D^j of the slice is composed from them.  Stacking [D^(j+1) | D^j]
-for the monomials of the slice gives one elimination that answers both the
-forward preimages and Ker(D) within D^j(slice).  The backward check of
-several generators writes each cofactor over a basis of Ker(D) within the
-slice, which at j = 1 is read from that same elimination.  Every question
-is one sparse exact system; polynomials appear only at its boundary.
-Every positive answer carries a certificate (preimage or cofactors) that
-is re-verified by direct polynomial arithmetic; bounded failures are
-reported as INCONCLUSIVE, never upgraded.
+of a derivation map slices to slices.  D acts on integer columns over one
+denominator through derivation._apply_nums, its one kernel on integer
+numerators, and D^j of a monomial is that kernel applied j times.
+Stacking [D^(j+1) | D^j] for the monomials of the slice gives one
+elimination that answers both the forward preimages and Ker(D) within
+D^j(slice).  The backward check of several generators writes each
+cofactor over a basis of Ker(D) within the slice, which at j = 1 is read
+from that same elimination.  Every question is one sparse exact system;
+polynomials appear only at its boundary.  Every positive answer carries a
+certificate (preimage or cofactors) that is re-verified by direct
+polynomial arithmetic; bounded failures are reported as INCONCLUSIVE,
+never upgraded.
 """
 
 from functools import cached_property
 from math import comb, lcm
 
 from . import linalg
-from .derivation import _columns, apply, iterate
+from .derivation import _apply_nums, _columns, apply, iterate
 from .polyring import (
-    FIELD_MASK,
     CertificateError,
     ExactDivisionError,
     MultiPoly,
@@ -91,59 +91,6 @@ def growth_per_application(D):
         pg = max(pg, int(img.param_degree()))
         vg = max(vg, int(img.var_degree()) - 1)
     return pg, max(0, vg)
-
-
-class _Images:
-    """D on monomials: D(X^e) as integer numerators {key: int} over iden,
-    the common denominator of derivation._columns(D).  Each is computed
-    once, for the life of this object, which is one oracle call; the
-    columns it returns are shared and never written."""
-
-    def __init__(self, D):
-        self.iden, columns = _columns(D)
-        self.check_degree = D.ring.check_degree
-        # X^e contributes e_pos * c at key e + d for each term (d, c) of a
-        # column; a delta found in several columns sums their terms
-        deltas = {}
-        for shift, img in columns:
-            for d, c in img:
-                deltas.setdefault(d, []).append((shift, c))
-        self.deltas = list(deltas.items())
-        self.memo = {}
-
-    def __call__(self, e):
-        col = self.memo.get(e)
-        if col is None:
-            col = self.memo[e] = {}
-            for d, parts in self.deltas:
-                v = 0
-                for shift, c in parts:
-                    k = e >> shift & FIELD_MASK
-                    if k:
-                        v += k * c
-                if v:
-                    col[e + d] = v
-            if col:
-                self.check_degree(max(col))
-        return col
-
-    def apply(self, col):
-        """D of an integer column, over one more factor iden."""
-        acc = {}
-        get = acc.get
-        for f, c in col.items():
-            for g, d in self(f).items():
-                acc[g] = get(g, 0) + c * d
-        return {g: v for g, v in acc.items() if v}
-
-    def power(self, e, n):
-        """D^n(X^e) as integer numerators over iden ** n."""
-        if n == 0:
-            return {e: 1}
-        col = self(e)
-        for _ in range(n - 1):
-            col = self.apply(col)
-        return col
 
 
 def _check_cap(nrows, ncols, cap):
@@ -290,25 +237,33 @@ class _Combinations:
                 for row in self._solver.basis_from(start)]
 
 
+def _image(D, col):
+    """D of an integer column {key: int} over one more factor iden, with
+    no zero entry: a column is empty exactly when D kills it, and
+    linalg.SpanSolver takes no zero entry."""
+    acc = _apply_nums(D, col)[0]
+    return {e: c for e, c in acc.items() if c} if 0 in acc.values() else acc
+
+
 class LinearMapMatrix:
     """D^power from the source slice into the target slice.  columns[i] is
     D^power of the i-th source monomial, integer numerators over
-    images.iden ** power; images is the D of the call that built it."""
+    iden ** power, iden the common denominator of the images of D."""
 
-    def __init__(self, source, target, power, columns, images):
+    def __init__(self, source, target, power, columns, D, iden):
         self.source, self.target, self.power = source, target, power
-        self.columns, self.images = columns, images
+        self.columns, self.D, self.iden = columns, D, iden
 
     @cached_property
     def chain(self):
         """The nonzero columns v stacked under their images, [D(v) | v] over
         one denominator, as one system: a preimage of g in Ker(D) answers
         solve(0, g), and tail_basis() is Ker(D) within the span of the v."""
-        iden = self.images.iden
+        iden = self.iden
         pairs = [(m, col) for m, col in zip(self.source.monomials, self.columns) if col]
         return _Combinations(
             [(0, m) for m, _ in pairs],
-            [(self.images.apply(col), {e: c * iden for e, c in col.items()})
+            [(_image(self.D, col), {e: c * iden for e, c in col.items()})
              for _, col in pairs],
             iden ** (self.power + 1))
 
@@ -317,12 +272,14 @@ class LinearMapMatrix:
         {key: int}: the monomials D kills, then sum x_k * m_k for each
         relation x among the nonzero D(m_k).  At power 1 those D(m_k) are
         the columns, so the relations are the chain's, already eliminated;
-        at any other power one more system of those D(m_k) finds them."""
-        images, basis = self.images, self.source.basis
-        live = [k for k, e in enumerate(basis) if images(e)]
+        at any other power each D(m_k) is computed once, and one more
+        system of them finds the relations."""
+        basis = self.source.basis
+        images = self.columns if self.power == 1 else [_image(self.D, {e: 1}) for e in basis]
+        live = [k for k, col in enumerate(images) if col]
         system = self.chain if self.power == 1 else _Combinations(
-            [(0, self.source.monomials[k]) for k in live], [(images(basis[k]),) for k in live])
-        return ([{e: 1} for e in basis if not images(e)]
+            [(0, self.source.monomials[k]) for k in live], [(images[k],) for k in live])
+        return ([{e: 1} for e, col in zip(basis, images) if not col]
                 + [{basis[live[k]]: x for k, x in rel.items()}
                    for rel in system._solver.relations])
 
@@ -335,16 +292,18 @@ def _grown(D, source, n):
 
 def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     """Exact matrix of D^n from the source slice into an auto-enlarged
-    target."""
+    target: the column of a monomial X^e is _image applied n times to
+    {e: 1}, integer numerators over iden ** n."""
     if n < 0:
         raise PlinthError("power must be a natural")
     target = _grown(D, source, n)
     _check_cap(target.dim, source.dim, entry_cap)
-    images = _Images(D)
-    columns = [images.power(e, n) for e in source.basis]
+    columns = [{e: 1} for e in source.basis]
+    for _ in range(n):
+        columns = [_image(D, col) for col in columns]
     if any(t not in target for col in columns for t in col):
         raise PlinthError("degree growth bound violated (internal)")
-    return LinearMapMatrix(source, target, n, columns, images)
+    return LinearMapMatrix(source, target, n, columns, D, _columns(D)[0])
 
 
 def _refuse_kernel(D, slc, entry_cap):
@@ -355,15 +314,13 @@ def _refuse_kernel(D, slc, entry_cap):
     _check_cap(_grown(D, slc, 1).dim, slc.dim, entry_cap)
 
 
-def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP, matrix=None):
+def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     """The canonical basis (_Combinations.tail_basis) of Ker(D) within the
     span of D^n(source slice): a lower approximation of I_n, monotone
-    nondecreasing in the slice bounds.  matrix, if given, is
-    matrix_of_power(D, n, source), already built by the caller.
-    """
-    if matrix is None:
-        matrix = matrix_of_power(D, n, source, entry_cap)
-        _refuse_kernel(D, source, entry_cap)
+    nondecreasing in the slice bounds, read from the chain of
+    matrix_of_power(D, n, source) once it and Ker(D) pass the cap."""
+    matrix = matrix_of_power(D, n, source, entry_cap)
+    _refuse_kernel(D, source, entry_cap)
     return matrix.chain.tail_basis()
 
 
@@ -457,7 +414,7 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
             DirectionItem(g, "PASS", "preimage %s" % preimage, certificate=preimage)
         )
 
-    intersection = kernel_and_image_basis(D, j, source, entry_cap, matrix=mat)
+    intersection = mat.chain.tail_basis()
     backward_items = []
     if len(predicted) == 1:
         g = predicted[0]

@@ -523,14 +523,15 @@ def test_negative_limits_are_input_errors_on_every_command(capsys):
 
 
 def test_oracle_only_image_ideal_builds_images_once(monkeypatch):
+    # the images of D^j are one matrix, built once
     built = []
-    init = oracle._Images.__init__
+    real = oracle.matrix_of_power
 
-    def counted(self, D):
-        built.append(D)
-        init(self, D)
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle._Images, "__init__", counted)
+    monkeypatch.setattr(oracle, "matrix_of_power", counted)
     report = run("image-ideal", parse_problem(FIXTURES["wink1"]), bounds=(2, 2))
     assert report.certificates[0]["theorem"] == "oracle-only"
     assert report.generators
@@ -546,7 +547,7 @@ def test_kernel_refusal_applies_no_derivation(capsys, monkeypatch):
     def enumerated(*args):
         raise AssertionError("slice basis enumerated before the cap check")
 
-    monkeypatch.setattr(oracle._Images, "__call__", applied)
+    monkeypatch.setattr(oracle, "_apply_nums", applied)
     monkeypatch.setattr(oracle, "apply", applied)
     monkeypatch.setattr(oracle, "_bounded_tuples", enumerated)
     for bounds, seconds, needs in [
