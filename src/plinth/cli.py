@@ -109,13 +109,10 @@ def parse_problem(text):
                 raise ProblemFormatError("expect needs a polynomial", lineno)
             expect_lines.append((rest, lineno))
         elif head == "bounds":
-            parts = rest.split(",")
-            if len(parts) != 2:
-                raise ProblemFormatError("expected 'bounds p,v'", lineno)
             try:
-                bounds = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ProblemFormatError("bounds must be integers", lineno) from None
+                bounds = parse_bounds(rest, "'bounds p,v'")
+            except PlinthError as err:
+                raise ProblemFormatError(str(err), lineno) from None
         elif head == "cap":
             try:
                 cap = int(rest)
@@ -152,9 +149,11 @@ def parse_problem(text):
             (parse_poly(body, lineno), mult, asserted)
             for body, mult, asserted, lineno in factor_lines
         ]
-    expect = None
-    if expect_lines:
-        expect = [parse_poly(body, lineno) for body, lineno in expect_lines]
+    expect = []
+    for body, lineno in expect_lines:
+        expect.append(parse_poly(body, lineno))
+        if expect[-1].is_zero():  # it generates nothing, and divides nothing
+            raise ProblemFormatError("expect needs a nonzero polynomial", lineno)
     return ProblemSpec(
         params=tuple(params),
         vars=tuple(varnames),
@@ -163,8 +162,20 @@ def parse_problem(text):
         factored_b=factored_b,
         bounds=bounds,
         cap=cap,
-        expect=expect,
+        expect=expect or None,
     )
+
+
+def parse_bounds(text, form):
+    """The slice bounds (p, v) from the text p,v of the bounds line or of
+    --bounds, form naming which in the error for a malformed one."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise PlinthError("expected %s" % form)
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise PlinthError("bounds must be integers") from None
 
 
 def problem_to_string(spec):
@@ -240,18 +251,24 @@ FIXTURES = {
 # command runners
 
 
+# The exit code of each verdict; every report reads its own from here.
+EXIT_CODES = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
+
+
 class RunReport:
-    def __init__(self, command, spec_echo, verdict, exit_code, generators=None,
+    def __init__(self, command, spec_echo, verdict, generators=None,
                  certificates=None, witnesses=None, lines=None, fixtures=None):
         self.command = command
         self.spec_echo = spec_echo
         self.verdict = verdict
-        self.exit_code = exit_code
         self.generators = [] if generators is None else generators
         self.certificates = [] if certificates is None else certificates
         self.witnesses = [] if witnesses is None else witnesses
         self.lines = [] if lines is None else lines  # human-readable body
         self.fixtures = fixtures  # the fixture names, in the examples listing only
+        if verdict == "FAIL" and not self.witnesses:  # a fail is verified by its witness
+            raise CertificateError("%s ends FAIL without a witness" % command)
+        self.exit_code = EXIT_CODES[verdict]
 
     def to_json(self):
         out = {
@@ -267,7 +284,9 @@ class RunReport:
         return out
 
 
-def _run_check(spec):
+def _run_check(spec, command):
+    """check's report; every command's for a D shown not locally nilpotent,
+    which fails with each variable whose iterates recur as a witness."""
     an = spec.analysis
     rep = an.report
     lines = [
@@ -286,10 +305,6 @@ def _run_check(spec):
         fpf, shown = None, "undetermined (%s)" % err
     lines.append("fixed point free: %s" % shown)
     lines.extend(rep.notes)
-    if rep.lnd is True:
-        verdict, code = "PASS", 0
-    else:
-        verdict, code = "INCONCLUSIVE" if rep.lnd is None else "FAIL", 2
     cert = {
         "lnd": rep.lnd,
         "irreducible": rep.irreducible,
@@ -297,11 +312,11 @@ def _run_check(spec):
         "fixed_point_free": fpf,
     }
     return RunReport(
-        command="check",
+        command=command,
         spec_echo=spec.echo,
-        verdict=verdict,
-        exit_code=code,
+        verdict={True: "PASS", None: "INCONCLUSIVE", False: "FAIL"}[rep.lnd],
         certificates=[cert],
+        witnesses=list(rep.recurring),
         lines=lines,
     )
 
@@ -316,14 +331,12 @@ def _run_kernel(spec):
             command="kernel",
             spec_echo=spec.echo,
             verdict="INCONCLUSIVE",
-            exit_code=2,
             lines=["unsupported structure: %s" % err],
         )
     return RunReport(
         command="kernel",
         spec_echo=spec.echo,
         verdict="PASS",
-        exit_code=0,
         generators=gens,
         # each generator was re-checked to satisfy D(g) = 0, or kernel raised
         certificates=[{"certified": True}],
@@ -345,16 +358,7 @@ def _oracle_limits(spec, bounds, cap):
 
 
 def _run_image_ideal(spec, n, bounds, cap):
-    try:
-        res = spec.analysis.image_ideal(n, bounds, cap)
-    except UnsupportedStructureError as err:
-        return RunReport(
-            command="image-ideal",
-            spec_echo=spec.echo,
-            verdict="INCONCLUSIVE",
-            exit_code=2,
-            lines=["unsupported structure: %s" % err],
-        )
+    res = spec.analysis.image_ideal(n, bounds, cap)
     cert = res.to_dict()
     gens = cert["generators"]
     lines = ["I_%d generators: %s" % (n, ", ".join(gens) or "(none found)")]
@@ -362,12 +366,10 @@ def _run_image_ideal(spec, n, bounds, cap):
     if res.m is not None:
         lines.append("m = %d" % res.m)
     lines.extend(res.notes)
-    verdict = "PASS" if res.theorem != "oracle-only" else "INCONCLUSIVE"
     return RunReport(
         command="image-ideal",
         spec_echo=spec.echo,
-        verdict=verdict,
-        exit_code=0 if verdict == "PASS" else 2,
+        verdict="PASS" if res.theorem != "oracle-only" else "INCONCLUSIVE",
         generators=gens,
         certificates=[cert],
         lines=lines,
@@ -375,19 +377,20 @@ def _run_image_ideal(spec, n, bounds, cap):
 
 
 def _run_verify(spec, n, bounds, cap):
-    D = spec.derivation()
+    an = spec.analysis
     if spec.expect:
         predicted = list(spec.expect)
+    elif n > 0 and an.branch[0] is None:
+        predicted = []  # the oracle's own answer predicts nothing about the oracle
     else:
-        predicted = list(spec.analysis.image_ideal(n, bounds, cap).generators)
+        predicted = list(an.image_ideal(n, bounds, cap).generators)
     try:
-        report = verify_image_ideal(D, n, predicted, bounds[0], bounds[1], cap)
+        report = verify_image_ideal(an.D, n, predicted, bounds[0], bounds[1], cap)
     except OracleCapError as err:
         return RunReport(
             command="verify",
             spec_echo=spec.echo,
             verdict="INCONCLUSIVE",
-            exit_code=2,
             lines=["oracle entry cap exceeded: %s" % err],
         )
     cert = report.to_dict()  # prints each element once; one forward item per generator
@@ -400,12 +403,10 @@ def _run_verify(spec, n, bounds, cap):
     lines.append("forward: %s, backward: %s" % (report.forward, report.backward))
     witnesses = [i["element"] for i in cert["forward_items"] + cert["backward_items"]
                  if i["status"] == "FAIL"]
-    code = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[report.overall]
     return RunReport(
         command="verify",
         spec_echo=spec.echo,
         verdict=report.overall,
-        exit_code=code,
         generators=gens,
         certificates=[cert],
         witnesses=witnesses,
@@ -413,69 +414,42 @@ def _run_verify(spec, n, bounds, cap):
     )
 
 
-def _run_examples(name, bounds, cap):
-    if name is None:
-        names = sorted(FIXTURES)
-        return RunReport(
-            command="examples",
-            spec_echo="",
-            verdict="PASS",
-            exit_code=0,
-            lines=["available fixtures:"] + ["  %s" % k for k in names],
-            fixtures=names,
-        )
-    if name not in FIXTURES:
-        return RunReport(
-            command="examples",
-            spec_echo="",
-            verdict="ERROR",
-            exit_code=3,
-            lines=["unknown fixture %r; try: %s" % (name, ", ".join(sorted(FIXTURES)))],
-        )
-    spec = parse_problem(FIXTURES[name])
-    bounds, cap = _oracle_limits(spec, bounds, cap)
-    steps = [("check", _run_check(spec))]
-    if steps[0][1].certificates[0]["lnd"] is True:
-        steps.append(("kernel", _run_kernel(spec)))
-        steps.append(("image-ideal", _run_image_ideal(spec, 1, bounds, cap)))
-        steps.append(("verify", _run_verify(spec, 1, bounds, cap)))
+def _run_examples(spec, bounds, cap):
+    """Each command on a fixture, the rest only once check shows D locally
+    nilpotent, at n = 1; the verdict of the worst step, FAIL the worst."""
+    steps = [run("check", spec, bounds=bounds, cap=cap)]
+    if spec.analysis.report.lnd is True:
+        steps += [run(command, spec, 1, bounds, cap)
+                  for command in ("kernel", "image-ideal", "verify")]
     lines = []
-    gens = []
-    certs = []
-    wits = []
-    worst = 0
-    for label, rep in steps:
-        lines.append("== %s: %s" % (label, rep.verdict))
+    for rep in steps:
+        lines.append("== %s: %s" % (rep.command, rep.verdict))
         lines.extend("   " + ln for ln in rep.lines)
-        gens.extend(rep.generators)
-        certs.extend(rep.certificates)
-        wits.extend(rep.witnesses)
-        worst = max(worst, rep.exit_code)
-    verdict = {0: "PASS", 1: "FAIL", 2: "INCONCLUSIVE", 3: "ERROR"}[worst]
     return RunReport(
         command="examples",
         spec_echo=spec.echo,
-        verdict=verdict,
-        exit_code=worst,
-        generators=gens,
-        certificates=certs,
-        witnesses=wits,
+        verdict=max((rep.verdict for rep in steps), key=("PASS", "INCONCLUSIVE", "FAIL").index),
+        generators=[g for rep in steps for g in rep.generators],
+        certificates=[c for rep in steps for c in rep.certificates],
+        witnesses=[w for rep in steps for w in rep.witnesses],
         lines=lines,
     )
 
 
 def run(command, spec, n=None, bounds=None, cap=None):
-    """Dispatch a command against a parsed problem; returns a RunReport."""
+    """Dispatch a command against a parsed problem; returns a RunReport.
+    No kernel or I_j is defined for a D shown not locally nilpotent, so
+    every command answers it as check does: FAIL, with a witness."""
     bounds, cap = _oracle_limits(spec, bounds, cap)
-    if command == "check":
-        return _run_check(spec)
+    if command not in ("check", "kernel", "image-ideal", "verify"):
+        raise PlinthError("unknown command %r" % command)
+    if command == "check" or spec.analysis.report.lnd is False:
+        return _run_check(spec, command)
     if command == "kernel":
         return _run_kernel(spec)
     if command == "image-ideal":
         return _run_image_ideal(spec, 1 if n is None else n, bounds, cap)
-    if command == "verify":
-        return _run_verify(spec, 1 if n is None else n, bounds, cap)
-    raise PlinthError("unknown command %r" % command)
+    return _run_verify(spec, 1 if n is None else n, bounds, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -526,29 +500,20 @@ def _build_parser():
     return parser
 
 
-def _parse_bounds(text):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise PlinthError("expected --bounds p,v")
-    return (int(parts[0]), int(parts[1]))
+def _fixture(name):
+    if name not in FIXTURES:
+        raise PlinthError("unknown fixture %r; try: %s" % (name, ", ".join(sorted(FIXTURES))))
+    return parse_problem(FIXTURES[name])
 
 
 def _load_spec(args):
     if args.example:
-        if args.example not in FIXTURES:
-            raise PlinthError(
-                "unknown fixture %r; try: %s"
-                % (args.example, ", ".join(sorted(FIXTURES)))
-            )
-        text = FIXTURES[args.example]
+        spec = _fixture(args.example)
     elif args.problem:
         with open(args.problem, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            spec = parse_problem(fh.read())
     else:
         raise PlinthError("give a problem file or --example <name>")
-    spec = parse_problem(text)
     if args.assert_irreducible and spec.factored_b:
         spec.factored_b = [(p, m, True) for p, m, _ in spec.factored_b]
     return spec
@@ -581,19 +546,18 @@ def main(argv=None):
             raise
         return 3  # argparse has printed the usage error: malformed input
     try:
-        bounds = _parse_bounds(args.bounds)
-        if args.command == "examples":
-            report = _run_examples(args.name, bounds, args.cap)
+        bounds = None if args.bounds is None else parse_bounds(args.bounds, "--bounds p,v")
+        if args.command != "examples":
+            report = run(args.command, _load_spec(args), n=getattr(args, "n", None),
+                         bounds=bounds, cap=args.cap)
+        elif args.name is not None:
+            report = _run_examples(_fixture(args.name), bounds, args.cap)
         else:
-            spec = _load_spec(args)
-            report = run(
-                args.command,
-                spec,
-                n=getattr(args, "n", None),
-                bounds=bounds,
-                cap=args.cap,
-            )
-    except (ProblemFormatError, OSError, ValueError) as err:
+            names = sorted(FIXTURES)
+            report = RunReport(command="examples", spec_echo="", verdict="PASS",
+                               lines=["available fixtures:"] + ["  %s" % k for k in names],
+                               fixtures=names)
+    except (OSError, UnicodeDecodeError) as err:  # an unreadable problem file
         print("input error: %s" % err, file=sys.stderr)
         return 3
     except UnsupportedStructureError as err:
@@ -602,7 +566,7 @@ def main(argv=None):
     except CertificateError as err:  # a failed re-check: no certified answer
         print("internal error: %s" % err, file=sys.stderr)
         return 2
-    except PlinthError as err:
+    except PlinthError as err:  # malformed input
         print("input error: %s" % err, file=sys.stderr)
         return 3
     except Exception as err:  # a fault of plinth: no certified answer

@@ -36,6 +36,10 @@ class _Overflow:
 OVERFLOW = _Overflow()
 
 DEFAULT_CAP = 64
+# the most work, (terms of an iterate) x (terms of the images), that
+# _deg_with_status spends on one application of D: about 160 times what
+# the sweeps and benchmark workloads reach
+ITERATION_BUDGET = 50000
 DEFAULT_BEZOUT_BOUND = 6
 
 
@@ -122,12 +126,17 @@ def iterate(D, f, n):
 
 
 def _deg_with_status(D, f):
-    """(degree, 'finite') or (None, 'overflow'|'cycle')."""
+    """(degree, 'finite') or (None, 'overflow'|'budget'|'cycle'): 'budget'
+    when the next application would pass ITERATION_BUDGET, checked before
+    it is computed."""
     if f.is_zero():
         return MINUS_INF, "finite"
     seen = {f}
     cur = f
+    width = sum(len(img.nums) for img in D.images)
     for n in range(DEFAULT_CAP + 1):
+        if len(cur.nums) * width > ITERATION_BUDGET:
+            return None, "budget"
         nxt = apply(D, cur)
         if nxt.is_zero():
             return n, "finite"
@@ -165,8 +174,9 @@ class QuasiData:
 
 class StructureReport:
     def __init__(self, lnd, degrees, content, nice_set, classification, quasi=None,
-                 nice_pair=None, notes=None):
+                 nice_pair=None, notes=None, recurring=()):
         self.lnd = lnd
+        self.recurring = recurring  # the variables whose iterates recur; any makes lnd False
         self.degrees = degrees
         self.content = content  # the gcd of the nonzero images
         self.irreducible = content.is_constant()
@@ -182,6 +192,7 @@ def classify(D):
     degrees = []
     lnd = True
     notes = []
+    recurring = []
     for var in ring.vars:
         value, status = _deg_with_status(D, ring.gen(var))
         if status == "finite":
@@ -189,12 +200,15 @@ def classify(D):
         elif status == "cycle":
             degrees.append(OVERFLOW)
             lnd = False
+            recurring.append(var)
             notes.append("D is not locally nilpotent: iterates of %s recur" % var)
         else:
             degrees.append(OVERFLOW)
             if lnd is True:
                 lnd = None
-                notes.append("iteration cap %d reached on %s" % (DEFAULT_CAP, var))
+                notes.append("iteration cap %d reached on %s" % (DEFAULT_CAP, var)
+                             if status == "overflow" else
+                             "iterates of %s outgrow the iteration budget" % var)
     # D(DX_i) == 0 exactly when deg_D(X_i) <= 1
     nice_set = frozenset(i for i, d in enumerate(degrees) if d is not OVERFLOW and d <= 1)
 
@@ -219,6 +233,7 @@ def classify(D):
         quasi=quasi,
         nice_pair=nice_pair,
         notes=notes,
+        recurring=tuple(recurring),
     )
 
 

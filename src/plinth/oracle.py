@@ -248,11 +248,12 @@ def _image(D, col):
 class LinearMapMatrix:
     """D^power from the source slice into the target slice.  columns[i] is
     D^power of the i-th source monomial, integer numerators over
-    iden ** power, iden the common denominator of the images of D."""
+    iden ** power, iden the common denominator of the images of D.  The
+    chain is held to the entry cap the matrix passed."""
 
-    def __init__(self, source, target, power, columns, D, iden):
+    def __init__(self, source, target, power, columns, D, iden, entry_cap):
         self.source, self.target, self.power = source, target, power
-        self.columns, self.D, self.iden = columns, D, iden
+        self.columns, self.D, self.iden, self.entry_cap = columns, D, iden, entry_cap
 
     @cached_property
     def chain(self):
@@ -265,7 +266,7 @@ class LinearMapMatrix:
             [(0, m) for m, _ in pairs],
             [(_image(self.D, col), {e: c * iden for e, c in col.items()})
              for _, col in pairs],
-            iden ** (self.power + 1))
+            iden ** (self.power + 1), entry_cap=self.entry_cap)
 
     def kernel(self):
         """A basis of Ker(D) within the source slice, as integer numerators
@@ -303,7 +304,7 @@ def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
         columns = [_image(D, col) for col in columns]
     if any(t not in target for col in columns for t in col):
         raise PlinthError("degree growth bound violated (internal)")
-    return LinearMapMatrix(source, target, n, columns, D, _columns(D)[0])
+    return LinearMapMatrix(source, target, n, columns, D, _columns(D)[0], entry_cap)
 
 
 def _refuse_kernel(D, slc, entry_cap):

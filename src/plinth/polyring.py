@@ -851,7 +851,10 @@ class _Parser:
         for m in re.finditer(r"[ \t]*(?:(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])"
                              r"|(?P<bad>.))", text, re.S):
             kind = m.lastgroup
-            value = int(m.group(kind)) if kind == "int" else m.group(kind)
+            try:
+                value = int(m.group(kind)) if kind == "int" else m.group(kind)
+            except ValueError:  # more digits than int() converts
+                raise PolyParseError("integer literal too long", m.start(kind)) from None
             self.tokens.append((value if kind == "op" else kind, value, m.start(kind)))
         self.tokens.append(("end", None, len(text)))
 

@@ -72,10 +72,16 @@ def test_run_check_pass():
 
 
 def test_run_check_not_lnd():
+    # a D shown not locally nilpotent is a verified fail under every command,
+    # the variable whose iterates recur its witness
     spec = parse_problem(FIXTURES["notlnd"])
-    report = run("check", spec)
-    assert report.exit_code == 2
-    assert report.certificates[0]["lnd"] is False
+    for command, n in (("check", None), ("kernel", None), ("image-ideal", 0),
+                       ("image-ideal", 2), ("verify", 0), ("verify", 1)):
+        report = run(command, spec, n=n)
+        assert (report.command, report.verdict, report.exit_code) == (command, "FAIL", 1)
+        assert report.witnesses == ["X"]
+        assert report.certificates[0]["lnd"] is False
+        assert "D is not locally nilpotent: iterates of X recur" in report.lines
 
 
 def test_run_image_ideal_tparam():
@@ -97,10 +103,34 @@ def test_run_verify_wink1():
 
 def test_main_exit_codes(capsys):
     assert main(["check", "--example", "slice2"]) == 0
-    assert main(["check", "--example", "notlnd"]) == 2
+    assert main(["check", "--example", "notlnd"]) == 1
     assert main(["check", "--example", "no-such-fixture"]) == 3
     assert main(["examples", "--name", "pid3"]) == 0
     capsys.readouterr()
+    for argv in (["check"], ["kernel"], ["image-ideal", "--n", "1"], ["verify", "--n", "2"]):
+        assert main(argv + ["--example", "notlnd", "--json"]) == 1, argv
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["witnesses"]) == ("FAIL", ["X"]), argv
+    assert main(["examples", "--name", "notlnd"]) == 1
+    assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+    # an unknown fixture is malformed input under examples as under --example
+    unknown = ("input error: unknown fixture 'no-such-fixture'; try: %s\n"
+               % ", ".join(sorted(FIXTURES)))
+    for argv in (["check", "--example", "no-such-fixture"],
+                 ["examples", "--name", "no-such-fixture", "--json"]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", unknown)
+
+
+def test_fail_without_a_witness_is_an_internal_error(capsys, monkeypatch):
+    # exit 1 is a verified fail: a FAIL verdict that names no witness is a
+    # fault of plinth, refused before any report is printed
+    monkeypatch.setattr(oracle.VerifyReport, "overall", property(lambda self: "FAIL"))
+    assert main(["verify", "--example", "inice", "--json"]) == 2
+    assert capsys.readouterr() == ("", "internal error: verify ends FAIL without a witness\n")
+    with pytest.raises(polyring.CertificateError, match="FAIL without a witness"):
+        cli.RunReport("check", "", "FAIL")
+    assert cli.RunReport("check", "", "FAIL", witnesses=["X"]).exit_code == 1
 
 
 def test_failed_recheck_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -211,7 +241,7 @@ def test_verify_n_0_checks_the_kernel(capsys):
     # I_0 = A; the expect lines of tparam and wink1 predict I_1.  1 is not
     # in wink1's three-generator ideal, but bounded membership cannot say so
     codes = {"inice": 0, "pid3": 0, "qnice": 0, "slice1": 0, "slice2": 0,
-             "tparam": 1, "wink1": 2, "notlnd": 3}
+             "tparam": 1, "wink1": 2, "notlnd": 1}
     assert set(codes) == set(FIXTURES)
     for name, code in codes.items():
         assert main(["verify", "--example", name, "--n", "0"]) == code, name
@@ -305,6 +335,16 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
         assert main(["kernel", str(path)]) == code
         err = capsys.readouterr().err
         assert ("input error: parentheses nested too deeply" in err) == (code == 3)
+
+
+def test_overlong_integer_literal_is_an_input_error(tmp_path, capsys):
+    # int() converts at most 4300 digits (Python >= 3.11 and patched 3.10);
+    # the refusal is malformed input, not a fault of plinth
+    path = tmp_path / "digits.txt"
+    path.write_text("var X\nD X = 2%s\n" % ("0" * 5000))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", "input error: integer literal too long "
+                                       "(at position 0) (line 2)\n")
 
 
 def test_main_json_schema(capsys):
@@ -645,3 +685,56 @@ def test_readme_library_tour(capsys):
                 if line.startswith("print(")]
     assert len(expected) == 3
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_bounds_are_read_by_one_routine(tmp_path, capsys):
+    # --bounds and the bounds line take p,v alike, and refuse alike
+    path = tmp_path / "bounds.txt"
+    for text, option, line in (("1,x", "bounds must be integers", "bounds must be integers"),
+                               ("1,2,3", "expected --bounds p,v", "expected 'bounds p,v'")):
+        assert main(["check", "--example", "slice2", "--bounds", text]) == 3
+        assert capsys.readouterr() == ("", "input error: %s\n" % option)
+        path.write_text(FIXTURES["slice2"].replace("bounds 2,2", "bounds " + text))
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr() == ("", "input error: %s (line 6)\n" % line)
+
+
+def test_expect_zero_is_refused_at_parse_time(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("var X\nD X = 1\nexpect X - X\n")
+    with pytest.raises(ProblemFormatError, match=r"expect needs a nonzero polynomial \(line 3\)"):
+        parse_problem(path.read_text())
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr() == ("", "input error: expect needs a nonzero polynomial (line 3)\n")
+
+
+def test_verify_tests_no_oracle_answer_against_the_oracle(tmp_path, capsys):
+    # without expect lines an oracle-only answer is no prediction: checked
+    # against the oracle it came from, every item would pass
+    path = tmp_path / "wink1.txt"
+    path.write_text("".join(line + "\n" for line in FIXTURES["wink1"].splitlines()
+                            if not line.startswith("expect")))
+    assert main(["image-ideal", str(path), "--n", "1", "--cap", "1000000"]) == 2
+    assert "not a certified basis" in capsys.readouterr().out
+    assert main(["verify", str(path), "--n", "1", "--cap", "1000000", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    cert, = report["certificates"]
+    assert report["generators"] == [] and cert["forward_items"] == []
+    assert cert["backward_items"]
+    assert all(i["status"] == "INCONCLUSIVE" and i["detail"] == "no predicted generators to test"
+               for i in cert["backward_items"])
+
+
+def test_classify_budgets_its_iterates(tmp_path, capsys):
+    # the iterates of Y double in size every few steps: the 64th holds
+    # 533,637 terms, so classify stops before the next one would pass the
+    # budget and the local nilpotence of D stays unconfirmed
+    path = tmp_path / "growing.txt"
+    path.write_text("param a\nparam t\nvar X\nvar Y\nvar Z\nD X = t\n"
+                    "D Y = 2*Z + 2*X + 1/2*a*Y^2\nD Z = a*X + 1/2*a*t + 2*t^2\n")
+    start = time.monotonic()
+    assert main(["check", str(path)]) == 2
+    assert time.monotonic() - start < 1.0
+    out = capsys.readouterr().out
+    assert "lnd: None" in out and "iterates of Y outgrow the iteration budget" in out
+    assert out.endswith("verdict: INCONCLUSIVE\n")

@@ -233,12 +233,36 @@ def test_cap_error(rab):
     with pytest.raises(OracleCapError):
         matrix_of_power(D, 2, src, entry_cap=100)
     # at n = 0 the D^0 matrix is the slice squared, and the kernel system,
-    # whose rows lie in the slice grown once by D, is the larger one
+    # whose rows lie in the slice grown once by D, is larger and checked
+    # next; the chain [D(m) | m], the largest, is checked as it is built
     D, _ = _wink1()
     src = slice_basis(D.ring, 2, 2)
-    assert kernel_and_image_basis(D, 0, src, entry_cap=6000)
+    assert kernel_and_image_basis(D, 0, src, entry_cap=7740)
+    with pytest.raises(OracleCapError, match="solve needs 129 x 60 = 7740 entries, cap is 6000"):
+        kernel_and_image_basis(D, 0, src, entry_cap=6000)
     with pytest.raises(OracleCapError, match="solve needs 100 x 60 = 6000 entries, cap is 5999"):
         kernel_and_image_basis(D, 0, src, entry_cap=5999)
+
+
+
+def test_chain_is_held_to_the_cap(monkeypatch):
+    # wink1 at j = 1, bounds 2,2: the D^1 matrix is 100 x 60 = 6000
+    # entries, and the chain [D^2(m) | D(m)] eliminated after it 117 x 54
+    D, gens = _wink1()
+    src = slice_basis(D.ring, 2, 2)
+    eliminated = []
+    solver = oracle.linalg.SpanSolver
+    monkeypatch.setattr(oracle.linalg, "SpanSolver",
+                        lambda *args: eliminated.append(args) or solver(*args))
+    mat = matrix_of_power(D, 1, src, entry_cap=6000)
+    with pytest.raises(OracleCapError, match="solve needs 117 x 54 = 6318 entries, cap is 6000"):
+        mat.chain
+    for refused in (lambda: kernel_and_image_basis(D, 1, src, entry_cap=6000),
+                    lambda: verify_image_ideal(D, 1, gens, 2, 2, entry_cap=6000)):
+        with pytest.raises(OracleCapError, match="117 x 54 = 6318"):
+            refused()
+    assert eliminated == []
+    assert kernel_and_image_basis(D, 1, src, entry_cap=6318)
 
 
 def test_verify_nice_instance(rab):

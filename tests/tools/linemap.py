@@ -1,9 +1,13 @@
-"""Functions of src/plinth that no pinned run enters.
+"""Functions of src/plinth that no pinned run enters, and with --lines the
+lines that no pinned run reaches inside the functions they do enter.
 
 A stdlib line map: sys.settrace records the code objects each run calls,
 and the functions of src/plinth (found with ast, methods and nested
 functions included) that none of them entered are printed per module,
-with the lines they span.  The runs are
+with the lines they span.  With --lines it records the line events of
+each src/plinth function as well, and prints per module and function the
+lines that function's code holds and no run reached; the def and
+decorator lines, which run at import, are left out.  The runs are
 
 - the 1,056 command lines of the CLI sweep (tests/test_sweep.py);
 - the 240 command lines of the formula sweep (tests/test_formula_sweep.py);
@@ -14,6 +18,7 @@ with the lines they span.  The runs are
 Run from anywhere; it takes about ten seconds:
 
     python tests/tools/linemap.py
+    python tests/tools/linemap.py --lines   # about fifteen seconds
 
 It is not part of the tier-1 suite; tests/test_linemap.py runs it on one
 fixture to keep it working.
@@ -54,14 +59,9 @@ def _collect(node, prefix, defs):
             _collect(child, prefix, defs)
 
 
-def entered(runs):
-    """{(module, first line)} of the src/plinth functions that the calls
-    in runs enter; their output is discarded."""
-    codes = set()
-
-    def tracer(frame, event, arg):
-        codes.add(frame.f_code)  # only call events reach a global trace function
-
+def _traced(runs, tracer):
+    """Call each of runs under the global trace function tracer, their
+    output discarded."""
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
@@ -71,8 +71,71 @@ def entered(runs):
                 run()
     finally:
         sys.settrace(previous)
-    return {(Path(c.co_filename).stem, c.co_firstlineno) for c in codes
-            if Path(c.co_filename).resolve().parent == PACKAGE}
+
+
+def _in_package(code):
+    return Path(code.co_filename).resolve().parent == PACKAGE
+
+
+def entered(runs):
+    """{(module, first line)} of the src/plinth functions that the calls
+    in runs enter."""
+    codes = set()
+
+    def tracer(frame, event, arg):
+        codes.add(frame.f_code)  # only call events reach a global trace function
+
+    _traced(runs, tracer)
+    return {(Path(c.co_filename).stem, c.co_firstlineno) for c in codes if _in_package(c)}
+
+
+def lines_run(runs):
+    """{code object: {line numbers run}} of the src/plinth functions that
+    the calls in runs enter."""
+    ran, package = {}, {}
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename not in package:
+            package[code.co_filename] = _in_package(code)
+        if not package[code.co_filename]:
+            return None
+        seen = ran.setdefault(code, set())
+
+        def local(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return local
+        return local
+
+    _traced(runs, tracer)
+    return ran
+
+
+def never_run(ran):
+    """{module: [(qualified name, [line numbers])]} of the lines of each
+    entered function in ran, the dict lines_run returns, that no run
+    reached.  A code object's first line is its def's, or its first
+    decorator's: it runs at import and raises no line event of its own."""
+    out = {}
+    for code, seen in ran.items():
+        held = {line for _, _, line in code.co_lines() if line is not None}
+        missed = sorted(held - seen - {code.co_firstlineno})
+        if missed:
+            name = getattr(code, "co_qualname", code.co_name)  # Python 3.11 names methods
+            out.setdefault(Path(code.co_filename).stem, []).append((name, missed))
+    return {module: sorted(found, key=lambda f: f[1]) for module, found in out.items()}
+
+
+def _spans(lines):
+    """'3-5, 9' for [3, 4, 5, 9]."""
+    spans = []
+    for line in lines:
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(str(a) if a == b else "%d-%d" % (a, b) for a, b in spans)
 
 
 def never_entered(hit):
@@ -128,11 +191,26 @@ def perfbench_runs():
     return [round_run(w, rnd) for w in WORKLOADS for rnd in range(3)]
 
 
+def print_lines(missed):
+    """Print never_run's lines per module and function."""
+    for module, found in sorted(missed.items()):
+        print("%s: %d lines in %d entered functions"
+              % (module, sum(len(lines) for _, lines in found), len(found)))
+        for name, lines in found:
+            print("  %-40s lines %s" % (name, _spans(lines)))
+    print("never run in entered functions: %d lines"
+          % sum(len(lines) for found in missed.values() for _, lines in found))
+    return 0
+
+
 def main():
     sys.dont_write_bytecode = True  # leave no cache under perfbench/ or tests/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    by_line = "--lines" in sys.argv[1:]
     with tempfile.TemporaryDirectory() as directory:
         runs = sweep_runs() + formula_runs(directory) + perfbench_runs()
+        if by_line:
+            return print_lines(never_run(lines_run(runs)))
         missed = never_entered(entered(runs))
     total = sum(p.read_text().count("\n") for p in PACKAGE.glob("*.py"))  # as wc -l
     for module, (defs, lines) in sorted(missed.items()):
