@@ -11,7 +11,7 @@ from .polyring import (
     PolyRing,
     RingMismatchError,
 )
-from .derivation import Derivation, StructureReport, UnsupportedStructureError
+from .derivation import Derivation, StructureReport
 from .imageideals import (
     ImageIdealResult,
     image_ideal,
@@ -33,7 +33,6 @@ __all__ = [
     "PolyRing",
     "RingMismatchError",
     "StructureReport",
-    "UnsupportedStructureError",
     "image_ideal",
     "min_exponent",
     "nice3var_reduce",

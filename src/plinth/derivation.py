@@ -21,10 +21,6 @@ from .polyring import (
 )
 
 
-class UnsupportedStructureError(PlinthError):
-    """The derivation does not have a structure this operation handles."""
-
-
 MINUS_INF = float("-inf")
 
 
@@ -304,7 +300,7 @@ def localized_fpf(D, rep, p):
     coefficient ring at the prime p | DX_1 (quasi-nice 2-var over Q[t]);
     rep is classify(D)."""
     if rep.quasi is None:
-        raise UnsupportedStructureError("localized_fpf needs a quasi-nice 2-var derivation")
+        raise PlinthError("localized_fpf needs a quasi-nice 2-var derivation")
     q = rep.quasi
     if not divides(p, q.b):
         raise PlinthError("%s does not divide DX_1 = %s" % (p, q.b))

@@ -32,7 +32,6 @@ from math import factorial
 from .derivation import (
     MINUS_INF,
     Derivation,
-    UnsupportedStructureError,
     _validate_factored_b,
     apply,
     classify,
@@ -168,9 +167,7 @@ def strictness_decompose(D, rep):
     is flagged heuristic otherwise.
     """
     if rep.quasi is None:
-        raise UnsupportedStructureError(
-            "strictness_decompose needs a quasi-nice 2-variable derivation"
-        )
+        raise PlinthError("strictness_decompose needs a quasi-nice 2-variable derivation")
     ring = D.ring
     q = rep.quasi
     b, f = q.b, q.f
@@ -353,7 +350,7 @@ def _find_syzygy(D):
         if first.leading()[1] < 0:
             coeffs = [-p for p in coeffs]
         return coeffs
-    raise UnsupportedStructureError(
+    raise PlinthError(
         "no R-linear relation among the images within degree %d" % DEFAULT_SYZYGY_BOUND
     )
 
@@ -370,13 +367,11 @@ def nice3var_reduce(D, rep):
     """
     ring = D.ring
     if ring.nvars != 3:
-        raise UnsupportedStructureError("nice3var_reduce needs three main variables")
+        raise PlinthError("nice3var_reduce needs three main variables")
     if ring.nparams > 1:
-        raise UnsupportedStructureError(
-            "nice3var_reduce needs a coefficient ring Q or Q[t]"
-        )
+        raise PlinthError("nice3var_reduce needs a coefficient ring Q or Q[t]")
     if rep.lnd is not True or len(rep.nice_set) != 3:
-        raise UnsupportedStructureError("nice3var_reduce needs a nice derivation")
+        raise PlinthError("nice3var_reduce needs a nice derivation")
     if not rep.irreducible:
         raise PlinthError("derivation is not irreducible")
     a, b, c = _find_syzygy(D)
@@ -435,15 +430,11 @@ def nice3var_reduce(D, rep):
     for coord in (V, W):
         img = rewrite(apply(D, coord))  # every X_i is substituted away
         if img.involves(vn) or img.involves(wn):
-            raise UnsupportedStructureError(
-                "reduced image %s does not lie in R[%s]" % (img, un)
-            )
+            raise PlinthError("reduced image %s does not lie in R[%s]" % (img, un))
         images.append(restrict(img, new_ring))
     f, g = images
     if not multivariate_gcd([p for p in images if not p.is_zero()]).is_constant():
-        raise UnsupportedStructureError(
-            "reduced images share a non-unit factor over R[%s]" % un
-        )
+        raise PlinthError("reduced images share a non-unit factor over R[%s]" % un)
     reduced = Derivation(new_ring, images)
 
     red = ThreeVarReduction(M, new_ring, big, reduced, coords)
@@ -545,15 +536,12 @@ class Analysis:
         if ring.nvars == 1:
             # DX lies in R for any locally nilpotent D, so Ker(D) = R
             if rep.lnd is not True or D.images[0].var_degree() > 0:
-                raise UnsupportedStructureError(
-                    "single-variable derivation is not locally nilpotent"
-                )
+                raise PlinthError("single-variable derivation is not locally nilpotent")
             return ()
         if ring.nvars == 3:
             return self.reduction.kernel
         if ring.nvars != 2:
-            raise UnsupportedStructureError(
-                "kernel generators are known for 1 to 3 variables only")
+            raise PlinthError("kernel generators are known for 1 to 3 variables only")
         x1, x2 = (ring.gen(v) for v in ring.vars)
         if rep.nice_pair is not None:
             g = D.images[1] * x1 - D.images[0] * x2
@@ -561,9 +549,7 @@ class Analysis:
             q = rep.quasi
             g = q.b * ring.gen(ring.vars[q.other]) + q.f
         else:
-            raise UnsupportedStructureError(
-                "the kernel needs a nice or quasi-nice 2-variable derivation"
-            )
+            raise PlinthError("the kernel needs a nice or quasi-nice 2-variable derivation")
         if not apply(D, g).is_zero():
             raise CertificateError("kernel candidate %s is not killed by D" % g)
         return (g,)
@@ -722,8 +708,6 @@ def _pid3var_branch(an):
     try:
         red = an.reduction
     except PlinthError as err:
-        if isinstance(err, CertificateError):
-            raise
         return None, "3-variable reduction failed: %s" % err
     f, g = red.reduced.images
     U, V, W = red.coords

@@ -190,11 +190,9 @@ class SpanSolver:
         primitive with a positive pivot, by descending pivot column."""
         done = {}
         for pc in sorted((c for c in self.pivots if c >= start), reverse=True):
-            row = {c: v for c, v in self.pivots[pc].items() if c >= 0}
             # the rows in done have no pivot column but their own, so
             # clearing one column brings in no other
-            for c in [c for c in row if c in done]:
-                row = _eliminate(row, c, done[c])[0]
+            row = _reduce(done, {c: v for c, v in self.pivots[pc].items() if c >= 0})[0]
             g = gcd(*row.values())
             if row[pc] < 0:
                 g = -g

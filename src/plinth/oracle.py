@@ -30,6 +30,12 @@ from .polyring import (
 )
 
 DEFAULT_ENTRY_CAP = 20000
+VERDICTS = ("PASS", "INCONCLUSIVE", "FAIL")  # best first
+
+
+def worst(verdicts):
+    """The worst of the verdicts in VERDICTS' order; PASS if there are none."""
+    return max(verdicts, key=VERDICTS.index, default="PASS")
 
 
 class OracleCapError(PlinthError):
@@ -337,26 +343,17 @@ class VerifyReport:
         self.n, self.forward_items, self.backward_items = n, forward_items, backward_items
         self.notes = [] if notes is None else notes
 
-    @staticmethod
-    def _verdict(items):
-        if any(i.status == "FAIL" for i in items):
-            return "FAIL"
-        if any(i.status == "INCONCLUSIVE" for i in items):
-            return "INCONCLUSIVE"
-        return "PASS"
-
     @property
     def forward(self):
-        return self._verdict(self.forward_items)
+        return worst(i.status for i in self.forward_items)
 
     @property
     def backward(self):
-        return self._verdict(self.backward_items)
+        return worst(i.status for i in self.backward_items)
 
     @property
     def overall(self):
-        order = {"FAIL": 2, "INCONCLUSIVE": 1, "PASS": 0}
-        return max((self.forward, self.backward), key=order.get)
+        return worst((self.forward, self.backward))
 
     def to_dict(self):
         def items(lst):

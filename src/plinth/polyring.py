@@ -39,8 +39,10 @@ class RingMismatchError(PlinthError):
     pass
 
 
-class CertificateError(PlinthError):
-    """A certificate failed its re-check by direct polynomial arithmetic."""
+class CertificateError(Exception):
+    """A certificate failed its re-check by direct polynomial arithmetic: a
+    fault of this package, never a verdict on its input, so it is no
+    PlinthError and no handler of malformed input catches it."""
 
 
 class PolyParseError(PlinthError):

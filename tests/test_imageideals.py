@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from plinth.cli import parse_problem
-from plinth.derivation import Derivation, UnsupportedStructureError, apply, classify, iterate
+from plinth.derivation import Derivation, apply, classify, iterate
 from plinth.imageideals import (
     Analysis,
     image_ideal,
@@ -79,7 +79,7 @@ def test_kernel_generator_unsupported(r3):
     assert Analysis(D, None).kernel == (r3.gen("X"), r3.poly("-t*Z + X*Y"))
     r4 = PolyRing(("t",), ("X", "Y", "Z", "W"))
     D = Derivation(r4, [r4.zero(), r4.poly("t"), r4.poly("X"), r4.poly("Y")])
-    with pytest.raises(UnsupportedStructureError):
+    with pytest.raises(PlinthError):
         Analysis(D, None).kernel
 
 
@@ -134,7 +134,7 @@ def test_strictness_unit_b(rt):
 
 def test_strictness_unsupported(rab):
     D = nice_ab(rab)
-    with pytest.raises(UnsupportedStructureError):
+    with pytest.raises(PlinthError):
         strictness_decompose(D, classify(D))
 
 
@@ -246,7 +246,7 @@ def test_to_original_maps_the_reduced_images_back(r3, seed):
 
 def test_nice3var_reduce_rejects_non_nice(r3):
     D = Derivation(r3, [r3.poly("t"), r3.poly("X"), r3.poly("Y")])
-    with pytest.raises(UnsupportedStructureError):
+    with pytest.raises(PlinthError):
         nice3var_reduce(D, classify(D))
 
 
