@@ -347,6 +347,33 @@ def test_overlong_integer_literal_is_an_input_error(tmp_path, capsys):
                                        "(at position 0) (line 2)\n")
 
 
+def test_a_long_coefficient_prints_its_exact_digits(tmp_path, capsys):
+    # 4,001 digits read; the preimage X^2/(2*10^8000) prints past str()'s limit
+    path = tmp_path / "long.txt"
+    path.write_text("var X\nD X = 1%s\n" % ("0" * 4000))
+    assert main(["image-ideal", str(path), "--n", "2", "--json"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["generators"] == ["1"]
+    assert report["certificates"][0]["preimages"] == ["1/2%s*X^2" % ("0" * 8000)]
+    assert parse_problem(report["spec-echo"]) == parse_problem(path.read_text())
+    assert main(["check", str(path)]) == 0
+
+
+@pytest.mark.parametrize("image, message", [
+    ("10^5000", "a coefficient of this power may have more than 4300 digits (at position 3)"),
+    ("(X+Y+Z+1)^80", "a power of 4 terms to the 80 may have more than 10000 terms "
+                     "(at position 10)"),
+])
+def test_a_spec_that_would_not_round_trip_is_an_input_error(image, message, tmp_path, capsys):
+    path = tmp_path / "refused.txt"
+    path.write_text("var X\nvar Y\nvar Z\nD X = 0\nD Y = 0\nD Z = %s\n" % image)
+    start = time.monotonic()
+    assert main(["check", str(path)]) == 3
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr() == ("", "input error: %s (line 6)\n" % message)
+
+
 def test_main_json_schema(capsys):
     code = main(["image-ideal", "--example", "tparam", "--n", "2", "--json"])
     out = capsys.readouterr().out

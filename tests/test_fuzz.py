@@ -5,14 +5,15 @@ polynomials: random ones, which are mostly not locally nilpotent,
 triangular ones, which are, and either kind times a common factor, which
 makes D reducible.  Factor, expect, bounds and cap lines come and go, and
 some texts carry one malformed line.  Whatever the input, the command must
-end in one of three documented ways, within the deadline:
+end in one of two documented ways, within the deadline:
 
 - a report on stdout whose verdict gives the exit code (0, 1 or 2), and a
   FAIL (exit 1) names at least one witness;
-- "unsupported structure: ..." on stderr, exit 2;
 - "input error: ..." on stderr, or argparse's usage message, exit 3.
 
-No example may end in "internal error" or print a traceback.
+No example may end in "internal error" or print a traceback.  The texts
+without a malformed line also check the canonical printing: it parses back
+to the same problem, and prints to itself.
 """
 
 import contextlib
@@ -20,10 +21,10 @@ import io
 import json
 from datetime import timedelta
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from plinth.cli import EXIT_CODES, main
+from plinth.cli import EXIT_CODES, ProblemFormatError, main, parse_problem, problem_to_string
 
 FUZZ = settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True,
                 database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -49,7 +50,7 @@ def _poly(draw, names, max_terms=3, zero=True):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, malformed=True):
     params = draw(st.lists(st.sampled_from(["a", "b", "t"]), max_size=2, unique=True))
     nvars = draw(st.integers(1, 3))
     names = ["X", "Y", "Z"][:nvars]
@@ -72,7 +73,7 @@ def problems(draw):
         lines.append("bounds %d,%d" % (draw(st.integers(0, 3)), draw(st.integers(0, 3))))
     if draw(st.booleans()):
         lines.append("cap %d" % draw(st.sampled_from([0, 500, 5000, 20000])))
-    if draw(st.integers(0, 4)) == 4:
+    if malformed and draw(st.integers(0, 4)) == 4:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
     return "".join(line + "\n" for line in lines)
 
@@ -98,8 +99,18 @@ def test_every_input_ends_in_a_documented_way(text, command, tmp_path_factory):
         report = json.loads(out)
         assert code == EXIT_CODES[report["verdict"]] and err == "", (text, command)
         assert code != 1 or report["witnesses"], (text, command, report)
-    elif code == 2:
-        assert err.startswith("unsupported structure: "), (text, command, err)
     else:
         assert code == 3 and (err.startswith("input error: ") or "usage: plinth" in err), \
             (text, command, code, err)
+
+
+@FUZZ
+@given(text=problems(malformed=False))
+def test_canonical_printing_round_trips(text):
+    try:
+        spec = parse_problem(text)
+    except ProblemFormatError:  # an expect line whose terms cancel
+        assume(False)
+    printed = problem_to_string(spec)
+    assert parse_problem(printed) == spec, (text, printed)
+    assert problem_to_string(parse_problem(printed)) == printed, (text, printed)

@@ -1,6 +1,6 @@
-"""Dead-name guard: every function, class and method defined in
-src/plinth is referenced somewhere in the source, the tests, the benchmark
-or the README, outside its own definition."""
+"""Layout guards on src/plinth: every function, class and method defined
+there is referenced somewhere in the source, the tests, the benchmark or
+the README, outside its own definition; and no assert statement appears."""
 
 import ast
 import re
@@ -63,3 +63,11 @@ def find_unreferenced():
 
 def test_every_definition_is_referenced():
     assert find_unreferenced() == []
+
+
+def test_no_assert_statement_in_the_source():
+    # python -O strips assert statements, and every certificate re-check
+    # must still run under it; a re-check raises CertificateError instead
+    found = ["%s:%d" % (path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -520,6 +520,54 @@ def test_parse_large_power_is_fast(rab):
     assert len(p.terms) == 1891
 
 
+def test_power_over_the_term_budget_is_refused_before_expanding(monkeypatch):
+    r = PolyRing((), ("X", "Y", "Z"))
+    start = time.monotonic()
+    with pytest.raises(PolyParseError, match="more than %d terms" % polyring.MAX_POWER_TERMS):
+        poly_from_string(r, "(X+Y+Z+1)^80")  # C(83, 80) = 91,881 terms
+    assert time.monotonic() - start < 1.0
+    # the prediction C(t+k-1, k) meets the budget at k = 9 for t = 2
+    monkeypatch.setattr(polyring, "MAX_POWER_TERMS", 10)
+    assert len(poly_from_string(r, "(X+1)^9").nums) == 10
+    with pytest.raises(PolyParseError, match="to the 10 may have more than 10 terms"):
+        poly_from_string(r, "(X+1)^10")
+    # a monomial or a constant predicts one term; it meets the degree limit instead
+    assert poly_from_string(r, "(2*X)^12") == poly_from_string(r, "4096*X^12")
+    with pytest.raises(PlinthError, match="degree limit"):
+        poly_from_string(r, "X^%d" % polyring.DEGREE_LIMIT)
+
+
+def test_integers_past_the_conversion_limit_print_exactly():
+    r = PolyRing(("t",), ("X",))
+    digits = "".join(random.Random(3).choice("0123456789") for _ in range(9000))
+    n = sum(int(digits[i:i + 3000]) * 10**(6000 - i) for i in (0, 3000, 6000)) + 7 * 10**9000
+    assert polyring._digits(n) == "7" + digits  # 9,001 digits, zeros inside kept
+    p = MultiPoly._of(r, {r.encode((1, 1)): -10**6000, 0: 3}, 2 * 10**5000)
+    assert poly_to_string(p) == "-5%s*t*X + 3/2%s" % ("0" * 999, "0" * 5000)
+    assert str(12345678901234567890) == polyring._digits(12345678901234567890)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1" + "0" * 4300, "integer literal too long"),
+    ("10^4300", "a coefficient of this power may have more than 4300 digits"),
+    ("(X + 10)^5000", "a coefficient of this power may have more than 4300 digits"),
+    ("10^3000*10^3000", "a coefficient has more than 4300 digits"),
+])
+def test_a_coefficient_that_would_not_read_back_is_refused(text, message):
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    with pytest.raises(PolyParseError, match=message):
+        poly_from_string(PolyRing((), ("X",)), text)
+
+
+@pytest.mark.parametrize("text, zeros", [
+    ("1" + "0" * 4299, 4299), ("10^4299", 4299), ("10^2000*10^2000", 4000)])
+def test_a_readable_coefficient_round_trips(text, zeros):
+    r = PolyRing((), ("X",))
+    printed = poly_to_string(poly_from_string(r, text))
+    assert printed == "1" + "0" * zeros
+    assert poly_from_string(r, printed) == poly_from_string(r, text)
+
+
 # -- the packed monomial keys, at every arity up to 6 and up to the degree limit
 
 from functools import lru_cache
