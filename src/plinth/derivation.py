@@ -32,9 +32,9 @@ class _Overflow:
 OVERFLOW = _Overflow()
 
 DEFAULT_CAP = 64
-# the most work, (terms of an iterate) x (terms of the images), that
-# _deg_with_status spends on one application of D: about 160 times what
-# the sweeps and benchmark workloads reach
+# the most work, (terms of an iterate) x (terms of the images) summed over
+# its applications of D, that one classify call spends: the benchmark
+# workloads reach 1,485 and the sweeps 261, apart from their budget case
 ITERATION_BUDGET = 50000
 DEFAULT_BEZOUT_BOUND = 6
 
@@ -79,9 +79,10 @@ def _apply_nums(D, nums):
     (apply and the oracle's columns): the term c*X^e contributes
     e_i * c * (DX_i) * X^(e - unit_i) for each main variable X_i in it, at
     the key of e plus a delta of _columns, over their denominator iden.
-    Terms that cancel are left as zero entries."""
+    Terms that cancel are left as zero entries.  The degree is checked only
+    if the greatest input key plus the greatest delta reaches the cap."""
     terms = nums.items()
-    iden, columns = _columns(D)
+    iden, reach, columns = _columns(D)
     acc = {}
     get = acc.get
     for s, img in columns:
@@ -92,23 +93,24 @@ def _apply_nums(D, nums):
                 for d, c2 in img:
                     e = e1 + d
                     acc[e] = get(e, 0) + c1 * c2
-    if acc:
+    if acc and max(nums) + reach >= D.ring._cap:
         D.ring.check_degree(max(acc))
     return acc, iden
 
 
 @lru_cache(maxsize=1)
 def _columns(D):
-    """(iden, [(shift, terms)]) for _apply_nums: per main variable with a
-    nonzero image, the offset of its field in a key and the terms of its
-    image as integers over the common denominator iden, each key minus the
-    variable's key.  Only the last derivation's columns are kept, so a
-    Derivation carries nothing extra."""
+    """(iden, reach, [(shift, terms)]) for _apply_nums: per main variable
+    with a nonzero image, the offset of its field in a key and the terms of
+    its image as integers over the common denominator iden, each key minus
+    the variable's key (a delta; reach is the greatest).  Only the last
+    derivation's columns are kept, so a Derivation carries nothing extra."""
     iden = lcm(*[img.den for img in D.images])
     ring = D.ring
-    return iden, [(ring._shifts[pos], [(k - ring._units[pos], c * (iden // img.den))
-                                       for k, c in img.nums.items()])
-                  for pos, img in enumerate(D.images, ring.nparams) if img.nums]
+    columns = [(ring._shifts[pos], [(k - ring._units[pos], c * (iden // img.den))
+                                    for k, c in img.nums.items()])
+               for pos, img in enumerate(D.images, ring.nparams) if img.nums]
+    return iden, max(d for _, img in columns for d, _ in img), columns
 
 
 def iterate(D, f, n):
@@ -121,29 +123,29 @@ def iterate(D, f, n):
     return f
 
 
-def _deg_with_status(D, f):
-    """(degree, 'finite') or (None, 'overflow'|'budget'|'cycle'): 'budget'
-    when the next application would pass ITERATION_BUDGET, checked before
-    it is computed."""
+def _deg_with_status(D, f, budget=ITERATION_BUDGET):
+    """(degree, 'finite', budget left) or (None, 'overflow'|'budget'|'cycle',
+    budget left): 'budget' when the next application would spend more work
+    than is left, checked before it is computed."""
     if f.is_zero():
-        return MINUS_INF, "finite"
+        return MINUS_INF, "finite", budget
     seen = {f}
     cur = f
     width = sum(len(img.nums) for img in D.images)
     for n in range(DEFAULT_CAP + 1):
-        if len(cur.nums) * width > ITERATION_BUDGET:
-            return None, "budget"
+        cost = len(cur.nums) * width
+        if cost > budget:
+            return None, "budget", budget
+        budget -= cost
         nxt = apply(D, cur)
         if nxt.is_zero():
-            return n, "finite"
+            return n, "finite", budget
         # Dg = c*g for a constant c != 0 means g is never killed
-        if _is_scalar_multiple(nxt, cur):
-            return None, "cycle"
-        if nxt in seen:
-            return None, "cycle"
+        if _is_scalar_multiple(nxt, cur) or nxt in seen:
+            return None, "cycle", budget
         seen.add(nxt)
         cur = nxt
-    return None, "overflow"
+    return None, "overflow", budget
 
 
 def _is_scalar_multiple(f, g):
@@ -189,8 +191,9 @@ def classify(D):
     lnd = True
     notes = []
     recurring = []
+    budget = ITERATION_BUDGET  # one for all the variables
     for var in ring.vars:
-        value, status = _deg_with_status(D, ring.gen(var))
+        value, status, budget = _deg_with_status(D, ring.gen(var), budget)
         if status == "finite":
             degrees.append(value)
         elif status == "cycle":

@@ -2,16 +2,15 @@
 
 Rows are sparse {column: int} dicts made from the nonzero entries only.
 One kernel inserts rows one at a time into a semi-echelon form: a new row
-is reduced at the pivot columns it meets, in ascending order, made
-primitive and kept under its least column, and no earlier row is ever
-rewritten; rows with disjoint supports are never combined, so a block
+is reduced in place at the pivot columns it meets, in ascending order,
+made primitive and kept under its least column; no earlier row is ever
+rewritten, and rows with disjoint supports are never combined, so a block
 diagonal matrix is eliminated block by block.  SpanSolver drives it: one
 elimination of a list of vectors answers span membership with explicit
 combinations and gives the relations among the vectors, and nullspace()
-is the relations among a matrix's columns.  Only basis_from()
-back-reduces, and only the rows it returns.  Dense ``bareiss_echelon``
-(Bareiss, Math. Comp. 22, 1968) is the reference the sparse kernel is
-checked against.
+is the relations among a matrix's columns.  Only basis_from() back-reduces,
+and only the rows it returns.  Dense ``bareiss_echelon`` (Bareiss, Math.
+Comp. 22, 1968) is the reference the sparse kernel is checked against.
 """
 
 from fractions import Fraction
@@ -78,25 +77,28 @@ def _primitive(row):
 
 
 def _eliminate(row, c, top):
-    """(a * row - b * top, a) with a, b coprime integers chosen so that
-    column c of the result is zero."""
+    """Set row to a * row - b * top in place, with a, b coprime integers
+    chosen so that its column c is zero; return a."""
     a, b = top[c], row[c]
     g = gcd(a, b)
     a, b = a // g, b // g
-    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    get = row.get
     for k, v in top.items():
-        x = out.get(k, 0) - b * v
+        x = get(k, 0) - b * v
         if x:
-            out[k] = x
+            row[k] = x
         else:
-            del out[k]
-    return out, a
+            del row[k]
+    return a
 
 
 def _reduce(pivots, row):
-    """(a * row - a combination of the pivot rows, a): row reduced at every
-    pivot column it meets, in ascending order.  A pivot row's other columns
-    lie after its lead, so a cleared column never comes back."""
+    """(a * row - a combination of the pivot rows, a): row reduced in place
+    at every pivot column it meets, in ascending order.  A pivot row's other
+    columns lie after its lead, so a cleared column never comes back."""
     heap = [c for c in row if c in pivots]
     heapify(heap)
     scale = 1
@@ -108,8 +110,7 @@ def _reduce(pivots, row):
         for k in top:
             if k in pivots and k not in row:
                 heappush(heap, k)
-        row, a = _eliminate(row, c, top)
-        scale *= a
+        scale *= _eliminate(row, c, top)
     return row, scale
 
 
@@ -176,8 +177,8 @@ class SpanSolver:
 
     def express(self, v):
         """{i: c_i} with sum(c_i * vectors[i]) == v, an integer row, the zero
-        c_i left out, or None."""
-        w, scale = _reduce(self.pivots, v)
+        c_i left out, or None; v itself is left as it is."""
+        w, scale = _reduce(self.pivots, dict(v))
         # scale * v == (columns >= 0 of w) - sum_i w[~i] * vectors[i]
         if any(k >= 0 for k in w):
             return None

@@ -1,22 +1,23 @@
 """Degree-bounded exact linear algebra used as ground truth.
 
 A DegreeSlice is the finite-dimensional window of B spanned by all
-monomials within a parameter-degree and a variable-degree bound.  Powers
-of a derivation map slices to slices.  D acts on integer columns over one
-denominator through derivation._apply_nums, its one kernel on integer
-numerators, and D^j of a monomial is that kernel applied j times.
-Stacking [D^(j+1) | D^j] for the monomials of the slice gives one
-elimination that answers both the forward preimages and Ker(D) within
-D^j(slice).  The backward check of several generators writes each
-cofactor over a basis of Ker(D) within the slice, which at j = 1 is read
-from that same elimination.  Every question is one sparse exact system;
-polynomials appear only at its boundary.  Every positive answer carries a
-certificate (preimage or cofactors) that is re-verified by direct
-polynomial arithmetic; bounded failures are reported as INCONCLUSIVE,
-never upgraded.
+monomials within a parameter-degree and a variable-degree bound; one per
+ring and bounds is shared from a bounded cache.  Powers of a derivation
+map slices to slices.  D acts on integer columns over one denominator
+through derivation._apply_nums, its one kernel on integer numerators, and
+D^j of a monomial is that kernel applied j times.  Stacking
+[D^(j+1) | D^j] for the monomials of the slice gives one elimination that
+answers both the forward preimages and Ker(D) within D^j(slice).  The
+backward check of several generators writes each cofactor over a basis of
+Ker(D) within the slice, which at j = 1 is read from that same
+elimination, and otherwise from the first of the j applications.  Every
+question is one sparse exact system; polynomials appear only at its
+boundary.  Every positive answer carries a certificate (preimage or
+cofactors) that is re-verified by direct polynomial arithmetic; bounded
+failures are reported as INCONCLUSIVE, never upgraded.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, lcm
 
 from . import linalg
@@ -24,6 +25,7 @@ from .derivation import _apply_nums, _columns, apply, iterate
 from .polyring import (
     CertificateError,
     ExactDivisionError,
+    FIELD_MASK,
     MultiPoly,
     PlinthError,
     divide_exact,
@@ -45,7 +47,8 @@ class OracleCapError(PlinthError):
 class DegreeSlice:
     """All monomials within a parameter-degree and a variable-degree bound.
     The dimension comes from the bounds alone, so caps are checked before
-    the basis is enumerated."""
+    the basis is enumerated.  A slice is immutable, and slice_basis shares
+    one among its callers."""
 
     def __init__(self, ring, param_bound, var_bound):
         self.ring, self.param_bound, self.var_bound = ring, param_bound, var_bound
@@ -65,18 +68,26 @@ class DegreeSlice:
     @cached_property
     def monomials(self):
         """The basis monomials as polynomials."""
-        return [MultiPoly._of(self.ring, {e: 1}) for e in self.basis]
+        return tuple(MultiPoly._of(self.ring, {e: 1}) for e in self.basis)
 
-    def __contains__(self, key):
-        p, v = self.ring.degrees(key)
-        return p <= self.param_bound and v <= self.var_bound
+    def holds(self, keys):
+        """Whether every key lies in the slice (ring.degrees, inlined)."""
+        ring, pb, vb = self.ring, self.param_bound, self.var_bound
+        mask, spread, shift, top = ring._vmask, ring._vspread, ring._vshift, ring._top
+        return not any((v := (t & mask) * spread >> shift & FIELD_MASK) > vb
+                       or (t >> top) - v > pb for t in keys)
 
 
 def slice_basis(ring, param_bound, var_bound):
-    """The slice within both bounds; its basis is enumerated on first use."""
+    """The slice within both bounds, shared while it stays in the cache;
+    its basis is enumerated on first use."""
     if param_bound < 0 or var_bound < 0:
         raise PlinthError("slice bounds must be naturals")
-    return DegreeSlice(ring, param_bound, var_bound)
+    return _shared_slice(ring, param_bound, var_bound)
+
+
+# behind slice_basis, which stays a plain function for wrappers to find
+_shared_slice = lru_cache(maxsize=32)(DegreeSlice)
 
 
 def _bounded_tuples(length, bound):
@@ -254,12 +265,13 @@ def _image(D, col):
 class LinearMapMatrix:
     """D^power from the source slice into the target slice.  columns[i] is
     D^power of the i-th source monomial, integer numerators over
-    iden ** power, iden the common denominator of the images of D.  The
-    chain is held to the entry cap the matrix passed."""
+    iden ** power, iden the common denominator of the images of D, and
+    images[i] its D, None at power 0.  The chain is held to the entry cap
+    the matrix passed."""
 
-    def __init__(self, source, target, power, columns, D, iden, entry_cap):
-        self.source, self.target, self.power = source, target, power
-        self.columns, self.D, self.iden, self.entry_cap = columns, D, iden, entry_cap
+    def __init__(self, source, target, power, columns, images, D, iden, entry_cap):
+        self.source, self.target, self.power, self.columns = source, target, power, columns
+        self.images, self.D, self.iden, self.entry_cap = images, D, iden, entry_cap
 
     @cached_property
     def chain(self):
@@ -279,10 +291,9 @@ class LinearMapMatrix:
         {key: int}: the monomials D kills, then sum x_k * m_k for each
         relation x among the nonzero D(m_k).  At power 1 those D(m_k) are
         the columns, so the relations are the chain's, already eliminated;
-        at any other power each D(m_k) is computed once, and one more
-        system of them finds the relations."""
+        at any other power one more system of the D(m_k) finds them."""
         basis = self.source.basis
-        images = self.columns if self.power == 1 else [_image(self.D, {e: 1}) for e in basis]
+        images = self.images or [_image(self.D, {e: 1}) for e in basis]
         live = [k for k, col in enumerate(images) if col]
         system = self.chain if self.power == 1 else _Combinations(
             [(0, self.source.monomials[k]) for k in live], [(images[k],) for k in live])
@@ -305,12 +316,13 @@ def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
         raise PlinthError("power must be a natural")
     target = _grown(D, source, n)
     _check_cap(target.dim, source.dim, entry_cap)
-    columns = [{e: 1} for e in source.basis]
-    for _ in range(n):
+    images = [_image(D, {e: 1}) for e in source.basis] if n else None
+    columns = images or [{e: 1} for e in source.basis]
+    for _ in range(n - 1):
         columns = [_image(D, col) for col in columns]
-    if any(t not in target for col in columns for t in col):
+    if not all(map(target.holds, columns)):
         raise PlinthError("degree growth bound violated (internal)")
-    return LinearMapMatrix(source, target, n, columns, D, _columns(D)[0], entry_cap)
+    return LinearMapMatrix(source, target, n, columns, images, D, _columns(D)[0], entry_cap)
 
 
 def _refuse_kernel(D, slc, entry_cap):
@@ -393,7 +405,7 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                 DirectionItem(g, "FAIL", "predicted generator is not in Ker(D)")
             )
             continue
-        if not any(mat.columns) or any(e not in mat.target for e in g.nums):
+        if not any(mat.columns) or not mat.target.holds(g.nums):
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "generator outside the slice window")
             )

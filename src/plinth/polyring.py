@@ -37,6 +37,8 @@ NAME_STARTS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"  # a name'
 # 2-vCPU host), and no pinned sweep or benchmark round parses a power of
 # more than 6 terms
 MAX_POWER_TERMS = 10000
+# and a product of parenthesized factors of a and b terms if a * b passes this
+MAX_PRODUCT_TERMS = 10000
 
 
 class PlinthError(Exception):
@@ -79,12 +81,14 @@ class PolyRing:
     shared polynomial each.  The ring is the codec of its keys: _shifts[i]
     is the offset of name i's field, _top the degree field's, _units[i] the
     key of name i, _cap the least key of degree DEGREE_LIMIT and _guards
-    the guard bits of the name fields.  _monomials holds the text of each
-    monomial key printed so far, as poly_to_string writes it.
+    the guard bits of the name fields; _vmask, _vspread and _vshift read
+    the main-variable degree of a key (degrees).  _monomials holds the text
+    of each monomial key printed so far, as poly_to_string writes it.
     """
 
     __slots__ = ("params", "vars", "names", "_index", "_shifts", "_top", "_units", "_cap",
-                 "_guards", "_zero", "_one", "_gens", "_monomials", "__weakref__")
+                 "_guards", "_vmask", "_vspread", "_vshift", "_zero", "_one", "_gens",
+                 "_monomials", "__weakref__")
     _in_use = weakref.WeakValueDictionary()
 
     def __new__(cls, params, vars):
@@ -109,6 +113,9 @@ class PolyRing:
         ring._units = tuple((1 << ring._top) + (1 << s) for s in ring._shifts)
         ring._cap = DEGREE_LIMIT << ring._top
         ring._guards = sum(DEGREE_LIMIT << s for s in ring._shifts)
+        ring._vshift = ring._shifts[len(key[0])]
+        ring._vmask = (1 << ring._vshift + FIELD_BITS) - 1
+        ring._vspread = sum(1 << s for s in ring._shifts[len(key[0]):])
         ring._zero = MultiPoly._of(ring, {})
         ring._one = MultiPoly._of(ring, {0: 1})
         ring._gens = tuple(MultiPoly._of(ring, {unit: 1}) for unit in ring._units)
@@ -151,9 +158,11 @@ class PolyRing:
         return tuple(key >> s & FIELD_MASK for s in self._shifts)
 
     def degrees(self, key):
-        """(parameter degree, main-variable degree) of a key."""
-        p = sum(key >> s & FIELD_MASK for s in self._shifts[:len(self.params)])
-        return p, (key >> self._top) - p
+        """(parameter degree, main-variable degree) of a key.  One product
+        sums the variable fields into the first one's: each partial sum is
+        at most the degree, below DEGREE_LIMIT, so none carries."""
+        v = (key & self._vmask) * self._vspread >> self._vshift & FIELD_MASK
+        return (key >> self._top) - v, v
 
     def check_degree(self, key):
         """key, if its degree is below DEGREE_LIMIT; a kernel passes its
@@ -968,9 +977,14 @@ class _Parser:
                 self.next()
             elif kind not in ("int", "name", "("):  # not juxtaposition either
                 return coeff, self.ring.check_degree(key), poly
+            start = self.i
             c, k, p = self.factor()
             coeff, key = coeff * c, key + k if key else k  # k may be a shared unit key
             if p is not None:
+                if poly is not None and len(poly.nums) * len(p.nums) > MAX_PRODUCT_TERMS:
+                    raise PolyParseError("a product of %d by %d terms may have more than %d terms"
+                                         % (len(poly.nums), len(p.nums), MAX_PRODUCT_TERMS),
+                                         self.tokens[start][2])
                 poly = p if poly is None else poly * p
 
     def factor(self):

@@ -364,6 +364,8 @@ def test_a_long_coefficient_prints_its_exact_digits(tmp_path, capsys):
     ("10^5000", "a coefficient of this power may have more than 4300 digits (at position 3)"),
     ("(X+Y+Z+1)^80", "a power of 4 terms to the 80 may have more than 10000 terms "
                      "(at position 10)"),
+    ("(X+Y+Z+1)^20*(X+Y+Z+1)^20", "a product of 1771 by 1771 terms may have more than "
+                                  "10000 terms (at position 13)"),
 ])
 def test_a_spec_that_would_not_round_trip_is_an_input_error(image, message, tmp_path, capsys):
     path = tmp_path / "refused.txt"

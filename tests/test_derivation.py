@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from plinth import linalg
+from plinth import derivation, linalg
 from plinth.derivation import (
     DEFAULT_BEZOUT_BOUND,
+    ITERATION_BUDGET,
     OVERFLOW,
     Derivation,
     PlinthError,
@@ -67,6 +68,22 @@ def test_not_locally_nilpotent():
     rep = classify(D)
     assert rep.lnd is False
     assert rep.degrees == (OVERFLOW,)
+
+
+def test_classify_spends_one_budget_on_all_variables(monkeypatch):
+    # the iterates of each variable outgrow any budget; once X has spent it,
+    # Y and Z get what is left, not a budget of their own
+    ring = PolyRing((), ("X", "Y", "Z"))
+    D = Derivation(ring, [ring.poly("-3*Y^2*Z"), ring.poly("-X^2*Z^3"),
+                          ring.poly("3*Y^2 + 3*Y")])
+    spent = []  # (terms of an iterate) x (terms of the images) per application
+    real = derivation.apply
+    monkeypatch.setattr(derivation, "apply",
+                        lambda D, f: spent.append(len(f.nums) * 4) or real(D, f))
+    rep = classify(D)
+    assert (rep.lnd, rep.degrees) == (None, (OVERFLOW,) * 3)
+    assert rep.notes == ["iterates of X outgrow the iteration budget"]
+    assert sum(spent) <= ITERATION_BUDGET
 
 
 def test_classify_nice(rab):

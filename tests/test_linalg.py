@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.linalg import bareiss_echelon, nullspace
+from plinth.linalg import SpanSolver, bareiss_echelon, nullspace
 
 from test_properties import (
     FractionSpanSolver,
@@ -200,3 +200,14 @@ def test_add_never_rewrites_earlier_pivot_rows():
                 assert solver.pivots[c] is r and r == copy
             for c, r in solver.pivots.items():
                 assert min(k for k in r if k >= 0) == c
+
+
+def test_express_leaves_its_query_unchanged():
+    # rows are reduced in place, so express works on a copy of its query;
+    # the first query is eliminated unscaled, the second scaled by 2
+    solver = SpanSolver([{0: 2, 1: 1}, {1: 1, 2: 3}])
+    for v in ({0: 4, 1: 5, 2: 9}, {0: 1, 2: 5}):
+        copy = dict(v)
+        solver.express(v)
+        assert v == copy
+    assert solver.express({0: 4, 1: 5, 2: 9}) == {0: 2, 1: 3}

@@ -594,3 +594,27 @@ def test_combinations_against_sympy(seed):
         if inside:
             assert image(answer, unknowns, columns) == other
         assert system.solve(ring.poly("X^5")) is None
+
+
+@pytest.mark.parametrize("short", [(1, 0), (0, 1)], ids=["param", "var"])
+def test_growth_guard_raises_on_an_under_reported_bound(monkeypatch, short):
+    # D X1 = t grows the parameter degree by 1, D X2 = X1^2 the variable
+    # degree by 1: a target slice one short in either misses a column key
+    ring = PolyRing(("t",), ("X1", "X2"))
+    D = Derivation(ring, [ring.poly("t"), ring.poly("X1^2")])
+    src = slice_basis(ring, 1, 1)
+    assert oracle.growth_per_application(D) == (1, 1)
+    matrix_of_power(D, 2, src)
+    real = oracle.growth_per_application
+    monkeypatch.setattr(oracle, "growth_per_application",
+                        lambda D: tuple(g - s for g, s in zip(real(D), short)))
+    with pytest.raises(PlinthError, match="degree growth bound violated"):
+        matrix_of_power(D, 1, src)
+
+
+def test_slices_are_shared_and_immutable(rt):
+    slc = slice_basis(rt, 2, 1)
+    assert slice_basis(PolyRing(("t",), ("X1", "X2")), 2, 1) is slc
+    assert slice_basis(rt, 1, 2) is not slc
+    assert isinstance(slc.basis, tuple) and isinstance(slc.monomials, tuple)
+    assert len(slc.monomials) == slc.dim == 9

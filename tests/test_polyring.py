@@ -537,6 +537,17 @@ def test_power_over_the_term_budget_is_refused_before_expanding(monkeypatch):
         poly_from_string(r, "X^%d" % polyring.DEGREE_LIMIT)
 
 
+def test_product_over_the_term_budget_is_refused_before_multiplying(monkeypatch):
+    r = PolyRing((), ("X", "Y", "Z"))
+    monkeypatch.setattr(polyring, "MAX_PRODUCT_TERMS", 6)
+    assert len(poly_from_string(r, "(X+1)*(X+Y+1)").nums) == 5
+    with pytest.raises(PolyParseError, match=r"a product of 2 by 4 terms .* \(at position 5\)"):
+        poly_from_string(r, "(X+1)(X+Y+Z+1)")
+    # each product counts the terms multiplied so far: 2 * 2, then 4 * 2
+    with pytest.raises(PolyParseError, match=r"a product of 4 by 2 terms .* \(at position 16\)"):
+        poly_from_string(r, "(X+1)*3*(Y+1)*X*(Z+1)")
+
+
 def test_integers_past_the_conversion_limit_print_exactly():
     r = PolyRing(("t",), ("X",))
     digits = "".join(random.Random(3).choice("0123456789") for _ in range(9000))
@@ -575,6 +586,8 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plinth.derivation import _columns
+from plinth.oracle import slice_basis
 from plinth.polyring import DEGREE_LIMIT
 
 CODEC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -661,3 +674,30 @@ def test_codec_one_step_past_the_limit_raises(data):
         images = [x * x if name == ring.names[i] else ring.zero() for name in ring.vars]
         with pytest.raises(PlinthError, match="degree limit: "):
             apply(Derivation(ring, images), below)
+
+
+@CODEC
+@given(st.data())
+def test_codec_packed_degrees_match_the_fields(data):
+    # degrees sums the variable fields of a key in one product, and a
+    # slice's holds inlines it; both must equal the sum field by field
+    ring = data.draw(_rings())
+    e = data.draw(_vectors(ring.arity))
+    key = ring.encode(e)
+    p, v = sum(e[:ring.nparams]), sum(e[ring.nparams:])
+    assert ring.degrees(key) == (p, v)
+    pb, vb = (data.draw(st.integers(0, DEGREE_LIMIT)) for _ in range(2))
+    assert slice_basis(ring, pb, vb).holds([key]) == (p <= pb and v <= vb)
+
+
+def test_apply_checks_the_degree_only_past_its_bound():
+    # D X = Y^(L-1): the bound on D(X + Y^10), the greatest input key plus
+    # the greatest delta, passes the limit, but its one key Y^(L-1) does
+    # not, so it must pass; D(X*Y + Y^10) = Y^L must not
+    ring = PolyRing((), ("X", "Y"))
+    D = Derivation(ring, [ring.gen("Y") ** (DEGREE_LIMIT - 1), ring.zero()])
+    f = ring.poly("X + Y^10")
+    assert max(f.nums) + _columns(D)[1] >= ring._cap
+    assert apply(D, f) == ring.gen("Y") ** (DEGREE_LIMIT - 1)
+    with pytest.raises(PlinthError, match="degree limit: "):
+        apply(D, ring.poly("X*Y + Y^10"))
