@@ -5,12 +5,14 @@ One kernel inserts rows one at a time into a semi-echelon form: a new row
 is reduced in place at the pivot columns it meets, in ascending order,
 made primitive and kept under its least column; no earlier row is ever
 rewritten, and rows with disjoint supports are never combined, so a block
-diagonal matrix is eliminated block by block.  SpanSolver drives it: one
+diagonal matrix is eliminated block by block.  Echelon holds that form;
+its basis_from() back-reduces only the rows it returns.  SpanSolver adds
+one identity tag per vector, which only relations and express() read: one
 elimination of a list of vectors answers span membership with explicit
 combinations and gives the relations among the vectors, and nullspace()
-is the relations among a matrix's columns.  Only basis_from() back-reduces,
-and only the rows it returns.  Dense ``bareiss_echelon`` (Bareiss, Math.
-Comp. 22, 1968) is the reference the sparse kernel is checked against.
+is the relations among a matrix's columns.  Dense ``bareiss_echelon``
+(Bareiss, Math. Comp. 22, 1968) is the reference the sparse kernel is
+checked against.
 """
 
 from fractions import Fraction
@@ -131,7 +133,45 @@ def nullspace(rows, ncols):
     return basis
 
 
-class SpanSolver:
+class Echelon:
+    """The semi-echelon form of integer rows {column: int} without zero
+    entries, pivots {column: row}: each row is taken, reduced in place
+    (_reduce), made primitive and kept under its least column, or dropped
+    if it reduces to zero."""
+
+    def __init__(self, rows=()):
+        self.pivots = {}
+        for row in rows:
+            self.add(row)
+
+    def add(self, row):
+        row = _primitive(_reduce(self.pivots, _primitive(row))[0])
+        if row:
+            self.pivots[min(row)] = row
+
+    def basis_from(self, start):
+        """A basis of the vectors of the span that vanish in every column
+        before start: the pivot rows whose lead is at or after start, any
+        tags dropped, back-reduced into the reduced echelon basis, each
+        primitive with a positive pivot, by descending pivot column: the
+        same whether the rows were eliminated with tags or without."""
+        done = {}
+        for pc in sorted((c for c in self.pivots if c >= start), reverse=True):
+            # the rows in done have no pivot column but their own, so
+            # clearing one column brings in no other
+            row = _reduce(done, {c: v for c, v in self.pivots[pc].items() if c >= 0})[0]
+            g = gcd(*row.values())
+            if row[pc] < 0:
+                g = -g
+            done[pc] = {c: v // g for c, v in row.items()}
+        return list(done.values())
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+class SpanSolver(Echelon):
     """Membership, expression and relations in the span of a fixed list of
     vectors.
 
@@ -151,13 +191,11 @@ class SpanSolver:
     """
 
     def __init__(self, vectors):
-        self.pivots = {}
         # one {i: int} per dependent vector, in input order, with
         # sum(x_i * vectors[i]) == 0, primitive, first nonzero entry
         # positive: a basis of all relations among the vectors
         self.relations = []
-        for v in vectors:
-            self.add(v)
+        super().__init__(vectors)
 
     def add(self, row, scale=1):
         """Insert the next vector, row / scale; its relation with earlier
@@ -183,23 +221,3 @@ class SpanSolver:
         if any(k >= 0 for k in w):
             return None
         return {~k: Fraction(-x, scale) for k, x in w.items()}
-
-    def basis_from(self, start):
-        """A basis of the vectors of the span that vanish in every column
-        before start: the pivot rows whose lead is at or after start, tags
-        dropped, back-reduced into the reduced echelon basis, each
-        primitive with a positive pivot, by descending pivot column."""
-        done = {}
-        for pc in sorted((c for c in self.pivots if c >= start), reverse=True):
-            # the rows in done have no pivot column but their own, so
-            # clearing one column brings in no other
-            row = _reduce(done, {c: v for c, v in self.pivots[pc].items() if c >= 0})[0]
-            g = gcd(*row.values())
-            if row[pc] < 0:
-                g = -g
-            done[pc] = {c: v // g for c, v in row.items()}
-        return list(done.values())
-
-    @property
-    def rank(self):
-        return len(self.pivots)

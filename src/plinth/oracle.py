@@ -4,8 +4,9 @@ A DegreeSlice is the finite-dimensional window of B spanned by all
 monomials within a parameter-degree and a variable-degree bound; one per
 ring and bounds is shared from a bounded cache.  Powers of a derivation
 map slices to slices.  D acts on integer columns over one denominator
-through derivation._apply_nums, its one kernel on integer numerators, and
-D^j of a monomial is that kernel applied j times.  Stacking
+through derivation._apply_nums, its one kernel on integer numerators; D
+is R-linear, so D^j of a monomial r*v, r over the parameters, is the
+kernel applied j times to v and shifted by r's key.  Stacking
 [D^(j+1) | D^j] for the monomials of the slice gives one elimination that
 answers both the forward preimages and Ker(D) within D^j(slice).  The
 backward check of several generators writes each cofactor over a basis of
@@ -188,7 +189,7 @@ class _Combinations:
 
     @cached_property
     def _solver(self):
-        return linalg.SpanSolver([self._vector(col) for col in self.columns])
+        return linalg.SpanSolver(map(self._vector, self.columns))
 
     def _coordinates(self, target):
         """(coords, scale): scale * target, one polynomial per block, in the
@@ -240,18 +241,20 @@ class _Combinations:
                                     target.den * relation[0])
         return None
 
-    def tail_basis(self):
+    def tail_basis(self, tags=True):
         """The last-block parts of the vectors of the column span whose other
         blocks vanish, in one canonical form: the reduced echelon basis,
         monomials in descending grlex order, each element integer-primitive
         with a positive leading coefficient, sorted by ascending leading
         monomial, so it depends only on that subspace.  It comes from the
-        elimination solve() uses."""
+        elimination solve() uses, or with tags=False from one of its own
+        without tags (linalg.Echelon), for a caller that asks nothing else."""
         monos = list(self.numbering[-1])
         start = self.width - len(monos)
+        solver = self._solver if tags else linalg.Echelon(map(self._vector, self.columns))
         return [MultiPoly._of(self.unknowns[0][1].ring,
                               {monos[k - start]: v for k, v in row.items()})
-                for row in self._solver.basis_from(start)]
+                for row in solver.basis_from(start)]
 
 
 def _image(D, col):
@@ -263,27 +266,47 @@ def _image(D, col):
 
 
 class LinearMapMatrix:
-    """D^power from the source slice into the target slice.  columns[i] is
-    D^power of the i-th source monomial, integer numerators over
-    iden ** power, iden the common denominator of the images of D, and
-    images[i] its D, None at power 0.  The chain is held to the entry cap
-    the matrix passed."""
+    """D^power from the source slice into the target slice.  D is R-linear,
+    so it is applied only to main-variable monomials: parts[i] is (r, v)
+    for the i-th source key r + v, r its parameter part, and powers[k] maps
+    each v to D^k(v), integer numerators over iden ** k, iden the common
+    denominator of the images of D.  D^k(r*v) is D^k(v) shifted by r.  The
+    chain is held to the entry cap the matrix passed."""
 
-    def __init__(self, source, target, power, columns, images, D, iden, entry_cap):
-        self.source, self.target, self.power, self.columns = source, target, power, columns
-        self.images, self.D, self.iden, self.entry_cap = images, D, iden, entry_cap
+    def __init__(self, source, target, power, D, iden, entry_cap):
+        self.source, self.target, self.power = source, target, power
+        self.D, self.iden, self.entry_cap, ring = D, iden, entry_cap, source.ring
+        vs = [(e & ring._vmask) + (ring.degrees(e)[1] << ring._top) for e in source.basis]
+        self.parts = [(e - v, v) for e, v in zip(source.basis, vs)]
+        self.powers = [{v: {v: 1} for v in vs}]
+
+    def _power(self, k):
+        """powers[k], each new power D applied once per v; its greatest key
+        shifted by the greatest r is checked as _apply_nums checks its own."""
+        powers = self.powers
+        while len(powers) <= k:
+            powers.append({v: _image(self.D, col) for v, col in powers[-1].items()})
+            peak = max(map(max, filter(None, powers[-1].values())), default=0)
+            self.source.ring.check_degree(max(self.parts)[0] + peak)
+        return powers[k]
+
+    def columns(self, k=None):
+        """D^k of each source monomial, in basis order; D^power by default."""
+        powers = self._power(self.power if k is None else k)
+        return [{e + r: c for e, c in powers[v].items()} for r, v in self.parts]
 
     @cached_property
     def chain(self):
-        """The nonzero columns v stacked under their images, [D(v) | v] over
-        one denominator, as one system: a preimage of g in Ker(D) answers
-        solve(0, g), and tail_basis() is Ker(D) within the span of the v."""
-        iden = self.iden
-        pairs = [(m, col) for m, col in zip(self.source.monomials, self.columns) if col]
+        """Each nonzero column c = D^power(r*v) under D(c), both read from
+        powers and shifted by r, over one denominator, as one system: a
+        preimage of g in Ker(D) answers solve(0, g); tail_basis() is Ker(D)
+        within the span of the c."""
+        iden, lows, highs = self.iden, self._power(self.power), self._power(self.power + 1)
+        live = [(m, r, v) for m, (r, v) in zip(self.source.monomials, self.parts) if lows[v]]
         return _Combinations(
-            [(0, m) for m, _ in pairs],
-            [(_image(self.D, col), {e: c * iden for e, c in col.items()})
-             for _, col in pairs],
+            [(0, m) for m, _, _ in live],
+            [({e + r: c for e, c in highs[v].items()},
+              {e + r: c * iden for e, c in lows[v].items()}) for _, r, v in live],
             iden ** (self.power + 1), entry_cap=self.entry_cap)
 
     def kernel(self):
@@ -292,8 +315,7 @@ class LinearMapMatrix:
         relation x among the nonzero D(m_k).  At power 1 those D(m_k) are
         the columns, so the relations are the chain's, already eliminated;
         at any other power one more system of the D(m_k) finds them."""
-        basis = self.source.basis
-        images = self.images or [_image(self.D, {e: 1}) for e in basis]
+        basis, images = self.source.basis, self.columns(1)
         live = [k for k, col in enumerate(images) if col]
         system = self.chain if self.power == 1 else _Combinations(
             [(0, self.source.monomials[k]) for k in live], [(images[k],) for k in live])
@@ -310,19 +332,18 @@ def _grown(D, source, n):
 
 def matrix_of_power(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     """Exact matrix of D^n from the source slice into an auto-enlarged
-    target: the column of a monomial X^e is _image applied n times to
-    {e: 1}, integer numerators over iden ** n."""
+    target: _image applied n times to {v: 1} for each main-variable part v
+    of the slice, integer numerators over iden ** n; the column of r*v is
+    that shifted by r, by at most source.param_bound in parameter degree."""
     if n < 0:
         raise PlinthError("power must be a natural")
     target = _grown(D, source, n)
     _check_cap(target.dim, source.dim, entry_cap)
-    images = [_image(D, {e: 1}) for e in source.basis] if n else None
-    columns = images or [{e: 1} for e in source.basis]
-    for _ in range(n - 1):
-        columns = [_image(D, col) for col in columns]
-    if not all(map(target.holds, columns)):
+    matrix = LinearMapMatrix(source, target, n, D, _columns(D)[0], entry_cap)
+    window = DegreeSlice(source.ring, target.param_bound - source.param_bound, target.var_bound)
+    if not all(map(window.holds, matrix._power(n).values())):
         raise PlinthError("degree growth bound violated (internal)")
-    return LinearMapMatrix(source, target, n, columns, images, D, _columns(D)[0], entry_cap)
+    return matrix
 
 
 def _refuse_kernel(D, slc, entry_cap):
@@ -340,7 +361,7 @@ def kernel_and_image_basis(D, n, source, entry_cap=DEFAULT_ENTRY_CAP):
     matrix_of_power(D, n, source) once it and Ker(D) pass the cap."""
     matrix = matrix_of_power(D, n, source, entry_cap)
     _refuse_kernel(D, source, entry_cap)
-    return matrix.chain.tail_basis()
+    return matrix.chain.tail_basis(tags=False)
 
 
 class DirectionItem:
@@ -405,7 +426,7 @@ def verify_image_ideal(D, j, predicted_gens, param_bound, var_bound,
                 DirectionItem(g, "FAIL", "predicted generator is not in Ker(D)")
             )
             continue
-        if not any(mat.columns) or not mat.target.holds(g.nums):
+        if not any(mat.powers[j].values()) or not mat.target.holds(g.nums):
             forward_items.append(
                 DirectionItem(g, "INCONCLUSIVE", "generator outside the slice window")
             )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.linalg import SpanSolver, bareiss_echelon, nullspace
+from plinth.linalg import Echelon, SpanSolver, bareiss_echelon, nullspace
 
 from test_properties import (
     FractionSpanSolver,
@@ -211,3 +211,28 @@ def test_express_leaves_its_query_unchanged():
         solver.express(v)
         assert v == copy
     assert solver.express({0: 4, 1: 5, 2: 9}) == {0: 2, 1: 3}
+
+
+def test_echelon_without_tags_gives_the_tagged_basis():
+    # without tags each row reduces to the tagged row's part in columns >= 0
+    # up to a scalar (the tags can change its gcd), so the normalized
+    # basis_from is the same, on integer vectors with zero and dependent ones
+    rng = random.Random(23)
+    for _ in range(60):
+        width = rng.randint(1, 9)
+        base = [{c: rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))
+                 for c in range(width) if rng.random() < 0.6}
+                for _ in range(rng.randint(1, 5))]
+        vectors = base + [{}]
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice(base), rng.choice(base)
+            ka, kb = rng.choice((-2, 1, 3)), rng.choice((-1, 0, 2))
+            mix = {c: ka * a.get(c, 0) + kb * b.get(c, 0) for c in set(a) | set(b)}
+            vectors.append({c: x for c, x in mix.items() if x})
+        rng.shuffle(vectors)
+        tagged = SpanSolver([dict(v) for v in vectors])
+        plain = Echelon([dict(v) for v in vectors])
+        assert plain.rank == tagged.rank
+        assert all(min(row) >= 0 for row in plain.pivots.values())
+        for start in range(width + 1):
+            assert plain.basis_from(start) == tagged.basis_from(start)

@@ -20,6 +20,7 @@ from plinth.oracle import (
     verify_image_ideal,
 )
 from plinth.polyring import (
+    DEGREE_LIMIT,
     CertificateError,
     ExactDivisionError,
     MultiPoly,
@@ -58,7 +59,7 @@ def test_slice_basis_dimensions():
 
 def column_polys(mat):
     """The columns of mat as the polynomials D^n(monomial) they stand for."""
-    return [as_poly(mat.source.ring, col, mat.iden ** mat.power) for col in mat.columns]
+    return [as_poly(mat.source.ring, col, mat.iden ** mat.power) for col in mat.columns()]
 
 
 def test_matrix_of_power_identity(rab):
@@ -79,13 +80,50 @@ def test_matrix_of_power_columns(rab):
     assert cols[(0, 0, 0, 0)].is_zero()
     for e, col in cols.items():
         assert col == iterate(D, MultiPoly(rab, {e: Fraction(1)}), 1)
+    # D is applied once per main-variable monomial and shifted by the
+    # parameter part: every column, the chain's and kernel()'s images, over
+    # rings of 0, 1 and 2 parameters, at every power up to 3
+    for params, images in (((), ("1/2", "X/3 + 1")), (("t",), ("t/2", "(t^2 - 1)*X/3 + t")),
+                           (("a", "b"), ("a/2 + b", "b/3 + a*b*X"))):
+        ring = PolyRing(params, ("X", "Y"))
+        D = Derivation(ring, [ring.poly(p) for p in images])
+        src = slice_basis(ring, 2, 2)
+        for n in range(4):
+            mat = matrix_of_power(D, n, src, entry_cap=None)
+            powers = [iterate(D, m, n) for m in src.monomials]
+            assert column_polys(mat) == powers, (params, n)
+            assert [as_poly(ring, col, mat.iden) for col in mat.columns(1)] \
+                == [apply(D, m) for m in src.monomials]
+            live = [m for m, p in zip(src.monomials, powers) if not p.is_zero()]
+            assert [m for _, m in mat.chain.unknowns] == live
+            for m, (high, low) in zip(live, mat.chain.columns):
+                assert as_poly(ring, high, mat.chain.den) == iterate(D, m, n + 1)
+                assert as_poly(ring, low, mat.chain.den) == iterate(D, m, n)
+            kernel = [as_poly(ring, k, 1) for k in mat.kernel()]
+            assert canonical_basis(kernel) == canonical_basis(kernel_basis(D, src, None))
+
+
+def test_a_shifted_column_past_the_degree_limit_is_refused():
+    # D X = a^(DEGREE_LIMIT - 1) is below the limit, but the column of a*X,
+    # that image shifted by a, reaches it: refused as apply refuses a*X
+    ring = PolyRing(("a",), ("X", "Y"))
+    D = Derivation(ring, [MultiPoly(ring, {(DEGREE_LIMIT - 1, 0, 0): Fraction(1)}),
+                          ring.zero()])
+    src = slice_basis(ring, 0, 1)
+    mat = matrix_of_power(D, 1, src, entry_cap=None)
+    assert column_polys(mat) == [apply(D, m) for m in src.monomials]
+    with pytest.raises(PlinthError) as applied:
+        apply(D, ring.poly("a*X"))
+    with pytest.raises(PlinthError) as shifted:
+        matrix_of_power(D, 1, slice_basis(ring, 1, 1), entry_cap=None)
+    assert str(shifted.value) == str(applied.value)
 
 
 def test_matrix_of_power_vanishes(rab):
     D = nice_ab(rab)
     src = slice_basis(rab, 0, 2)
     mat = matrix_of_power(D, 3, src)  # every monomial has deg_D <= 2
-    assert not any(mat.columns)
+    assert not any(mat.columns())
 
 
 def kernel_basis(D, slc, entry_cap=oracle.DEFAULT_ENTRY_CAP):
@@ -114,7 +152,7 @@ def test_images_sum_the_terms_that_meet(rt):
     mat = matrix_of_power(D, 1, slc)
     for col, m in zip(column_polys(mat), slc.monomials):
         assert col == apply(D, m)
-    assert all(all(col.values()) for col in mat.columns)
+    assert all(all(col.values()) for col in mat.columns())
     assert set(kernel_basis(D, slc)) == {rt.poly(p) for p in ("1", "t", "X1*X2", "t*X1*X2")}
 
 
@@ -251,9 +289,10 @@ def test_chain_is_held_to_the_cap(monkeypatch):
     D, gens = _wink1()
     src = slice_basis(D.ring, 2, 2)
     eliminated = []
-    solver = oracle.linalg.SpanSolver
-    monkeypatch.setattr(oracle.linalg, "SpanSolver",
-                        lambda *args: eliminated.append(args) or solver(*args))
+    for name in ("SpanSolver", "Echelon"):  # tagged and tagless eliminations
+        solver = getattr(oracle.linalg, name)
+        monkeypatch.setattr(oracle.linalg, name,
+                            lambda *args, solver=solver: eliminated.append(args) or solver(*args))
     mat = matrix_of_power(D, 1, src, entry_cap=6000)
     with pytest.raises(OracleCapError, match="solve needs 117 x 54 = 6318 entries, cap is 6000"):
         mat.chain
@@ -263,6 +302,27 @@ def test_chain_is_held_to_the_cap(monkeypatch):
             refused()
     assert eliminated == []
     assert kernel_and_image_basis(D, 1, src, entry_cap=6318)
+
+
+def test_image_ideal_bases_build_no_tagged_elimination(monkeypatch):
+    # kernel_and_image_basis eliminates its chain once, without the tags
+    # that only solve() and relations() read, into the basis that the
+    # tagged elimination of the same chain gives
+    built = []
+    for name in ("SpanSolver", "Echelon"):
+        solver = getattr(oracle.linalg, name)
+        monkeypatch.setattr(oracle.linalg, name,
+                            lambda *args, name=name, solver=solver: built.append(name)
+                            or solver(*args))
+    for fixture in ("inice", "wink1", "pid3", "tparam"):
+        D = parse_problem(FIXTURES[fixture]).derivation()
+        src = slice_basis(D.ring, 2, 2)
+        for n in range(4):
+            built.clear()
+            basis = kernel_and_image_basis(D, n, src, entry_cap=None)
+            assert built == ["Echelon"]
+            assert basis == matrix_of_power(D, n, src, entry_cap=None).chain.tail_basis()
+            assert built == ["Echelon", "SpanSolver"]
 
 
 def test_verify_nice_instance(rab):

@@ -311,9 +311,9 @@ def check_matrix_columns(rng, cases=100):
         mat = matrix_of_power(D, n, src, entry_cap=500000)
         i = rng.randrange(src.dim)
         mono = MultiPoly(ring, {ring.decode(src.basis[i]): Fraction(1)})
-        assert as_poly(ring, mat.columns[i], mat.iden ** n) == iterate(D, mono, n)
-        assert mat.target.holds(mat.columns[i])
-        assert all(mat.columns[i].values())
+        assert as_poly(ring, mat.columns()[i], mat.iden ** n) == iterate(D, mono, n)
+        assert mat.target.holds(mat.columns()[i])
+        assert all(mat.columns()[i].values())
 
 
 def as_poly(ring, column, den):
@@ -407,7 +407,7 @@ def check_chain_against_two_step(rng, cases=24):
             assert as_poly(D.ring, after, den) == iterate(D, m, n + 1)
             assert as_poly(D.ring, block, den) == iterate(D, m, n)
             assert all(after.values()) and all(block.values())
-        assert len(chain.unknowns) == sum(1 for col in mat.columns if col)
+        assert len(chain.unknowns) == sum(1 for col in mat.columns() if col)
         assert chain.tail_basis() == kernel_in_image_two_step(D, n, src)
 
 
